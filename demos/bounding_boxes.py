@@ -15,7 +15,7 @@ from polybound.boxopt import standard_table, verify_table
 from polybound.bounder import (
     PolyCoeffs,
     bernstein_bounds,
-    bound_1d,
+    bound_tensor,
     brute_force_extrema,
 )
 from polybound.limiter import step_interpolation_table
@@ -34,7 +34,7 @@ def main():
 
     # nodal values with an interior spike; the interpolant overshoots it
     coeffs = PolyCoeffs(1, basis, np.array([0.1, 1.0, -0.8, 0.3]))
-    nb = bound_1d(coeffs, table)
+    nb = bound_tensor(coeffs, table)
     lo_b, hi_b = bernstein_bounds(coeffs)
     lo_o, hi_o = brute_force_extrema(coeffs, 100_000)
 

@@ -40,7 +40,7 @@ from .bounder import (
     NodeBounds,
     BoundSummary,
     project_p1,
-    bound_1d,
+    bound_nodes,
     bound_tensor,
     bernstein_bounds,
     brute_force_extrema,
@@ -97,7 +97,7 @@ __all__ = [
     "NodeBounds",
     "BoundSummary",
     "project_p1",
-    "bound_1d",
+    "bound_nodes",
     "bound_tensor",
     "bernstein_bounds",
     "brute_force_extrema",

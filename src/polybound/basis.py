@@ -214,6 +214,7 @@ def make_node_set(kind: str, M: int, positions: Optional[Sequence[float]] = None
     return NodeSet(kind, tuple(eta))
 
 
+@lru_cache(maxsize=64)
 def make_basis(family: str, p: int) -> BasisSpec:
     """Construct a BasisSpec, computing interpolation nodes for nodal families."""
     if family == "lobatto-nodal":
@@ -327,17 +328,6 @@ def basis_deriv_matrix(spec: BasisSpec, x) -> np.ndarray:
         return np.zeros((x.size, spec.N))
     dC = _cheb.chebder(C, axis=0)
     return _cheb.chebval(x, dC).T
-
-
-def basis_deriv2_matrix(spec: BasisSpec, x) -> np.ndarray:
-    """Second derivatives of all basis functions; shape (len(x), N)."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    _check_range(x)
-    C = cheb_coeffs(spec)
-    if spec.p < 2:
-        return np.zeros((x.size, spec.N))
-    d2C = _cheb.chebder(C, 2, axis=0)
-    return _cheb.chebval(x, d2C).T
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
@@ -457,6 +458,7 @@ def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
     """
     if M < 2:
         raise ValueError("need M >= 2")
+    rng = np.random.default_rng(seed)  # rejects a bad seed even when unused
 
     def build(eta_arr):
         ns = make_node_set("optimized", M, positions=eta_arr)
@@ -495,7 +497,6 @@ def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
         seeds.append(_z_from_nodes(eta0))
 
     candidates = list(seeds)
-    rng = np.random.default_rng(seed)
     for k in range(restarts):
         if k < len(seeds):
             z0 = seeds[k]
@@ -643,38 +644,33 @@ def reference_table_paths():
     return sorted((_data_dir() / "reference").glob("*.txt"))
 
 
-_table_cache: dict = {}
-
-
 def standard_table(family: str = "lobatto-nodal", p: int = 3, M: Optional[int] = None,
                    kind: str = "optimized") -> BoundingTable:
     """Fetch a table by (family, p, node kind, M).
 
     Optimized tables come from POLYBOUND_TABLE_DIR when set, else from the
     tables shipped with the package. Fixed node kinds are computed on the
-    fly (cheap) and cached for the process.
+    fly (cheap). Both are cached for the process, optimized ones per
+    table directory.
     """
     if M is None:
         M = p + 1
-    key = (family, p, M, kind)
-    if key in _table_cache:
-        return _table_cache[key]
+    table_dir = os.environ.get("POLYBOUND_TABLE_DIR") if kind == "optimized" else None
+    return _cached_table(family, p, M, kind, table_dir)
+
+
+@lru_cache(maxsize=256)
+def _cached_table(family: str, p: int, M: int, kind: str,
+                  table_dir: Optional[str]) -> BoundingTable:
     if kind == "optimized":
         name = f"{family}-p{p}-M{M}.txt"
-        env = os.environ.get("POLYBOUND_TABLE_DIR")
-        candidates = []
-        if env:
-            candidates.append(Path(env) / name)
+        candidates = [Path(table_dir) / name] if table_dir else []
         candidates.append(_data_dir() / "tables" / name)
         for cand in candidates:
             if cand.exists():
-                table = load_table(cand)
-                _table_cache[key] = table
-                return table
+                return load_table(cand)
         raise FileNotFoundError(
             f"no precomputed optimized table {name}; run the table generator "
             "or point POLYBOUND_TABLE_DIR at a directory containing it"
         )
-    table = optimize_values(make_basis(family, p), make_node_set(kind, M))
-    _table_cache[key] = table
-    return table
+    return optimize_values(make_basis(family, p), make_node_set(kind, M))

@@ -12,9 +12,7 @@ verification failure.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,15 +30,13 @@ from .boxopt import (
     verify_table,
 )
 from .bounder import (
-    CoeffsFormatError,
     bernstein_bounds,
-    bound_1d,
     bound_adaptive,
     bound_tensor,
     brute_force_extrema,
     read_coeffs,
 )
-from .meshcheck import MeshFormatError, check_mesh, read_mesh
+from .meshcheck import check_mesh, read_mesh
 from . import limiter as _lim
 
 _FAMILY_ALIASES = {
@@ -64,31 +60,6 @@ def _node_kind(name: str) -> str:
     return _KIND_ALIASES.get(name, name)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated knobs shared by the subcommands."""
-
-    subcommand: str
-    family: str = "lobatto-nodal"
-    p: int = 3
-    M: int = 4
-    node_kind: str = "optimized"
-    tol: float = 1e-4
-    max_levels: int = 10
-    seed: int = 0
-    samples: int = 1000
-
-    def __post_init__(self):
-        if self.p < 1:
-            raise ValueError("order must be >= 1")
-        if self.M < 2:
-            raise ValueError("need at least 2 control nodes")
-        if self.tol <= 0 or self.max_levels <= 0 or self.samples <= 0:
-            raise ValueError("tol, max_levels and samples must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors; the documented contract is 1
     def error(self, message):
@@ -106,27 +77,16 @@ def _fmt_row(vals, width=12, prec=7):
 
 
 def cmd_boxgen(args) -> int:
-    cfg = RunConfig(
-        subcommand="boxgen",
-        family=_family(args.family),
-        p=args.p,
-        M=args.m,
-        node_kind=_node_kind(args.nodes),
-        seed=args.seed,
-    )
-    try:
-        basis = make_basis(cfg.family, cfg.p)
-        if cfg.node_kind == "optimized":
-            table = optimize_nodes(basis, cfg.M, restarts=args.restarts,
-                                   seed=cfg.seed)
-        else:
-            table = optimize_values(basis, make_node_set(cfg.node_kind, cfg.M))
-    except BoxOptimizationError as exc:
-        print(f"optimization failed: {exc}", file=sys.stderr)
-        return 2
+    family = _family(args.family)
+    node_kind = _node_kind(args.nodes)
+    basis = make_basis(family, args.p)
+    if node_kind == "optimized":
+        table = optimize_nodes(basis, args.m, restarts=args.restarts, seed=args.seed)
+    else:
+        table = optimize_values(basis, make_node_set(node_kind, args.m))
     report = verify_table(table)
     out = Path(args.output) if args.output else Path(
-        f"{cfg.family}-p{cfg.p}-M{cfg.M}.txt"
+        f"{family}-p{args.p}-M{args.m}.txt"
     )
     save_table(table, out)
     print(f"wrote {out}")
@@ -187,7 +147,7 @@ def cmd_bound(args) -> int:
               f"{summary.global_max:.10f}]")
         return 0
 
-    nb = bound_1d(coeffs, table) if coeffs.dim == 1 else bound_tensor(coeffs, table)
+    nb = bound_tensor(coeffs, table)
     _print_node_bounds(nb)
     if args.oracle:
         lo, hi = brute_force_extrema(coeffs, args.samples)
@@ -417,12 +377,12 @@ def main(argv=None) -> int:
         if args.command == "boxgen" and args.m is None:
             args.m = args.p + 1
         return args.fn(args)
-    except (OSError, CoeffsFormatError, MeshFormatError, FileNotFoundError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except ValueError as exc:
+    except BoxOptimizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2
 
 
 if __name__ == "__main__":

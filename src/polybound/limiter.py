@@ -25,9 +25,9 @@ from .basis import (
 from .bounder import (
     BoundingTable,
     PolyCoeffs,
-    _batch_bounds_2d,
     bernstein_bounds,
-    bound_1d,
+    bound_nodes,
+    bound_tensor,
     brute_force_extrema,
 )
 from .boxopt import standard_table
@@ -185,11 +185,6 @@ def _operators(elements: int, p: int):
     cx_vol = -2.0 * np.pi * (xquad - 0.5)  # indexed by (ey, a)
     cy_vol = 2.0 * np.pi * (xquad - 0.5)  # indexed by (ex, b)
 
-    # vertical faces see cx at the row's y-quadrature points, independent
-    # of which face; horizontal faces likewise with cy
-    cx_face = cx_vol  # (Ne, nq), index (ey, a)
-    cy_face = cy_vol  # (Ne, nq), index (ex, b)
-
     g = wq @ V  # integrals of the basis functions over [-1, 1]
 
     # quadrature-weighted velocity on the volume points, flattened over
@@ -214,8 +209,6 @@ def _operators(elements: int, p: int):
         "xnodes": xnodes,
         "cx_vol": cx_vol,
         "cy_vol": cy_vol,
-        "cx_face": cx_face,
-        "cy_face": cy_face,
         "g": g,
         "wcx": wcx,
         "wcy": wcy,
@@ -240,7 +233,9 @@ def _rhs(U: np.ndarray, ops) -> np.ndarray:
     nq = V.shape[0]
     trR = (Uf[:, :, N - 1] @ V.T).reshape(Ne, Ne, nq)
     trL = (Uf[:, :, 0] @ V.T).reshape(Ne, Ne, nq)
-    cxf = ops["cx_face"][:, None, :]
+    # vertical faces see cx at the row's y-quadrature points, independent
+    # of which face; horizontal faces likewise with cy
+    cxf = ops["cx_vol"][:, None, :]
     FR = np.maximum(cxf, 0.0) * trR + np.minimum(cxf, 0.0) * np.roll(trL, -1, axis=1)
     FL = np.roll(FR, 1, axis=1)
     R = R.reshape(Ne, Ne, N, N)
@@ -249,7 +244,7 @@ def _rhs(U: np.ndarray, ops) -> np.ndarray:
 
     trT = (Uf[:, N - 1, :] @ V.T).reshape(Ne, Ne, nq)
     trB = (Uf[:, 0, :] @ V.T).reshape(Ne, Ne, nq)
-    cyf = ops["cy_face"][None, :, :]
+    cyf = ops["cy_vol"][None, :, :]
     FT = np.maximum(cyf, 0.0) * trT + np.minimum(cyf, 0.0) * np.roll(trB, -1, axis=0)
     FB = np.roll(FT, 1, axis=0)
     R[:, :, N - 1, :] -= (FT.reshape(-1, nq) @ wqV).reshape(Ne, Ne, N)
@@ -314,7 +309,7 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
         )
     a, b = bounds
     means = _mean_batch(U, ops)
-    lower, upper = _batch_bounds_2d(ops["basis"], U, table)
+    lower, upper = bound_nodes(U, table, 2)
     u_min = lower.min(axis=(-2, -1))
     u_max = upper.max(axis=(-2, -1))
     alpha = squeeze_alpha(means, u_min, u_max, a, b)
@@ -449,7 +444,7 @@ def step_interpolation_table(orders=range(3, 8)):
         lo_e, hi_e = brute_force_extrema(coeffs, 10_000)
         lo_b, hi_b = bernstein_bounds(coeffs)
         table = standard_table(basis.family, p, p + 1, kind="optimized")
-        nb_p = bound_1d(coeffs, table)
+        nb_p = bound_tensor(coeffs, table)
         lo_p, hi_p = nb_p.global_min(), nb_p.global_max()
 
         rows["exact"].append((lo_e, hi_e))

@@ -11,6 +11,7 @@ or level budget runs out.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,19 @@ class MeshFormatError(ValueError):
     """Malformed mesh file; the message names the offending record."""
 
 
+@lru_cache(maxsize=_MAX_GEOMETRIC_ORDER)
+def _detj_ops(p: int):
+    """det J target basis plus geometry values and derivatives at its nodes."""
+    geom = make_basis("lobatto-nodal", p)
+    target = make_basis("lobatto-nodal", 2 * p - 1)
+    t = np.asarray(target.nodes)
+    V = basis_matrix(geom, t)
+    D = basis_deriv_matrix(geom, t)
+    V.setflags(write=False)
+    D.setflags(write=False)
+    return target, V, D
+
+
 def detj_coeffs(element, p: int) -> PolyCoeffs:
     """Jacobian determinant of one element as a nodal polynomial.
 
@@ -113,14 +127,9 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     want = (p + 1) ** 2
     if nodes.shape != (want, 2):
         raise ValueError(f"element must have shape ({want}, 2)")
-    geom = make_basis("lobatto-nodal", p)
+    target, V, D = _detj_ops(p)
     X = nodes[:, 0].reshape(p + 1, p + 1)  # axes (eta, xi)
     Y = nodes[:, 1].reshape(p + 1, p + 1)
-
-    target = make_basis("lobatto-nodal", 2 * p - 1)
-    t = np.asarray(target.nodes)
-    V = basis_matrix(geom, t)
-    D = basis_deriv_matrix(geom, t)
 
     x_xi = V @ X @ D.T
     x_eta = D @ X @ V.T

@@ -21,9 +21,8 @@ from polybound.boxopt import (
 )
 from polybound.bounder import (
     PolyCoeffs,
-    _batch_bounds_2d,
-    _bound_rows,
     bernstein_bounds,
+    bound_nodes,
     brute_force_extrema,
     project_p1,
 )
@@ -71,15 +70,11 @@ def test_1_soundness_suite():
                 per_dim = 10_000 if d == 1 else 100  # 1e4 samples total
                 oracle[k] = brute_force_extrema(c, per_dim)
 
+            node_axes = tuple(range(1, d + 1))
             for table in tables:
-                if d == 1:
-                    lower, upper = _bound_rows(basis, coeffs, table)
-                    gmin = lower.min(axis=1)
-                    gmax = upper.max(axis=1)
-                else:
-                    lower, upper = _batch_bounds_2d(basis, coeffs, table)
-                    gmin = lower.min(axis=(1, 2))
-                    gmax = upper.max(axis=(1, 2))
+                lower, upper = bound_nodes(coeffs, table, d)
+                gmin = lower.min(axis=node_axes)
+                gmax = upper.max(axis=node_axes)
                 low_ok = oracle[:, 0] >= gmin - 1e-12
                 high_ok = oracle[:, 1] <= gmax + 1e-12
                 bad = np.count_nonzero(~(low_ok & high_ok))
@@ -238,13 +233,12 @@ def test_7_property_suite():
     rng = np.random.default_rng(7)
 
     # shift/scale invariance of the bound gap
-    basis = make_basis("lobatto-nodal", 4)
     table = standard_table("lobatto-nodal", 4, 6)
     for _ in range(50):
         c = rng.normal(size=5)
         alpha, beta = 10.0 ** rng.uniform(-3, 3), rng.normal() * 10
-        lo1, up1 = _bound_rows(basis, c[None, :], table)
-        lo2, up2 = _bound_rows(basis, (alpha * c + beta)[None, :], table)
+        lo1, up1 = bound_nodes(c, table, 1)
+        lo2, up2 = bound_nodes(alpha * c + beta, table, 1)
         scale = max(1.0, alpha * float(np.abs(up1 - lo1).max()))
         assert np.abs((up2 - lo2) - alpha * (up1 - lo1)).max() <= 1e-10 * scale
         assert np.abs(lo2 - (alpha * lo1 + beta)).max() <= 1e-10 * scale

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polybound.basis import gauss_legendre_rule, make_basis, make_node_set
+from polybound import bounder
+from polybound.basis import FAMILIES, gauss_legendre_rule, make_basis, make_node_set
 from polybound.boxopt import optimize_values, reference_table
 from polybound.bounder import (
     CoeffsFormatError,
     PolyCoeffs,
     bernstein_bounds,
-    bound_1d,
     bound_adaptive,
+    bound_nodes,
     bound_tensor,
     brute_force_extrema,
     eval_on_grid,
-    last_op_count,
     project_p1,
     read_coeffs,
     subdivide,
@@ -61,7 +61,7 @@ def test_project_p1_exact_on_linears():
 def test_bound_1d_sound_and_shift_scale_invariant(seed):
     table = reference_table(3, 4)
     c = _rand_coeffs(1, seed)
-    nb = bound_1d(c, table)
+    nb = bound_tensor(c, table)
     x = np.linspace(-1, 1, 2000)
     vals = eval_on_grid(c, [x])
     assert nb.global_min() <= vals.min() + 1e-12
@@ -69,7 +69,7 @@ def test_bound_1d_sound_and_shift_scale_invariant(seed):
 
     # bounds commute with affine changes of the polynomial values
     alpha, beta = 1.7, -2.3
-    nb2 = bound_1d(PolyCoeffs(1, c.basis, alpha * c.u + beta), table)
+    nb2 = bound_tensor(PolyCoeffs(1, c.basis, alpha * c.u + beta), table)
     np.testing.assert_allclose(nb2.lower, alpha * nb.lower + beta, atol=1e-10)
     np.testing.assert_allclose(nb2.upper, alpha * nb.upper + beta, atol=1e-10)
     gap = nb.gap()
@@ -78,8 +78,8 @@ def test_bound_1d_sound_and_shift_scale_invariant(seed):
 
 def test_negative_scale_swaps_roles(t34):
     c = _rand_coeffs(1, 7)
-    nb = bound_1d(c, t34)
-    nb2 = bound_1d(PolyCoeffs(1, c.basis, -c.u), t34)
+    nb = bound_tensor(c, t34)
+    nb2 = bound_tensor(PolyCoeffs(1, c.basis, -c.u), t34)
     np.testing.assert_allclose(nb2.lower, -nb.upper, atol=1e-12)
     np.testing.assert_allclose(nb2.upper, -nb.lower, atol=1e-12)
 
@@ -88,7 +88,7 @@ def test_linear_polynomials_get_tight_bounds(t34):
     # a purely linear polynomial has zero fluctuation: gap stays at the
     # epsilon floor, at most 2 N epsilon
     u = 0.75 - 0.4 * np.asarray(B3.nodes)
-    nb = bound_1d(PolyCoeffs(1, B3, u), t34)
+    nb = bound_tensor(PolyCoeffs(1, B3, u), t34)
     assert nb.gap().max() <= 2 * B3.N * t34.epsilon + 1e-12
 
 
@@ -104,17 +104,42 @@ def test_bound_tensor_2d_sound(seed):
     assert nb.global_max() >= vals.max() - 1e-12
 
 
-def test_bound_tensor_3d_sound_and_cost(t34):
+def test_bound_tensor_3d_sound_and_cost(t34, monkeypatch):
+    N, M = 4, 4
+    budget = N**3 * M + N * M**3
+    ops = []
+
+    def counted(kernel):
+        def run(basis, rows, *rest):
+            ops.append(rows.shape[0] * N * M)
+            return kernel(basis, rows, *rest)
+        return run
+
+    monkeypatch.setattr(bounder, "_bound_rows", counted(bounder._bound_rows))
+    monkeypatch.setattr(bounder, "_bound_interval_rows",
+                        counted(bounder._bound_interval_rows))
     for seed in range(4):
         c = _rand_coeffs(3, seed)
+        ops.clear()
         nb = bound_tensor(c, t34)
         x = np.linspace(-1, 1, 40)
         vals = eval_on_grid(c, [x, x, x])
         assert nb.global_min() <= vals.min() + 1e-12
         assert nb.global_max() >= vals.max() - 1e-12
-    N, M = 4, 4
-    budget = N**3 * M + N * M**3
-    assert last_op_count() <= 3 * budget
+        assert len(ops) == 3 and sum(ops) <= 3 * budget
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bound_nodes_stack_matches_single_polynomials(dim, t35):
+    rng = np.random.default_rng(40 + dim)
+    U = 3.0 * rng.standard_normal((2, 5) + (4,) * dim)
+    lower, upper = bound_nodes(U, t35, dim)
+    assert lower.shape == upper.shape == (2, 5) + (5,) * dim
+    scale = np.abs(U).max()
+    for idx in np.ndindex(2, 5):
+        nb = bound_tensor(PolyCoeffs(dim, B3, U[idx]), t35)
+        np.testing.assert_allclose(lower[idx], nb.lower, rtol=0, atol=1e-14 * scale)
+        np.testing.assert_allclose(upper[idx], nb.upper, rtol=0, atol=1e-14 * scale)
 
 
 def test_bound_tensor_separable_product(t35):
@@ -160,16 +185,19 @@ def test_brute_force_underapproximates(t34):
 
 def test_subdivide_is_restriction():
     rng = np.random.default_rng(5)
-    c = PolyCoeffs(2, B3, rng.standard_normal((4, 4)))
-    sub = subdivide(c, [(-1.0, 0.0), (0.5, 1.0)])
+    cell = [(-1.0, 0.0), (0.5, 1.0), (-0.3, 0.9)]
     t = np.linspace(-1, 1, 13)
-    xs = -1.0 + (t + 1) / 2
-    ys = 0.5 + (t + 1) / 4
-    np.testing.assert_allclose(
-        eval_on_grid(sub, [t, t]),
-        eval_on_grid(c, [xs, ys]),
-        atol=1e-12,
-    )
+    axes = [a + (b - a) * (t + 1) / 2 for a, b in cell]
+    for family in FAMILIES:
+        basis = make_basis(family, 3)
+        for dim in (2, 3):
+            c = PolyCoeffs(dim, basis, rng.standard_normal((4,) * dim))
+            sub = subdivide(c, cell[:dim])
+            np.testing.assert_allclose(
+                eval_on_grid(sub, [t] * dim),
+                eval_on_grid(c, axes[:dim]),
+                atol=1e-12,
+            )
 
 
 def test_subdivide_full_cell_is_identity():
@@ -183,8 +211,7 @@ def test_bound_adaptive_tightens_to_oracle(t34, t35):
     lo_ref, up_ref = brute_force_extrema(c, 200)
     widths = []
     for levels in (0, 2, 4):
-        s = bound_adaptive(c, t34, tol=1e-12, max_levels=levels,
-                           strategy="subdivide")
+        s = bound_adaptive(c, t34, tol=1e-12, max_levels=levels)
         assert s.global_min <= lo_ref + 1e-12
         assert s.global_max >= up_ref - 1e-12
         widths.append((lo_ref - s.global_min) + (s.global_max - up_ref))
@@ -194,8 +221,7 @@ def test_bound_adaptive_tightens_to_oracle(t34, t35):
 
 def test_bound_adaptive_increase_m_strategy(t34, t35):
     c = _rand_coeffs(2, 13)
-    s0 = bound_adaptive(c, [t34, t35], tol=1e-12, max_levels=1,
-                        strategy="increase-M")
+    s0 = bound_adaptive(c, [t34, t35], tol=1e-12, max_levels=1)
     s1 = bound_adaptive(c, t34, tol=1e-12, max_levels=0)
     assert s0.global_min >= s1.global_min - 1e-12
     assert s0.global_max <= s1.global_max + 1e-12
@@ -238,4 +264,4 @@ def test_polycoeffs_shape_guard():
 def test_table_mismatch_rejected(t34):
     c = _rand_coeffs(1, 0, p=4)
     with pytest.raises(ValueError):
-        bound_1d(c, t34)
+        bound_tensor(c, t34)

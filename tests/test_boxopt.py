@@ -172,16 +172,17 @@ def test_load_rejects_malformed_header(tmp_path):
 
 
 def test_standard_table_env_override(tmp_path, p3_table, monkeypatch):
-    import polybound.boxopt as bx
-
     name = f"{p3_table.basis.family}-p3-M5.txt"
     save_table(p3_table, tmp_path / name)
+    monkeypatch.delenv("POLYBOUND_TABLE_DIR", raising=False)
+    shipped = standard_table("lobatto-nodal", 3, 5)
+    # setting the directory after a first lookup still takes effect
     monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
-    bx._table_cache.clear()
     got = standard_table("lobatto-nodal", 3, 5)
     np.testing.assert_array_equal(got.q_lower, p3_table.q_lower)
+    assert not np.array_equal(got.q_lower, shipped.q_lower)
     monkeypatch.delenv("POLYBOUND_TABLE_DIR")
-    bx._table_cache.clear()
+    assert standard_table("lobatto-nodal", 3, 5) is shipped
 
 
 def test_optimize_values_rejects_bad_nodes():

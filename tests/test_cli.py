@@ -69,6 +69,13 @@ def test_boxgen_rejects_bad_family(capsys):
     assert "unknown basis family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--p", "0"], ["--m", "1"], ["--seed", "-1"],
+                                   ["--p", "2", "--m", "3", "--seed", "-1"]])
+def test_boxgen_rejects_out_of_range_arguments(flags, tmp_path, capsys):
+    assert main(["boxgen", "-o", str(tmp_path / "t.txt")] + flags) == 1
+    assert "error" in capsys.readouterr().err
+
+
 # -- bound ------------------------------------------------------------------
 
 
@@ -109,6 +116,20 @@ def test_bound_missing_file():
 
 def test_bound_no_file_no_step():
     assert main(["bound"]) == 1
+
+
+def test_bound_with_table_failing_verification(tmp_path, monkeypatch, capsys):
+    name = "lobatto-nodal-p3-M4.txt"
+    lines = (_data_dir() / "tables" / name).read_text().splitlines()
+    k = next(i for i, line in enumerate(lines) if line.startswith("L 2:"))
+    raised = [float(v) + 0.5 for v in lines[k][len("L 2:"):].split()]
+    lines[k] = "L 2: " + " ".join(repr(v) for v in raised)
+    (tmp_path / name).write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
+    path = tmp_path / "c.txt"
+    write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 3), np.ones(4)), path)
+    assert main(["bound", str(path)]) == 2
+    assert "violates its bounding property" in capsys.readouterr().err
 
 
 # -- checkmesh --------------------------------------------------------------

@@ -154,12 +154,12 @@ def test_limiter_preserves_means_and_mass():
 
 
 def test_limiter_certifies_bounds():
-    from polybound.bounder import _batch_bounds_2d
+    from polybound.bounder import bound_nodes
 
     state = transport_state(8, 3)
     table = table_for(3)
     out = apply_limiter(state, table)
-    lower, upper = _batch_bounds_2d(out.basis, out.U, table)
+    lower, upper = bound_nodes(out.U, table, 2)
     assert lower.min() >= -1e-12
     assert upper.max() <= 1.0 + 1e-12
     # and the certificate is honest: dense sampling stays inside too
