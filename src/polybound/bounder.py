@@ -5,8 +5,9 @@ a fluctuation, prices each fluctuation coefficient against the table's
 lower or upper box row depending on its sign, and reads off bounds at the
 control nodes. Tensor products in 2D/3D run the same combination axis by
 axis, carrying interval coefficients after the first sweep. A Bernstein
-baseline, a sampling-plus-Newton oracle, subdivision, and an adaptive
-refinement driver round out the toolbox.
+baseline, a sampling-plus-Newton oracle, subdivision, and one refinement
+driver, refine(), which bounds each generation of cells in one bound_nodes
+call for bound_adaptive and the mesh checker, round out the toolbox.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ __all__ = [
     "bernstein_bounds",
     "brute_force_extrema",
     "subdivide",
+    "refine",
     "bound_adaptive",
     "read_coeffs",
     "write_coeffs",
@@ -130,7 +132,6 @@ class BoundSummary:
     global_min: float
     global_max: float
     levels_used: int
-    nodes: NodeBounds | None = None
     converged: bool = True
     level_history: tuple = field(default_factory=tuple)
 
@@ -272,17 +273,9 @@ def bound_nodes(U, table: BoundingTable, dim: int):
     return lo, hi
 
 
-def _check_table(coeffs: PolyCoeffs, table: BoundingTable) -> None:
-    if table.basis != coeffs.basis:
-        raise ValueError(
-            f"table basis {table.basis.family} p={table.basis.p} does not "
-            f"match polynomial basis {coeffs.basis.family} p={coeffs.basis.p}"
-        )
-
-
 def bound_tensor(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:
     """Guaranteed bounds of a 1D/2D/3D polynomial on the node tensor grid."""
-    _check_table(coeffs, table)
+    (table,) = _as_ladder(table, coeffs.basis)
     lower, upper = bound_nodes(coeffs.u, table, coeffs.dim)
     return NodeBounds(table.eta(), lower, upper)
 
@@ -440,6 +433,17 @@ def _restriction(basis: BasisSpec, a: float, b: float) -> np.ndarray:
     return R
 
 
+def _restrict(U, mats):
+    """Restrict a stack of cells to subcells, remapped to the reference cell.
+
+    U has shape (cells,) + (N,)*dim; mats[k] has shape (cells, N, N) and
+    is each cell's restriction matrix along array axis 1 + k.
+    """
+    for axis, R in enumerate(mats, start=1):
+        U = np.moveaxis(np.einsum("c...b,cab->c...a", np.moveaxis(U, axis, -1), R), -1, axis)
+    return U
+
+
 def subdivide(coeffs: PolyCoeffs, subcell) -> PolyCoeffs:
     """Restrict to an axis-aligned subcell, remapped to the reference cell.
 
@@ -458,111 +462,110 @@ def subdivide(coeffs: PolyCoeffs, subcell) -> PolyCoeffs:
         raise ValueError("empty subcell")
     if np.any(a < -1.0 - 1e-12) or np.any(b > 1.0 + 1e-12):
         raise ValueError("subcell must lie inside [-1, 1] per axis")
-
-    U = coeffs.u
-    for k in range(d):
-        # x is the last array axis
-        axis = d - 1 - k
-        R = _restriction(coeffs.basis, float(a[k]), float(b[k]))
-        U = np.swapaxes(np.swapaxes(U, axis, -1) @ R.T, axis, -1)
-    return PolyCoeffs(d, coeffs.basis, U)
+    # x is the last array axis
+    mats = [_restriction(coeffs.basis, float(a[k]), float(b[k]))[None] for k in reversed(range(d))]
+    return PolyCoeffs(d, coeffs.basis, _restrict(coeffs.u[None], mats)[0])
 
 
-def _as_ladder(tables) -> list[BoundingTable]:
-    if isinstance(tables, BoundingTable):
-        return [tables]
-    ladder = list(tables)
+def _as_ladder(tables, basis: BasisSpec) -> list[BoundingTable]:
+    """Tables sorted by M, each checked once against the polynomials' basis."""
+    ladder = [tables] if isinstance(tables, BoundingTable) else list(tables)
     if not ladder:
         raise ValueError("need at least one table")
     if any(not isinstance(t, BoundingTable) for t in ladder):
         raise TypeError("tables must be BoundingTable instances")
-    ladder.sort(key=lambda t: t.nodes.M)
-    return ladder
+    for t in ladder:
+        if t.basis != basis:
+            raise ValueError(
+                f"table basis {t.basis.family} p={t.basis.p} does not "
+                f"match polynomial basis {basis.family} p={basis.p}"
+            )
+    return sorted(ladder, key=lambda t: t.nodes.M)
 
 
-def _spans_to_refine(nb: NodeBounds, tol: float):
-    """Index boxes of node spans whose corner gap exceeds tol."""
-    gap = nb.gap()
-    d = gap.ndim
-    M = gap.shape[0]
-    bad = gap > tol
-    spans = []
-    for multi in np.ndindex(*([M - 1] * d)):
-        corners = tuple(slice(i, i + 2) for i in multi)
-        if np.any(bad[corners]):
-            spans.append(multi)
-    return spans
+def _corners(a, reduce, dim: int):
+    """Reduce node values over the 2^dim corners of every span between them.
+
+    a has shape (cells,) + (M,)*dim; the result (cells,) + (M-1,)*dim.
+    """
+    for axis in range(1, dim + 1):
+        head = (slice(None),) * axis
+        a = reduce(a[head + (slice(None, -1),)], a[head + (slice(1, None),)])
+    return a
+
+
+def refine(U, ladder, dim: int, split, max_levels: int) -> int:
+    """Bound a stack of cells generation by generation, refining where asked.
+
+    Generation `level` bounds the whole (cells,) + (N,)*dim stack with
+    ladder[min(level, top)] in one bound_nodes call. split(level, owner,
+    lower, upper) is the caller's decision: owner[i] is the input cell
+    that cell i descends from, and the returned (cells,) + (M-1,)*dim
+    mask picks the spans between control nodes that make the next
+    generation. Stops after generation max_levels or when nothing is
+    picked; returns the last level bounded.
+    """
+    owner = np.arange(len(U))
+    level = 0
+    while True:
+        table = ladder[min(level, len(ladder) - 1)]
+        lower, upper = bound_nodes(U, table, dim)
+        mask = split(level, owner, lower, upper)
+        if level >= max_levels or not mask.any():
+            return level
+        eta = table.eta()
+        spans = np.stack([
+            _restriction(table.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
+        ])
+        cell, *picked = np.nonzero(mask)
+        U = _restrict(U[cell], [spans[i] for i in picked])
+        owner = owner[cell]
+        level += 1
 
 
 def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
                    max_levels: int = 10) -> BoundSummary:
     """Refine until every control node has gap <= tol, or levels run out.
 
-    A cell that fails first walks up the table ladder; once the ladder is
-    exhausted, it recurses into the spans between adjacent control nodes
-    that still fail. Global bounds envelope every leaf cell, so they stay
-    sound even when unconverged.
+    The whole polynomial first walks up the table ladder; at its top,
+    refine() recurses into the spans between adjacent control nodes that
+    still fail. Global bounds envelope every node that meets tol and, at
+    the last level, every leaf cell, so they stay sound even when
+    unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ladder = _as_ladder(tables)
-
-    root = bound_tensor(coeffs, ladder[0])
+    ladder = _as_ladder(tables, coeffs.basis)
     d = coeffs.dim
-
-    # queue entries: (coefficients, table index on the ladder, node bounds)
-    queue = [(coeffs, 0, root)]
-    gmin, gmax = np.inf, -np.inf
+    top = len(ladder) - 1
     history = []
-    converged = True
-    level = 0
-    while queue:
-        worst = max(float(nb.gap().max()) for _, _, nb in queue)
-        history.append({"level": level, "cells": len(queue), "worst_gap": worst})
-        if level >= max_levels:
-            for _, _, nb in queue:
-                gmin = min(gmin, nb.global_min())
-                gmax = max(gmax, nb.global_max())
-            converged = worst <= tol
-            break
-        next_queue = []
-        for cell, ti, nb in queue:
-            if float(nb.gap().max()) <= tol:
-                gmin = min(gmin, nb.global_min())
-                gmax = max(gmax, nb.global_max())
-                continue
-            if ti + 1 < len(ladder):
-                next_queue.append((cell, ti + 1, bound_tensor(cell, ladder[ti + 1])))
-                continue
-            eta_t = ladder[ti].eta()
-            for multi in _spans_to_refine(nb, tol):
-                # multi indexes (z, y, x); subcell wants x first
-                cellspec = [
-                    (eta_t[multi[d - 1 - k]], eta_t[multi[d - 1 - k] + 1])
-                    for k in range(d)
-                ]
-                child = subdivide(cell, cellspec)
-                next_queue.append((child, ti, bound_tensor(child, ladder[ti])))
-            # spans that already meet tol contribute their node values
-            gap = nb.gap()
-            ok = gap <= tol
-            if np.any(ok):
-                gmin = min(gmin, float(nb.lower[ok].min()))
-                gmax = max(gmax, float(nb.upper[ok].max()))
-        queue = next_queue
-        if next_queue:
-            level += 1
 
-    if not np.isfinite(gmin):
-        gmin, gmax = root.global_min(), root.global_max()
-    return BoundSummary(
-        global_min=float(gmin),
-        global_max=float(gmax),
-        levels_used=level,
-        nodes=root,
-        converged=converged,
-        level_history=tuple(history),
-    )
+    def record(level, gap) -> bool:
+        history.append({"level": level, "cells": len(gap), "worst_gap": float(gap.max())})
+        return history[-1]["worst_gap"] <= tol
+
+    U = coeffs.u[None]
+    for level in range(top):
+        lower, upper = bound_nodes(U, ladder[level], d)
+        done = record(level, upper - lower)
+        if done or level >= max_levels:
+            return BoundSummary(float(lower.min()), float(upper.max()), level,
+                                done, tuple(history))
+
+    gmin, gmax, converged = np.inf, -np.inf, True
+
+    def split(level, owner, lower, upper):
+        nonlocal gmin, gmax, converged
+        gap = upper - lower
+        converged = record(top + level, gap)
+        keep = (gap <= tol) | (top + level >= max_levels)
+        if keep.any():
+            gmin = min(gmin, float(lower[keep].min()))
+            gmax = max(gmax, float(upper[keep].max()))
+        return _corners(gap > tol, np.logical_or, d)
+
+    level = top + refine(U, ladder[top:], d, split, max_levels - top)
+    return BoundSummary(gmin, gmax, level, converged, tuple(history))
 
 
 def write_coeffs(coeffs: PolyCoeffs, path) -> None:

@@ -458,6 +458,8 @@ def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
     """
     if M < 2:
         raise ValueError("need M >= 2")
+    if restarts < 0:
+        raise ValueError("restarts must be >= 0")
     rng = np.random.default_rng(seed)  # rejects a bad seed even when unused
 
     def build(eta_arr):

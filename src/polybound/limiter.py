@@ -285,8 +285,10 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     u_min = np.asarray(u_min, dtype=float)
     u_max = np.asarray(u_max, dtype=float)
     if np.any(mean < a - _MEAN_TOL) or np.any(mean > b + _MEAN_TOL):
-        bad = float(np.min(mean)) if np.any(mean < a - _MEAN_TOL) else float(np.max(mean))
-        raise ValueError(f"element mean {bad} lies outside [{a}, {b}]")
+        outside = np.maximum(a - mean, mean - b)
+        worst = np.unravel_index(np.argmax(outside), outside.shape)
+        label = f"element {tuple(int(i) for i in worst)}" if worst else "element"
+        raise ValueError(f"{label} mean {float(mean[worst])} lies outside [{a}, {b}]")
     m = np.clip(mean, a, b)
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

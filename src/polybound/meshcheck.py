@@ -5,7 +5,8 @@ physical map is positive everywhere. det J is itself polynomial, so the
 node-bound machinery applies: positive lower bounds at all control nodes
 certify validity, a negative upper bound anywhere certifies inversion,
 and the undecided strip in between gets subdivided until the tolerance
-or level budget runs out.
+or level budget runs out. check_mesh refines a block of elements at a
+time through bounder.refine, one batched bound per generation.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .basis import basis_deriv_matrix, basis_matrix, gauss_lobatto_nodes, make_basis
-from .bounder import PolyCoeffs, _as_ladder, bound_tensor, bernstein_bounds, subdivide
+from .bounder import (PolyCoeffs, _as_ladder, _corners, _restrict, _restriction,
+                      bernstein_bounds, bound_nodes, refine)
 
 __all__ = [
     "CurvedMesh",
@@ -114,6 +116,18 @@ def _detj_ops(p: int):
     return target, V, D
 
 
+def _detj_stack(nodes, p: int) -> np.ndarray:
+    """det J nodal coefficients of stacked elements, (E, (p+1)^2, 2) -> (E, 2p, 2p)."""
+    _, V, D = _detj_ops(p)
+    X = nodes[..., 0].reshape(-1, p + 1, p + 1)  # axes (element, eta, xi)
+    Y = nodes[..., 1].reshape(-1, p + 1, p + 1)
+    x_xi = V @ X @ D.T
+    x_eta = D @ X @ V.T
+    y_xi = V @ Y @ D.T
+    y_eta = D @ Y @ V.T
+    return x_xi * y_eta - x_eta * y_xi
+
+
 def detj_coeffs(element, p: int) -> PolyCoeffs:
     """Jacobian determinant of one element as a nodal polynomial.
 
@@ -127,22 +141,50 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     want = (p + 1) ** 2
     if nodes.shape != (want, 2):
         raise ValueError(f"element must have shape ({want}, 2)")
-    target, V, D = _detj_ops(p)
-    X = nodes[:, 0].reshape(p + 1, p + 1)  # axes (eta, xi)
-    Y = nodes[:, 1].reshape(p + 1, p + 1)
-
-    x_xi = V @ X @ D.T
-    x_eta = D @ X @ V.T
-    y_xi = V @ Y @ D.T
-    y_eta = D @ Y @ V.T
-    det = x_xi * y_eta - x_eta * y_xi
-    return PolyCoeffs(2, target, det)
+    return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes[None], p)[0])
 
 
-def _spans(M: int):
-    for i in range(M - 1):
-        for j in range(M - 1):
-            yield i, j
+def _classify(det, tables, tol: float, max_levels: int, start: int) -> list:
+    """classify_element for a stack of det J polynomials of shape (E, N, N).
+
+    One refine() call serves the whole stack; split keeps each element's
+    bookkeeping in arrays indexed by owner. Reports are indexed from start.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    ladder = _as_ladder(tables, make_basis("lobatto-nodal", det.shape[-1] - 1))
+    E = len(det)
+    certified_lo, up_min = np.full((2, E), np.inf)
+    invalid, exhausted = np.zeros((2, E), dtype=bool)
+    levels = np.zeros(E, dtype=int)
+
+    def split(level, owner, lower, upper):
+        gen_lo, gen_up = np.full((2, E), np.inf)
+        np.minimum.at(gen_lo, owner, lower.min(axis=(1, 2)))
+        np.minimum.at(gen_up, owner, upper.min(axis=(1, 2)))
+        np.minimum(up_min, gen_up, out=up_min)
+        # a negative upper bound anywhere proves inversion and ends the element
+        inverted = gen_up < 0
+        np.minimum(certified_lo, gen_lo, out=certified_lo, where=inverted)
+        invalid[inverted] = True
+        levels[owner] = level
+        live = ~inverted[owner][:, None, None]
+        corner_lo = _corners(lower, np.minimum, 2)
+        corner_gap = _corners(upper - lower, np.maximum, 2)
+        # straddling spans wider than tol refine; every other span settles
+        pick = live & (corner_lo <= 0) & (corner_gap > tol) & (level < max_levels)
+        settled = live & ~pick
+        np.minimum.at(certified_lo, owner, np.where(settled, corner_lo, np.inf).min(axis=(1, 2)))
+        np.logical_or.at(exhausted, owner, (settled & (corner_lo <= 0)).any(axis=(1, 2)))
+        return pick
+
+    refine(det, ladder, 2, split, max_levels)
+    status = np.where(invalid, "invalid", np.where(exhausted, "indeterminate", "valid")).tolist()
+    return [
+        ElementReport(start + k, s, (float(lo), float(up)), int(lv),
+                      policy_invalid=s == "indeterminate")
+        for k, (s, lo, up, lv) in enumerate(zip(status, certified_lo, up_min, levels))
+    ]
 
 
 def classify_element(element, tables, tol: float, max_levels: int = 10,
@@ -157,68 +199,21 @@ def classify_element(element, tables, tol: float, max_levels: int = 10,
     the supplied table ladder (tighter boxes at the same cost class),
     then subdivide with the finest table.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    ladder = _as_ladder(tables)
     p = int(round(np.sqrt(np.asarray(element, dtype=float).shape[0]))) - 1
-    det = detj_coeffs(element, p)
+    return _classify(detj_coeffs(element, p).u[None], tables, tol, max_levels, index)[0]
 
-    cells = [det]
-    certified_lo = np.inf
-    up_min = np.inf
-    exhausted = False
-    level = 0
-    while True:
-        # climb the M ladder first, then keep subdividing at its top
-        table = ladder[min(level, len(ladder) - 1)]
-        eta = table.eta()
-        bnds = [bound_tensor(c, table) for c in cells]
-        gen_lo = min(nb.lower.min() for nb in bnds)
-        up_min = min(up_min, min(nb.upper.min() for nb in bnds))
-        if any(nb.upper.min() < 0 for nb in bnds):
-            lo = min(certified_lo, gen_lo)
-            return ElementReport(index, "invalid", (float(lo), float(up_min)), level)
-        can_refine = level < max_levels
-        next_cells = []
-        for cell, nb in zip(cells, bnds):
-            if nb.lower.min() > 0:
-                certified_lo = min(certified_lo, float(nb.lower.min()))
-                continue
-            gap = nb.upper - nb.lower
-            M = nb.lower.shape[0]
-            for i, j in _spans(M):
-                corner_lo = nb.lower[i : i + 2, j : j + 2]
-                if corner_lo.min() > 0:
-                    certified_lo = min(certified_lo, float(corner_lo.min()))
-                    continue
-                if can_refine and gap[i : i + 2, j : j + 2].max() > tol:
-                    # span index (i, j) is (eta, xi); subcell wants xi first
-                    sub = [(eta[j], eta[j + 1]), (eta[i], eta[i + 1])]
-                    next_cells.append(subdivide(cell, sub))
-                else:
-                    exhausted = True
-                    certified_lo = min(certified_lo, float(corner_lo.min()))
-        if not next_cells:
-            if exhausted:
-                return ElementReport(
-                    index, "indeterminate",
-                    (float(certified_lo), float(up_min)),
-                    level, policy_invalid=True,
-                )
-            return ElementReport(
-                index, "valid", (float(certified_lo), float(up_min)), level
-            )
-        cells = next_cells
-        level += 1
+
+# elements per _classify call: larger blocks raise peak memory, smaller ones pay more call overhead
+_BLOCK_ELEMENTS = 64
 
 
 def check_mesh(mesh: CurvedMesh, tables, tol: float,
                max_levels: int = 10) -> ValidityReport:
-    """Classify every element independently."""
-    reports = [
-        classify_element(e, tables, tol, max_levels, index=k)
-        for k, e in enumerate(mesh.elements)
-    ]
+    """Classify every element independently, a block of elements at a time."""
+    reports = []
+    for start in range(0, mesh.n_elements, _BLOCK_ELEMENTS):
+        nodes = np.stack(mesh.elements[start:start + _BLOCK_ELEMENTS])
+        reports += _classify(_detj_stack(nodes, mesh.p), tables, tol, max_levels, start)
     return ValidityReport(tuple(reports))
 
 
@@ -229,31 +224,25 @@ def refinement_ladder(coeffs: PolyCoeffs, table, levels: int):
     lower, and whether each method has already proven a negative value.
     Used to compare tightness of the two bounding approaches.
     """
+    (table,) = _as_ladder(table, coeffs.basis)
+    d = coeffs.dim
+    halves = np.stack([_restriction(coeffs.basis, -1.0, 0.0), _restriction(coeffs.basis, 0.0, 1.0)])
+    U = coeffs.u[None]
     rows = []
-    cells = [coeffs]
     for lv in range(levels + 1):
-        t_lo, t_hi = np.inf, np.inf
-        b_lo, b_hi = np.inf, np.inf
-        for c in cells:
-            nb = bound_tensor(c, table)
-            t_lo = min(t_lo, float(nb.lower.min()))
-            t_hi = min(t_hi, float(nb.upper.min()))
-            bl, bu = bernstein_bounds(c)
-            b_lo = min(b_lo, bl)
-            b_hi = min(b_hi, bu)
+        if lv:
+            # every cell splits into 2^d children, one per half along each axis
+            cell, *half = np.indices((len(U),) + (2,) * d).reshape(d + 1, -1)
+            U = _restrict(U[cell], [halves[h] for h in half])
+        lower, upper = bound_nodes(U, table, d)
+        bern = np.array([bernstein_bounds(PolyCoeffs(d, coeffs.basis, u)) for u in U])
         rows.append({
             "level": lv,
-            "table_lower": t_lo,
-            "bernstein_lower": b_lo,
-            "table_proves_negative": t_hi < 0,
-            "bernstein_proves_negative": b_hi < 0,
+            "table_lower": float(lower.min()),
+            "bernstein_lower": float(bern[:, 0].min()),
+            "table_proves_negative": bool(upper.min() < 0),
+            "bernstein_proves_negative": bool(bern[:, 1].min() < 0),
         })
-        if lv == levels:
-            break
-        halves = [(-1.0, 0.0), (0.0, 1.0)]
-        cells = [
-            subdivide(c, [hx, hy]) for c in cells for hy in halves for hx in halves
-        ]
     return rows
 
 

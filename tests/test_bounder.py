@@ -190,7 +190,7 @@ def test_subdivide_is_restriction():
     axes = [a + (b - a) * (t + 1) / 2 for a, b in cell]
     for family in FAMILIES:
         basis = make_basis(family, 3)
-        for dim in (2, 3):
+        for dim in (1, 2, 3):
             c = PolyCoeffs(dim, basis, rng.standard_normal((4,) * dim))
             sub = subdivide(c, cell[:dim])
             np.testing.assert_allclose(

@@ -70,7 +70,8 @@ def test_boxgen_rejects_bad_family(capsys):
 
 
 @pytest.mark.parametrize("flags", [["--p", "0"], ["--m", "1"], ["--seed", "-1"],
-                                   ["--p", "2", "--m", "3", "--seed", "-1"]])
+                                   ["--p", "2", "--m", "3", "--seed", "-1"],
+                                   ["--p", "2", "--m", "3", "--restarts", "-5"]])
 def test_boxgen_rejects_out_of_range_arguments(flags, tmp_path, capsys):
     assert main(["boxgen", "-o", str(tmp_path / "t.txt")] + flags) == 1
     assert "error" in capsys.readouterr().err
@@ -161,6 +162,13 @@ def test_checkmesh_flipped_element(tmp_path, capsys):
     write_mesh(CurvedMesh(2, els), path)
     assert main(["checkmesh", str(path)]) == 2
     assert "3 valid, 1 invalid" in capsys.readouterr().out
+
+
+def test_checkmesh_empty_mesh(tmp_path, capsys):
+    path = tmp_path / "empty.txt"
+    path.write_text("polybound-mesh v1\ndim=2 p=2 elements=0\n")
+    assert main(["checkmesh", str(path)]) == 0
+    assert "0 valid, 0 invalid, 0 indeterminate of 0" in capsys.readouterr().out
 
 
 def test_checkmesh_malformed_file(tmp_path, capsys):

@@ -53,10 +53,14 @@ def test_alpha_flat_element_guarded():
 
 
 def test_alpha_mean_outside_raises():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"element mean 1\.5 lies outside"):
         squeeze_alpha(1.5, 0.0, 2.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"mean -0\.2 lies"):
         squeeze_alpha(-0.2, -0.5, 0.5, 0.0, 1.0)
+    # the worst of several offending means is named by its element index
+    mean = np.array([[0.5, 1.0 + 1e-3], [-0.4, 0.2]])
+    with pytest.raises(ValueError, match=r"element \(1, 0\) mean -0\.4 lies outside"):
+        squeeze_alpha(mean, mean - 0.1, mean + 0.1, 0.0, 1.0)
 
 
 def test_alpha_zero_at_mean_on_boundary():

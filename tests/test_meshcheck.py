@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from polybound.boxopt import standard_table
-from polybound.bounder import brute_force_extrema, eval_on_grid
+from polybound.bounder import bound_adaptive, brute_force_extrema, eval_on_grid
 from polybound.meshcheck import (
     CurvedMesh,
     MeshFormatError,
@@ -86,6 +86,43 @@ def test_flipped_element_invalid(tables_p2):
     assert statuses.count("invalid") == 1
     assert report.elements[3].status == "invalid"
     assert not report.all_valid
+
+
+def test_check_mesh_blocks_match_single_elements(tables_p2):
+    # 81 elements cross a block boundary; mirrored elements add inversions
+    mesh = perturb_mesh(uniform_mesh(9, 9, 2), 0.15, seed=1)
+    els = [mirror_element(e) if k % 7 == 3 else e for k, e in enumerate(mesh.elements)]
+    mesh = CurvedMesh(2, els)
+    report = check_mesh(mesh, tables_p2, tol=1e-4)
+    assert [er.index for er in report.elements] == list(range(81))
+    assert all(report.counts().values())
+    assert max(er.levels_used for er in report.elements) >= 2
+    for er in report.elements:
+        one = classify_element(mesh.elements[er.index], tables_p2, tol=1e-4,
+                               index=er.index)
+        assert (er.index, er.status, er.levels_used, er.policy_invalid) == (
+            one.index, one.status, one.levels_used, one.policy_invalid)
+        np.testing.assert_allclose(er.min_detj_interval, one.min_detj_interval,
+                                   rtol=1e-12)
+
+
+def test_empty_mesh_gives_empty_report(tables_p2):
+    report = check_mesh(CurvedMesh(2, ()), tables_p2, tol=1e-4)
+    assert report.elements == () and report.all_valid
+
+
+def test_ladder_tables_must_match_the_basis(tables_p2):
+    # another family with the same N is rejected even where the ladder
+    # would never reach it: the element and the polynomial settle at once
+    wrong = standard_table("legendre-nodal", 3, 6, kind="gauss-lobatto")
+    ladder = [tables_p2[0], wrong]
+    mesh = uniform_mesh(1, 1, 2)
+    with pytest.raises(ValueError, match="does not match"):
+        check_mesh(mesh, ladder, tol=1e-4)
+    with pytest.raises(ValueError, match="does not match"):
+        classify_element(mesh.elements[0], ladder, tol=1e-4)
+    with pytest.raises(ValueError, match="does not match"):
+        bound_adaptive(detj_coeffs(mesh.elements[0], 2), ladder, tol=1.0)
 
 
 def test_intervals_are_sound(tables_p2):
