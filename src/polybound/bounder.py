@@ -22,6 +22,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     BasisSpec,
+    _transform_matrix,
     basis_matrix,
     cheb_coeffs,
     gauss_legendre_rule,
@@ -290,20 +291,26 @@ def _batch_bounds_2d(basis: BasisSpec, U: np.ndarray, table: BoundingTable):
     return bound_nodes(U, table, 2)
 
 
-def bernstein_bounds(coeffs: PolyCoeffs):
-    """Extreme Bernstein coefficients; they enclose the polynomial range."""
-    if coeffs.basis.p >= 10:
+def _bernstein_stack(U: np.ndarray, basis: BasisSpec, dim: int) -> np.ndarray:
+    """Bernstein coefficients of a (cells,) + (N,)*dim stack of polynomials.
+
+    Each cell's extreme Bernstein coefficients enclose its range.
+    """
+    if basis.p >= 10:
         warnings.warn(
             "Bernstein conversion is badly conditioned for p >= 10; "
             "bounds may carry noticeable rounding slack",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    from .basis import change_basis
+    T = _transform_matrix(basis, make_basis("bernstein", basis.p))
+    return _restrict(U, [np.broadcast_to(T, (len(U),) + T.shape)] * dim)
 
-    target = make_basis("bernstein", coeffs.basis.p)
-    conv = change_basis(coeffs, target)
-    return float(conv.u.min()), float(conv.u.max())
+
+def bernstein_bounds(coeffs: PolyCoeffs):
+    """Extreme Bernstein coefficients; they enclose the polynomial range."""
+    B = _bernstein_stack(coeffs.u[None], coeffs.basis, coeffs.dim)
+    return float(B.min()), float(B.max())
 
 
 def _cheb_tensor(coeffs: PolyCoeffs) -> np.ndarray:

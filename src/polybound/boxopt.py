@@ -3,9 +3,9 @@
 For a basis function phi and control nodes eta, the upper box is the
 piecewise-linear function U on eta minimizing the sampled L2 distance to
 phi subject to U >= phi; the lower box is the mirrored problem. The
-discrete solves run on n equispaced samples (endpoints included), then a
-scalar per-row offset makes the bound hold continuously, plus a safety
-margin epsilon.
+discrete solves run on ``_N_SAMPLES`` equispaced samples (endpoints
+included), then a scalar per-row offset makes the bound hold
+continuously, plus a safety margin ``_EPSILON``.
 
 Each discrete subproblem is a convex QP with linear inequality
 constraints. It is solved exactly by the least-squares-with-inequalities
@@ -48,6 +48,8 @@ PROVENANCE_VALUES = (
 )
 
 _ROOT_TOL = 1e-12  # window slack when assigning roots to a subinterval
+_N_SAMPLES = 1000  # equispaced samples of the discrete one-sided fits
+_EPSILON = 1e-6  # safety margin added after the continuous offset
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,7 +64,7 @@ class BoundingTable:
     nodes: NodeSet
     q_lower: np.ndarray
     q_upper: np.ndarray
-    epsilon: float = 1e-6
+    epsilon: float = _EPSILON
     provenance: str = "optimized-here"
 
     def __post_init__(self):
@@ -72,6 +74,8 @@ class BoundingTable:
             raise ValueError(
                 f"table shape {ql.shape} does not match N={self.basis.N}, M={self.nodes.M}"
             )
+        if not (np.isfinite(ql).all() and np.isfinite(qu).all() and np.isfinite(self.epsilon)):
+            raise ValueError("table values and epsilon must be finite")
         if self.provenance not in PROVENANCE_VALUES:
             raise ValueError(f"unknown provenance {self.provenance!r}")
         ql.setflags(write=False)
@@ -105,7 +109,7 @@ class BoxOptimizationError(RuntimeError):
         self.quality = quality
 
 
-def _nnls(E: np.ndarray, f: np.ndarray, max_outer: int = 0) -> np.ndarray:
+def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Lawson-Hanson active-set NNLS:  min ||E u - f||  s.t.  u >= 0.
 
     The passive-set least-squares subproblems are tiny here (E has at most
@@ -113,12 +117,10 @@ def _nnls(E: np.ndarray, f: np.ndarray, max_outer: int = 0) -> np.ndarray:
     exactness of the support solve is what the downstream reduction needs.
     """
     m, n = E.shape
-    if max_outer <= 0:
-        max_outer = 3 * (m + n)
+    max_outer = 3 * (m + n)
     u = np.zeros(n)
     passive = np.zeros(n, dtype=bool)
-    w = E.T @ f
-    tol = 10.0 * np.finfo(float).eps * max(1.0, float(np.abs(w).max()))
+    tol = 10.0 * np.finfo(float).eps * max(1.0, float(np.abs(E.T @ f).max()))
     for _ in range(max_outer):
         w = E.T @ (f - E @ u)
         w_free = np.where(passive, -np.inf, w)
@@ -171,18 +173,13 @@ def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
     return solve_triangular(R, y + Qtb)
 
 
-def _chebval_col(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    return _cheb.chebval(x, c)
-
-
 def _row_min_gap(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
-                 row: np.ndarray, side: str) -> float:
-    """Continuous minimum of the gap between a PL row and phi.
+                 row: np.ndarray) -> float:
+    """Continuous minimum of U(x) - phi(x) for a PL row U.
 
-    side "upper": min over x of U(x) - phi(x); side "lower": min of
-    phi(x) - L(x). Per subinterval the gap is a polynomial; its interior
-    critical points come from the colleague-matrix roots of the derivative,
-    polished by a Newton step.
+    Per subinterval the gap is a polynomial; its interior critical points
+    come from the colleague-matrix roots of the derivative, polished by a
+    Newton step.
     """
     d2phi = _cheb.chebder(dphi) if dphi.size > 1 else np.zeros(1)
     best = np.inf
@@ -191,8 +188,8 @@ def _row_min_gap(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
         slope = (row[j + 1] - row[j]) / (b - a)
         crit = [a, b]
         # derivative of the gap in Chebyshev form
-        dg = -dphi.copy() if side == "upper" else dphi.copy()
-        dg[0] += slope if side == "upper" else -slope
+        dg = -dphi.copy()
+        dg[0] += slope
         dgt = np.trim_zeros(np.where(np.abs(dg) < 1e-14 * max(1.0, np.abs(dg).max()), 0.0, dg), "b")
         if dgt.size > 1:
             roots = _cheb.chebroots(dgt)
@@ -200,27 +197,22 @@ def _row_min_gap(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
             roots = roots[(roots > a - _ROOT_TOL) & (roots < b + _ROOT_TOL)]
             if roots.size:
                 # one Newton polish on the gap derivative
-                d2g = -d2phi if side == "upper" else d2phi
-                dgv = _chebval_col(dgt, roots)
-                d2v = _chebval_col(d2g, roots) if d2g.size else np.zeros_like(roots)
+                dgv = _cheb.chebval(roots, dgt)
+                d2v = _cheb.chebval(roots, -d2phi)
                 ok = np.abs(d2v) > 1e-14
                 roots = np.where(ok, roots - dgv / np.where(ok, d2v, 1.0), roots)
                 crit.extend(np.clip(roots, a, b))
         xs = np.asarray(crit)
-        lin = row[j] + slope * (xs - a)
-        ph = _chebval_col(phi_c, xs)
-        gap = lin - ph if side == "upper" else ph - lin
+        gap = row[j] + slope * (xs - a) - _cheb.chebval(xs, phi_c)
         best = min(best, float(gap.min()))
     return best
 
 
-def _row_min_gap_sampled(phi_c: np.ndarray, dphi: np.ndarray, eta: np.ndarray,
-                         row: np.ndarray, side: str, n: int) -> float:
-    """Sampling fallback with a Lipschitz safety deduction."""
-    xs = np.linspace(-1.0, 1.0, n)
-    lin = np.interp(xs, eta, row)
-    ph = _chebval_col(phi_c, xs)
-    gap = lin - ph if side == "upper" else ph - lin
+def _row_min_gap_sampled(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
+                         row: np.ndarray) -> float:
+    """Sampling fallback for min(U - phi) with a Lipschitz safety deduction."""
+    xs = np.linspace(-1.0, 1.0, 10000)
+    gap = np.interp(xs, eta, row) - _cheb.chebval(xs, phi_c)
     slope_max = np.max(np.abs(np.diff(row) / np.diff(eta)))
     lip = float(np.abs(dphi).sum()) + slope_max
     h = xs[1] - xs[0]
@@ -228,35 +220,34 @@ def _row_min_gap_sampled(phi_c: np.ndarray, dphi: np.ndarray, eta: np.ndarray,
 
 
 def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
-                         q_upper: np.ndarray, n_fallback: int = 10000):
+                         q_upper: np.ndarray):
     """Per-row continuous min gaps for both sides, plus a pad flag.
 
     Rows may be a leading subset of the basis functions (the unique half
     during symmetric optimization); row k always belongs to phi_{k+1}.
+    The lower side is the upper search on the negated problem, since
+    phi - L = (-L) - (-phi) and negation is exact.
     """
     C = cheb_coeffs(basis)
-    n_rows = q_upper.shape[0]
-    lo = np.empty(n_rows)
-    up = np.empty(n_rows)
+    lo, up = np.empty((2, len(q_upper)))
     padded = False
-    for i in range(n_rows):
+    for i in range(len(q_upper)):
         phi_c = C[:, i]
         dphi = _cheb.chebder(phi_c) if phi_c.size > 1 else np.zeros(1)
+        sides = ((dphi, phi_c, q_upper[i]), (-dphi, -phi_c, -q_lower[i]))
         try:
-            up[i] = _row_min_gap(dphi, phi_c, eta, q_upper[i], "upper")
-            lo[i] = _row_min_gap(dphi, phi_c, eta, q_lower[i], "lower")
+            up[i], lo[i] = [_row_min_gap(d, c, eta, q) for d, c, q in sides]
         except np.linalg.LinAlgError:
-            up[i] = _row_min_gap_sampled(phi_c, dphi, eta, q_upper[i], "upper", n_fallback)
-            lo[i] = _row_min_gap_sampled(phi_c, dphi, eta, q_lower[i], "lower", n_fallback)
+            up[i], lo[i] = [_row_min_gap_sampled(d, c, eta, q) for d, c, q in sides]
             padded = True
     return lo, up, padded
 
 
 def offset_correction(basis: BasisSpec, nodes: NodeSet, q_lower: np.ndarray,
-                      q_upper: np.ndarray, epsilon: float = 1e-6):
-    """Shift candidate rows so the bounds hold continuously with margin epsilon.
+                      q_upper: np.ndarray):
+    """Shift candidate rows so the bounds hold continuously with margin _EPSILON.
 
-    Upper rows move up by max(0, -min_x(U - phi)) + epsilon; lower rows
+    Upper rows move up by max(0, -min_x(U - phi)) + _EPSILON; lower rows
     move down symmetrically. Returns (q_lower, q_upper, padded) where
     ``padded`` reports whether the sampling fallback was used for any row.
     """
@@ -264,20 +255,40 @@ def offset_correction(basis: BasisSpec, nodes: NodeSet, q_lower: np.ndarray,
     q_lower = np.array(q_lower, dtype=float)
     q_upper = np.array(q_upper, dtype=float)
     lo, up, padded = _continuous_min_gaps(basis, eta, q_lower, q_upper)
-    dq_up = np.maximum(0.0, -up)
-    dq_lo = np.maximum(0.0, -lo)
-    q_upper += (dq_up + epsilon)[:, None]
-    q_lower -= (dq_lo + epsilon)[:, None]
+    q_upper += (np.maximum(0.0, -up) + _EPSILON)[:, None]
+    q_lower -= (np.maximum(0.0, -lo) + _EPSILON)[:, None]
     return q_lower, q_upper, padded
+
+
+def _solved_rows(basis: BasisSpec) -> int:
+    """Rows 0.._solved_rows - 1 are optimized; _mirror derives the rest."""
+    return (basis.N + 1) // 2 if mirror_pairs(basis) else basis.N
+
+
+def _mirror(basis: BasisSpec, q_lo: np.ndarray, q_up: np.ndarray) -> None:
+    """Fill in place the rows that symmetry fixes.
+
+    Mirror-pair families: row i >= (N+1)//2 is row N-1-i reversed.
+    Legendre modes: an odd mode's lower row is its upper row negated
+    and reversed.
+    """
+    N = basis.N
+    if mirror_pairs(basis):
+        half = (N + 1) // 2
+        for q in (q_lo, q_up):
+            q[half:] = q[: N - half][::-1, ::-1]
+    else:
+        q_lo[1::2] = -q_up[1::2, ::-1]
 
 
 def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     """Pre-offset box rows from the sampled one-sided fits.
 
-    Returns (q_lower, q_upper, failures) with full symmetry applied.
-    Symmetric basis pairs share one solve through reflection; Legendre
-    modes use their parity instead. Failed rows fall back to the plain
-    least-squares fit and are listed in failures.
+    Returns (q_lower, q_upper, failures) with full symmetry applied: only
+    the rows _mirror cannot fill are solved, and a row whose function is
+    its own mirror image (the middle nodal row, an even Legendre mode) is
+    symmetrised. Failed rows fall back to the plain least-squares fit and
+    are listed in failures.
     """
     N, M = basis.N, eta.size
     x = np.linspace(-1.0, 1.0, n_samples)
@@ -285,127 +296,88 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     Q, R = np.linalg.qr(A)
     Phi = basis_matrix(basis, x)
 
-    q_up = np.empty((N, M))
-    q_lo = np.empty((N, M))
-    failures = []
-
     def solve_upper(col):
         try:
             return _upper_qp(Q, R, col), True
         except RuntimeError:
             # least-squares candidate; the offset step will make it feasible
-            qtb = Q.T @ col
-            return solve_triangular(R, qtb), False
+            return solve_triangular(R, Q.T @ col), False
 
-    if mirror_pairs(basis):
-        half = (N + 1) // 2
-        for i in range(half):
-            q_up[i], ok_u = solve_upper(Phi[:, i])
+    pairs = mirror_pairs(basis)
+    q_up = np.empty((N, M))
+    q_lo = np.empty((N, M))
+    failures = []
+    for i in range(_solved_rows(basis)):
+        q_up[i], ok = solve_upper(Phi[:, i])
+        if pairs or i % 2 == 0:  # an odd mode's lower row comes from _mirror
             neg, ok_l = solve_upper(-Phi[:, i])
             q_lo[i] = -neg
-            if not (ok_u and ok_l):
-                failures.append(i)
-        for i in range(half, N):
-            q_up[i] = q_up[N - 1 - i][::-1]
-            q_lo[i] = q_lo[N - 1 - i][::-1]
-        if N % 2 == 1:
-            mid = N // 2
-            q_up[mid] = 0.5 * (q_up[mid] + q_up[mid][::-1])
-            q_lo[mid] = 0.5 * (q_lo[mid] + q_lo[mid][::-1])
-    else:
-        for i in range(N):
-            q_up[i], ok_u = solve_upper(Phi[:, i])
-            odd_parity = i % 2 == 1
-            if odd_parity:
-                q_lo[i] = -q_up[i][::-1]
-                ok_l = True
-            else:
-                neg, ok_l = solve_upper(-Phi[:, i])
-                q_lo[i] = -neg
-                q_up[i] = 0.5 * (q_up[i] + q_up[i][::-1])
-                q_lo[i] = 0.5 * (q_lo[i] + q_lo[i][::-1])
-            if not (ok_u and ok_l):
-                failures.append(i)
+            ok = ok and ok_l
+        if (2 * i == N - 1) if pairs else (i % 2 == 0):  # its own mirror image
+            q_up[i] = 0.5 * (q_up[i] + q_up[i][::-1])
+            q_lo[i] = 0.5 * (q_lo[i] + q_lo[i][::-1])
+        if not ok:
+            failures.append(i)
+    _mirror(basis, q_lo, q_up)
     return q_lo, q_up, failures
 
 
-def optimize_values(basis: BasisSpec, nodes: NodeSet, n_samples: int = 1000,
-                    epsilon: float = 1e-6) -> BoundingTable:
+def optimize_values(basis: BasisSpec, nodes: NodeSet) -> BoundingTable:
     """Optimal bounding table for a fixed control-node set.
 
-    Discrete least-squares fits with one-sided constraints on n_samples
+    Discrete least-squares fits with one-sided constraints on _N_SAMPLES
     equispaced points, then the continuous offset correction.
     """
-    if n_samples < 2 * nodes.M:
-        raise ValueError("n_samples must be well above M")
-    N = basis.N
-    eta = nodes.array()
-    q_lo, q_up, failures = _raw_boxes(basis, eta, n_samples)
-
-    if mirror_pairs(basis):
-        # offset the unique half, then mirror so symmetry stays exact
-        half = (N + 1) // 2
-        lo_h, up_h, padded = offset_correction(
-            basis, nodes, q_lo[:half], q_up[:half], epsilon
-        )
-        q_lo[:half], q_up[:half] = lo_h, up_h
-        for i in range(half, N):
-            q_up[i] = q_up[N - 1 - i][::-1]
-            q_lo[i] = q_lo[N - 1 - i][::-1]
-    else:
-        q_lo, q_up, padded = offset_correction(basis, nodes, q_lo, q_up, epsilon)
-        for i in range(N):
-            if i % 2 == 1:
-                q_lo[i] = -q_up[i][::-1]
+    if _N_SAMPLES < 2 * nodes.M:
+        raise ValueError(f"M={nodes.M} needs more than {_N_SAMPLES} samples")
+    q_lo, q_up, failures = _raw_boxes(basis, nodes.array(), _N_SAMPLES)
+    # offset the solved rows, then mirror so symmetry stays exact
+    n = _solved_rows(basis)
+    q_lo[:n], q_up[:n], padded = offset_correction(basis, nodes, q_lo[:n], q_up[:n])
+    _mirror(basis, q_lo, q_up)
 
     provenance = "optimized-here-padded" if padded else "optimized-here"
-    table = BoundingTable(basis, nodes, q_lo, q_up, epsilon, provenance)
+    table = BoundingTable(basis, nodes, q_lo, q_up, _EPSILON, provenance)
     if failures:
-        quality = verify_table(table)
         raise BoxOptimizationError(
             f"discrete subproblem failed for basis functions {failures}",
             table=table,
-            quality=quality,
+            quality=verify_table(table),
         )
     return table
 
 
-def _gap_quadrature(basis: BasisSpec, eta: np.ndarray):
-    """Per-subinterval Gauss points/weights on [-1,1], exact for the gap norms."""
+def _gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
+               q_upper: np.ndarray) -> float:
+    """Sum over rows of the L2 norms of U - phi and phi - L.
+
+    Gauss points per subinterval make the quadrature exact for these
+    piecewise-polynomial gaps.
+    """
     xg, wg = gauss_legendre_rule(basis.N)
-    pts = []
-    wts = []
-    for j in range(eta.size - 1):
-        a, b = eta[j], eta[j + 1]
-        half = 0.5 * (b - a)
-        pts.append(a + half * (xg + 1.0))
-        wts.append(half * wg)
-    return np.concatenate(pts), np.concatenate(wts)
+    a = eta[:-1, None]
+    half = 0.5 * (eta[1:, None] - a)
+    pts = (a + half * (xg + 1.0)).ravel()
+    wts = (half * wg).ravel()
+    Phi = basis_matrix(basis, pts)
+    H = hat_matrix(eta, pts)
+    gap_u = H @ q_upper.T - Phi
+    gap_l = Phi - H @ q_lower.T
+    return float((np.sqrt(wts @ gap_u**2) + np.sqrt(wts @ gap_l**2)).sum())
 
 
 def verify_table(table: BoundingTable) -> BoxQuality:
     """Quality check: exact gap L2 norms and the worst continuous margin."""
     eta = table.eta()
-    pts, wts = _gap_quadrature(table.basis, eta)
-    Phi = basis_matrix(table.basis, pts)
-    H = hat_matrix(eta, pts)
-    upper = H @ table.q_upper.T
-    lower = H @ table.q_lower.T
-    gap_u = upper - Phi
-    gap_l = Phi - lower
-    norms = np.sqrt(np.maximum(0.0, wts @ gap_u**2)) + np.sqrt(
-        np.maximum(0.0, wts @ gap_l**2)
-    )
-    eps2 = float(norms.sum())
+    eps2 = _gap_norms(table.basis, eta, table.q_lower, table.q_upper)
     lo, up, _ = _continuous_min_gaps(table.basis, eta, table.q_lower, table.q_upper)
     return BoxQuality(eps2=eps2, max_violation=float(min(lo.min(), up.min())))
 
 
 def _nodes_from_z(z_free: np.ndarray, M: int) -> np.ndarray:
     """Map free auxiliary variables to a symmetric node set via gap softmax."""
-    ng = M - 1
-    nf = (ng + 1) // 2
-    z = np.concatenate([z_free, z_free[: ng - nf][::-1]])
+    # M // 2 free log-gaps; the other (M - 1) // 2 mirror them
+    z = np.concatenate([z_free, z_free[: (M - 1) // 2][::-1]])
     g = np.exp(z - z.max())
     eta = -1.0 + 2.0 * np.concatenate([[0.0], np.cumsum(g)]) / g.sum()
     eta = 0.5 * (eta - eta[::-1])
@@ -416,34 +388,23 @@ def _nodes_from_z(z_free: np.ndarray, M: int) -> np.ndarray:
 
 
 def _z_from_nodes(eta: np.ndarray) -> np.ndarray:
-    ng = eta.size - 1
-    nf = (ng + 1) // 2
-    gaps = np.diff(eta)
-    return np.log(gaps[:nf])
+    return np.log(np.diff(eta)[: eta.size // 2])
 
 
-def _raw_objective(basis: BasisSpec, eta: np.ndarray, n_samples: int) -> float:
+def _raw_objective(basis: BasisSpec, eta: np.ndarray) -> float:
     """Sum of continuous gap norms of the pre-offset boxes.
 
     Smooth in the node positions, unlike the post-offset quality: the
     offset magnitude carries a sawtooth ripple from where the envelope
     kinks fall relative to the fixed sample grid.
     """
-    q_lo, q_up, failures = _raw_boxes(basis, eta, n_samples)
+    q_lo, q_up, failures = _raw_boxes(basis, eta, _N_SAMPLES)
     if failures:
         return 1e6
-    pts, wts = _gap_quadrature(basis, eta)
-    Phi = basis_matrix(basis, pts)
-    H = hat_matrix(eta, pts)
-    upper_gap = H @ q_up.T - Phi
-    lower_gap = Phi - H @ q_lo.T
-    norms = np.sqrt(wts @ upper_gap**2) + np.sqrt(wts @ lower_gap**2)
-    return float(norms.sum())
+    return _gap_norms(basis, eta, q_lo, q_up)
 
 
-def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
-                   epsilon: float = 1e-6, restarts: int = 20,
-                   perturbation: float = 0.5, seed: int = 0,
+def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
                    maxiter: int = 60, warm_starts=()):
     """Search for the control-node positions minimizing the gap norm sum.
 
@@ -463,14 +424,11 @@ def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
     rng = np.random.default_rng(seed)  # rejects a bad seed even when unused
 
     def build(eta_arr):
-        ns = make_node_set("optimized", M, positions=eta_arr)
-        table = optimize_values(basis, ns, n_samples, epsilon)
-        return ns, table
+        return optimize_values(basis, make_node_set("optimized", M, positions=eta_arr))
 
     if M <= 3:
         # symmetry pins these node sets completely
-        eta = np.array([-1.0, 1.0]) if M == 2 else np.array([-1.0, 0.0, 1.0])
-        return build(eta)[1]
+        return build([-1.0, 1.0] if M == 2 else [-1.0, 0.0, 1.0])
 
     best_raw = {"value": np.inf, "z": None}
 
@@ -478,13 +436,12 @@ def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
         eta = _nodes_from_z(np.asarray(z_free, dtype=float), M)
         if np.min(np.diff(eta)) < 1e-6:
             return 1e6 - np.min(np.diff(eta))
-        value = _raw_objective(basis, eta, n_samples)
+        value = _raw_objective(basis, eta)
         if value < best_raw["value"]:
             best_raw.update(value=value, z=np.array(z_free, dtype=float))
         return value
 
-    ng = M - 1
-    nf = (ng + 1) // 2
+    nf = M // 2  # free log-gaps
     seeds = [np.zeros(nf)]
     for eta0 in (
         gauss_lobatto_nodes(M),
@@ -504,36 +461,32 @@ def optimize_nodes(basis: BasisSpec, M: int, n_samples: int = 1000,
             z0 = seeds[k]
         else:
             base = best_raw["z"] if best_raw["z"] is not None else np.zeros(nf)
-            z0 = base + rng.normal(0.0, perturbation, nf)
+            z0 = base + rng.normal(0.0, 0.5, nf)
         res = minimize(objective, z0, method="BFGS",
                        options={"maxiter": maxiter, "gtol": 1e-7})
         candidates.append(np.asarray(res.x, dtype=float))
     if best_raw["z"] is not None:
         candidates.append(best_raw["z"])
 
-    best = {"eps2": np.inf, "table": None, "nodes": None}
+    best_eps2, best_table = np.inf, None
     seen = set()
     for z in candidates:
-        key = tuple(np.round(_nodes_from_z(z, M), 10))
-        if key in seen:
+        eta = _nodes_from_z(z, M)
+        key = tuple(np.round(eta, 10))
+        if key in seen or np.min(np.diff(eta)) < 1e-6:
             continue
         seen.add(key)
-        eta = _nodes_from_z(z, M)
-        if np.min(np.diff(eta)) < 1e-6:
-            continue
         try:
-            ns, table = build(eta)
+            table = build(eta)
         except BoxOptimizationError as err:
-            if err.table is None:
-                continue
-            table, ns = err.table, err.table.nodes
-        q = verify_table(table)
-        if q.eps2 < best["eps2"]:
-            best.update(eps2=q.eps2, table=table, nodes=ns)
+            table = err.table
+        eps2 = verify_table(table).eps2
+        if eps2 < best_eps2:
+            best_eps2, best_table = eps2, table
 
-    if best["table"] is None:
+    if best_table is None:
         raise BoxOptimizationError("node search found no feasible table")
-    return best["table"]
+    return best_table
 
 
 class TableFormatError(ValueError):
@@ -548,10 +501,9 @@ def save_table(table: BoundingTable, path) -> None:
         f"epsilon={table.epsilon:.17g} provenance={table.provenance}",
         "nodes: " + " ".join(f"{v:.17g}" for v in table.eta()),
     ]
-    for i in range(table.basis.N):
-        lines.append(f"L {i + 1}: " + " ".join(f"{v:.17g}" for v in table.q_lower[i]))
-    for i in range(table.basis.N):
-        lines.append(f"U {i + 1}: " + " ".join(f"{v:.17g}" for v in table.q_upper[i]))
+    for side, q in (("L", table.q_lower), ("U", table.q_upper)):
+        for i, row in enumerate(q):
+            lines.append(f"{side} {i + 1}: " + " ".join(f"{v:.17g}" for v in row))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -598,25 +550,22 @@ def load_table(path, force: bool = False) -> BoundingTable:
     N = basis.N
     if len(raw) < 3 + 2 * N:
         raise TableFormatError(f"{path}: expected {2 * N} value records, file truncated")
-    q_lower = np.empty((N, M))
-    q_upper = np.empty((N, M))
-    for i in range(N):
-        rec = raw[3 + i].strip()
-        tag = f"L {i + 1}:"
+    rows = []
+    for k in range(2 * N):
+        rec = raw[3 + k].strip()
+        tag = f"{'LU'[k // N]} {k % N + 1}:"
         if not rec.startswith(tag):
             raise TableFormatError(f"{path}: expected record {tag!r}, got {rec[:20]!r}")
-        q_lower[i] = _parse_floats(rec[len(tag):], M, f"{path}: {tag}")
-    for i in range(N):
-        rec = raw[3 + N + i].strip()
-        tag = f"U {i + 1}:"
-        if not rec.startswith(tag):
-            raise TableFormatError(f"{path}: expected record {tag!r}, got {rec[:20]!r}")
-        q_upper[i] = _parse_floats(rec[len(tag):], M, f"{path}: {tag}")
+        rows.append(_parse_floats(rec[len(tag):], M, f"{path}: {tag}"))
+    q_lower, q_upper = np.reshape(rows, (2, N, M))
 
     nodes = make_node_set("explicit", M, positions=eta)
     if provenance != "reference":
         provenance = "loaded-from-file"
-    table = BoundingTable(basis, nodes, q_lower, q_upper, epsilon, provenance)
+    try:
+        table = BoundingTable(basis, nodes, q_lower, q_upper, epsilon, provenance)
+    except ValueError as err:
+        raise TableFormatError(f"{path}: {err}") from None
     quality = verify_table(table)
     if quality.max_violation < -1e-12 and not force:
         raise BoxOptimizationError(

@@ -18,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .basis import basis_deriv_matrix, basis_matrix, gauss_lobatto_nodes, make_basis
-from .bounder import (PolyCoeffs, _as_ladder, _corners, _restrict, _restriction,
-                      bernstein_bounds, bound_nodes, refine)
+from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _restrict,
+                      _restriction, bound_nodes, refine)
 
 __all__ = [
     "CurvedMesh",
@@ -235,13 +235,13 @@ def refinement_ladder(coeffs: PolyCoeffs, table, levels: int):
             cell, *half = np.indices((len(U),) + (2,) * d).reshape(d + 1, -1)
             U = _restrict(U[cell], [halves[h] for h in half])
         lower, upper = bound_nodes(U, table, d)
-        bern = np.array([bernstein_bounds(PolyCoeffs(d, coeffs.basis, u)) for u in U])
+        bern = _bernstein_stack(U, coeffs.basis, d).reshape(len(U), -1)
         rows.append({
             "level": lv,
             "table_lower": float(lower.min()),
-            "bernstein_lower": float(bern[:, 0].min()),
+            "bernstein_lower": float(bern.min()),
             "table_proves_negative": bool(upper.min() < 0),
-            "bernstein_proves_negative": bool(bern[:, 1].min() < 0),
+            "bernstein_proves_negative": bool(bern.max(axis=1).min() < 0),
         })
     return rows
 
@@ -324,6 +324,8 @@ def read_mesh(path) -> CurvedMesh:
         raise MeshFormatError(f"{path}: {err}") from None
     if dim != 2:
         raise MeshFormatError(f"{path}: only dim=2 meshes are supported")
+    if n < 0:
+        raise MeshFormatError(f"{path}: negative element count {n}")
     want = 2 * (p + 1) ** 2
     body = raw[2:]
     if len(body) < n:

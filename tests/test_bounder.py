@@ -164,6 +164,19 @@ def test_bernstein_bounds_enclose_and_match_coeff_extremes():
         assert up >= vals.max() - 1e-12
 
 
+def test_bernstein_stack_matches_per_cell_conversion():
+    from polybound.basis import change_basis
+
+    rng = np.random.default_rng(1)
+    bern = make_basis("bernstein", 3)
+    for dim in (1, 2, 3):
+        U = rng.standard_normal((5,) + (4,) * dim)
+        stacked = bounder._bernstein_stack(U, B3, dim)
+        for u, got in zip(U, stacked):
+            want = change_basis(PolyCoeffs(dim, B3, u), bern).u
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
 def test_bernstein_high_order_warns():
     b10 = make_basis("lobatto-nodal", 10)
     c = PolyCoeffs(1, b10, np.random.default_rng(0).standard_normal(11))

@@ -119,18 +119,30 @@ def test_bound_no_file_no_step():
     assert main(["bound"]) == 1
 
 
-def test_bound_with_table_failing_verification(tmp_path, monkeypatch, capsys):
+def _bound_with_edited_table(tmp_path, monkeypatch, edit):
+    """Run `bound` with the shipped p=3, M=4 table's `L 2` values passed through edit."""
     name = "lobatto-nodal-p3-M4.txt"
     lines = (_data_dir() / "tables" / name).read_text().splitlines()
     k = next(i for i, line in enumerate(lines) if line.startswith("L 2:"))
-    raised = [float(v) + 0.5 for v in lines[k][len("L 2:"):].split()]
-    lines[k] = "L 2: " + " ".join(repr(v) for v in raised)
+    lines[k] = "L 2: " + " ".join(edit(lines[k][len("L 2:"):].split()))
     (tmp_path / name).write_text("\n".join(lines) + "\n")
     monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
     path = tmp_path / "c.txt"
     write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 3), np.ones(4)), path)
-    assert main(["bound", str(path)]) == 2
+    return main(["bound", str(path)])
+
+
+def test_bound_with_table_failing_verification(tmp_path, monkeypatch, capsys):
+    raise_values = lambda values: [repr(float(v) + 0.5) for v in values]
+    assert _bound_with_edited_table(tmp_path, monkeypatch, raise_values) == 2
     assert "violates its bounding property" in capsys.readouterr().err
+
+
+def test_bound_with_non_finite_table(tmp_path, monkeypatch, capsys):
+    first_nan = lambda values: ["nan"] + values[1:]
+    assert _bound_with_edited_table(tmp_path, monkeypatch, first_nan) == 1
+    err = capsys.readouterr().err
+    assert "error:" in err and "finite" in err
 
 
 # -- checkmesh --------------------------------------------------------------
@@ -169,6 +181,13 @@ def test_checkmesh_empty_mesh(tmp_path, capsys):
     path.write_text("polybound-mesh v1\ndim=2 p=2 elements=0\n")
     assert main(["checkmesh", str(path)]) == 0
     assert "0 valid, 0 invalid, 0 indeterminate of 0" in capsys.readouterr().out
+
+
+def test_checkmesh_negative_element_count(tmp_path, capsys):
+    path = tmp_path / "negative.txt"
+    path.write_text("polybound-mesh v1\ndim=2 p=2 elements=-3\n")
+    assert main(["checkmesh", str(path)]) == 1
+    assert "negative element count" in capsys.readouterr().err
 
 
 def test_checkmesh_malformed_file(tmp_path, capsys):

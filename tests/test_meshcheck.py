@@ -202,6 +202,9 @@ def test_mesh_format_errors(tmp_path):
     with pytest.raises(MeshFormatError) as ei:
         read_mesh(p)
     assert "element 0" in str(ei.value)
+    p.write_text("polybound-mesh v1\ndim=2 p=2 elements=-3\n")
+    with pytest.raises(MeshFormatError, match="negative element count"):
+        read_mesh(p)
 
 
 def test_mesh_constructor_guards():
