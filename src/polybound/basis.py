@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
@@ -403,3 +404,53 @@ def mirror_pairs(basis: BasisSpec) -> bool:
     Legendre modes have definite parity instead.
     """
     return basis.family != "legendre-modal"
+
+
+def _read_text(path, magic: str, error, count, **types):
+    """Read a polybound text file: magic line, key=value metadata, records.
+
+    Each keyword names a required metadata key and the type it converts
+    to. count(meta) checks the converted metadata and returns how many
+    record lines follow; exactly that many must be there, and only blank
+    lines may come after them. Every fault raises error naming the file.
+    Returns (meta, records).
+    """
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    if not lines or lines[0].strip() != magic:
+        raise error(f"{path}: missing {magic!r} header")
+    if len(lines) < 2:
+        raise error(f"{path}: truncated, missing metadata line")
+    meta = {}
+    for tok in lines[1].split():
+        key, eq, value = tok.partition("=")
+        if not eq:
+            raise error(f"{path}: bad metadata token {tok!r}")
+        meta[key] = value
+    try:
+        for key, kind in types.items():
+            if key not in meta:
+                raise ValueError(f"metadata missing {key!r}")
+            meta[key] = kind(meta[key])
+        n = count(meta)
+        if n < 0:
+            raise ValueError(f"negative record count {n}")
+    except ValueError as err:
+        raise error(f"{path}: {err}") from None
+    records = lines[2:2 + n]
+    if len(records) < n:
+        raise error(f"{path}: expected {n} record lines, found {len(records)}")
+    for k, line in enumerate(lines[2 + n:], start=3 + n):
+        if line.strip():
+            raise error(f"{path}: line {k}: unexpected content after the last record")
+    return meta, records
+
+
+def _floats(text: str, count: int, error, record: str) -> np.ndarray:
+    """The count floats of one record; faults raise error naming the record."""
+    parts = text.split()
+    if len(parts) != count:
+        raise error(f"{record}: expected {count} values, got {len(parts)}")
+    try:
+        return np.array([float(v) for v in parts])
+    except ValueError as err:
+        raise error(f"{record}: {err}") from None

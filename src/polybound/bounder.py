@@ -22,6 +22,8 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     BasisSpec,
+    _floats,
+    _read_text,
     _transform_matrix,
     basis_matrix,
     cheb_coeffs,
@@ -585,36 +587,12 @@ def write_coeffs(coeffs: PolyCoeffs, path) -> None:
 
 
 def read_coeffs(path) -> PolyCoeffs:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw or raw[0].strip() != "polybound-coeffs v1":
-        raise CoeffsFormatError(f"{path}: missing 'polybound-coeffs v1' header")
-    if len(raw) < 3:
-        raise CoeffsFormatError(f"{path}: truncated, expected 3 lines")
-    fields = {}
-    for tok in raw[1].split():
-        if "=" not in tok:
-            raise CoeffsFormatError(f"{path}: bad metadata token {tok!r}")
-        k, v = tok.split("=", 1)
-        fields[k] = v
-    for key in ("dim", "family", "p"):
-        if key not in fields:
-            raise CoeffsFormatError(f"{path}: metadata missing {key!r}")
-    try:
-        d = int(fields["dim"])
-        p = int(fields["p"])
-    except ValueError as err:
-        raise CoeffsFormatError(f"{path}: {err}") from None
-    if fields["family"] not in FAMILIES:
-        raise CoeffsFormatError(f"{path}: unknown family {fields['family']!r}")
-    basis = make_basis(fields["family"], p)
-    parts = raw[2].split()
-    want = basis.N**d
-    if len(parts) != want:
-        raise CoeffsFormatError(
-            f"{path}: coefficient line: expected {want} values, got {len(parts)}"
-        )
-    try:
-        u = np.array([float(v) for v in parts])
-    except ValueError as err:
-        raise CoeffsFormatError(f"{path}: coefficient line: {err}") from None
-    return PolyCoeffs(d, basis, u)
+    meta, (line,) = _read_text(path, "polybound-coeffs v1", CoeffsFormatError,
+                               lambda meta: 1, dim=int, family=str, p=int)
+    d, family, p = meta["dim"], meta["family"], meta["p"]
+    if family not in FAMILIES:
+        raise CoeffsFormatError(f"{path}: unknown family {family!r}")
+    if d not in (1, 2, 3):
+        raise CoeffsFormatError(f"{path}: dim must be 1, 2, or 3")
+    u = _floats(line, (p + 1) ** d, CoeffsFormatError, f"{path}: coefficient line")
+    return PolyCoeffs(d, make_basis(family, p), u)

@@ -29,6 +29,8 @@ from scipy.optimize import minimize
 from .basis import (
     BasisSpec,
     NodeSet,
+    _floats,
+    _read_text,
     basis_matrix,
     cheb_coeffs,
     gauss_legendre_rule,
@@ -281,6 +283,14 @@ def _mirror(basis: BasisSpec, q_lo: np.ndarray, q_up: np.ndarray) -> None:
         q_lo[1::2] = -q_up[1::2, ::-1]
 
 
+@lru_cache(maxsize=16)
+def _sample_matrix(basis: BasisSpec, n_samples: int) -> np.ndarray:
+    """Read-only basis values at the n_samples equispaced points of the fits."""
+    Phi = basis_matrix(basis, np.linspace(-1.0, 1.0, n_samples))
+    Phi.setflags(write=False)
+    return Phi
+
+
 def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     """Pre-offset box rows from the sampled one-sided fits.
 
@@ -294,7 +304,7 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     x = np.linspace(-1.0, 1.0, n_samples)
     A = hat_matrix(eta, x)
     Q, R = np.linalg.qr(A)
-    Phi = basis_matrix(basis, x)
+    Phi = _sample_matrix(basis, n_samples)
 
     def solve_upper(col):
         try:
@@ -507,16 +517,6 @@ def save_table(table: BoundingTable, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_floats(text: str, count: int, record: str) -> np.ndarray:
-    parts = text.split()
-    if len(parts) != count:
-        raise TableFormatError(f"{record}: expected {count} values, got {len(parts)}")
-    try:
-        return np.array([float(v) for v in parts])
-    except ValueError as err:
-        raise TableFormatError(f"{record}: {err}") from None
-
-
 def load_table(path, force: bool = False) -> BoundingTable:
     """Read and verify a table file.
 
@@ -524,46 +524,28 @@ def load_table(path, force: bool = False) -> BoundingTable:
     ``force`` is set. Provenance is kept for reference tables and
     otherwise becomes loaded-from-file.
     """
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw or raw[0].strip() != "polybound-table v1":
-        raise TableFormatError(f"{path}: missing 'polybound-table v1' header")
-    if len(raw) < 3:
-        raise TableFormatError(f"{path}: truncated header")
-    meta = {}
-    for tok in raw[1].split():
-        if "=" not in tok:
-            raise TableFormatError(f"{path}: bad metadata token {tok!r}")
-        k, v = tok.split("=", 1)
-        meta[k] = v
-    try:
-        family = meta["family"]
-        p = int(meta["p"])
-        M = int(meta["M"])
-        epsilon = float(meta["epsilon"])
-        provenance = meta["provenance"]
-    except (KeyError, ValueError) as err:
-        raise TableFormatError(f"{path}: metadata line: {err}") from None
-    if not raw[2].startswith("nodes:"):
+    meta, records = _read_text(path, "polybound-table v1", TableFormatError,
+                               lambda meta: 1 + 2 * (meta["p"] + 1), family=str, p=int,
+                               M=int, epsilon=float, provenance=str)
+    p, M = meta["p"], meta["M"]
+    if not records[0].startswith("nodes:"):
         raise TableFormatError(f"{path}: expected 'nodes:' record on line 3")
-    eta = _parse_floats(raw[2][len("nodes:"):], M, f"{path}: nodes")
-    basis = make_basis(family, p)
-    N = basis.N
-    if len(raw) < 3 + 2 * N:
-        raise TableFormatError(f"{path}: expected {2 * N} value records, file truncated")
+    eta = _floats(records[0][len("nodes:"):], M, TableFormatError, f"{path}: nodes")
+    N = p + 1
     rows = []
-    for k in range(2 * N):
-        rec = raw[3 + k].strip()
+    for k, rec in enumerate(records[1:]):
+        rec = rec.strip()
         tag = f"{'LU'[k // N]} {k % N + 1}:"
         if not rec.startswith(tag):
             raise TableFormatError(f"{path}: expected record {tag!r}, got {rec[:20]!r}")
-        rows.append(_parse_floats(rec[len(tag):], M, f"{path}: {tag}"))
+        rows.append(_floats(rec[len(tag):], M, TableFormatError, f"{path}: {tag}"))
     q_lower, q_upper = np.reshape(rows, (2, N, M))
 
-    nodes = make_node_set("explicit", M, positions=eta)
-    if provenance != "reference":
-        provenance = "loaded-from-file"
+    provenance = "reference" if meta["provenance"] == "reference" else "loaded-from-file"
     try:
-        table = BoundingTable(basis, nodes, q_lower, q_upper, epsilon, provenance)
+        table = BoundingTable(make_basis(meta["family"], p),
+                              make_node_set("explicit", M, positions=eta),
+                              q_lower, q_upper, meta["epsilon"], provenance)
     except ValueError as err:
         raise TableFormatError(f"{path}: {err}") from None
     quality = verify_table(table)

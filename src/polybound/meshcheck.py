@@ -17,7 +17,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import basis_deriv_matrix, basis_matrix, gauss_lobatto_nodes, make_basis
+from .basis import (_floats, _read_text, basis_deriv_matrix, basis_matrix,
+                    gauss_lobatto_nodes, make_basis)
 from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _restrict,
                       _restriction, bound_nodes, refine)
 
@@ -40,35 +41,33 @@ __all__ = [
 _MAX_GEOMETRIC_ORDER = 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CurvedMesh:
     """2D quad mesh of geometric order p.
 
-    Each element is a ((p+1)^2, 2) array of node coordinates in
-    lexicographic reference order, xi varying fastest. Validity is
+    elements is one read-only (E, (p+1)^2, 2) array: the node coordinates
+    of each element in lexicographic reference order, xi varying fastest.
+    A sequence of ((p+1)^2, 2) arrays is accepted too. Validity is
     element-local, so no connectivity is stored.
     """
 
     p: int
-    elements: tuple
+    elements: np.ndarray
 
     def __post_init__(self):
         if not 1 <= self.p <= _MAX_GEOMETRIC_ORDER:
             raise ValueError(f"geometric order must be 1..{_MAX_GEOMETRIC_ORDER}")
         want = (self.p + 1) ** 2
-        elems = []
-        for k, e in enumerate(self.elements):
-            arr = np.asarray(e, dtype=float)
-            if arr.shape != (want, 2):
-                raise ValueError(
-                    f"element {k}: expected shape ({want}, 2), got {arr.shape}"
-                )
-            if not np.all(np.isfinite(arr)):
-                raise ValueError(f"element {k}: non-finite coordinates")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            elems.append(arr)
-        object.__setattr__(self, "elements", tuple(elems))
+        nodes = np.array(self.elements, dtype=float)
+        if nodes.shape == (0,):
+            nodes = nodes.reshape(0, want, 2)
+        if nodes.ndim != 3 or nodes.shape[1:] != (want, 2):
+            raise ValueError(f"expected elements of shape ({want}, 2), got {nodes.shape}")
+        finite = np.isfinite(nodes).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"element {np.argmin(finite)}: non-finite coordinates")
+        nodes.flags.writeable = False
+        object.__setattr__(self, "elements", nodes)
 
     @property
     def n_elements(self) -> int:
@@ -135,13 +134,8 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     2p-1 at most, so interpolating det J at the (2p)^2 Gauss-Lobatto
     nodes of that target space is representation-exact.
     """
-    if p > _MAX_GEOMETRIC_ORDER:
-        raise ValueError(f"geometric order {p} exceeds the supported {_MAX_GEOMETRIC_ORDER}")
-    nodes = np.asarray(element, dtype=float)
-    want = (p + 1) ** 2
-    if nodes.shape != (want, 2):
-        raise ValueError(f"element must have shape ({want}, 2)")
-    return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes[None], p)[0])
+    nodes = CurvedMesh(p, [element]).elements
+    return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes, p)[0])
 
 
 def _classify(det, tables, tol: float, max_levels: int, start: int) -> list:
@@ -212,8 +206,8 @@ def check_mesh(mesh: CurvedMesh, tables, tol: float,
     """Classify every element independently, a block of elements at a time."""
     reports = []
     for start in range(0, mesh.n_elements, _BLOCK_ELEMENTS):
-        nodes = np.stack(mesh.elements[start:start + _BLOCK_ELEMENTS])
-        reports += _classify(_detj_stack(nodes, mesh.p), tables, tol, max_levels, start)
+        det = _detj_stack(mesh.elements[start:start + _BLOCK_ELEMENTS], mesh.p)
+        reports += _classify(det, tables, tol, max_levels, start)
     return ValidityReport(tuple(reports))
 
 
@@ -250,38 +244,28 @@ def uniform_mesh(nx: int, ny: int, p: int, lo=(0.0, 0.0), hi=(1.0, 1.0)) -> Curv
     """Axis-aligned nx-by-ny quad mesh with Gauss-Lobatto node placement."""
     if nx < 1 or ny < 1:
         raise ValueError("need at least one element per direction")
-    t = gauss_lobatto_nodes(p + 1)
-    hx = (hi[0] - lo[0]) / nx
-    hy = (hi[1] - lo[1]) / ny
-    elements = []
-    for ey in range(ny):
-        for ex in range(nx):
-            cx = lo[0] + hx * (ex + 0.5 * (t + 1.0))
-            cy = lo[1] + hy * (ey + 0.5 * (t + 1.0))
-            XX, YY = np.meshgrid(cx, cy)  # rows = eta, cols = xi
-            elements.append(np.column_stack([XX.ravel(), YY.ravel()]))
-    return CurvedMesh(p, tuple(elements))
+    s = 0.5 * (gauss_lobatto_nodes(p + 1) + 1.0)
+    cx = lo[0] + (hi[0] - lo[0]) / nx * (np.arange(nx)[:, None] + s)
+    cy = lo[1] + (hi[1] - lo[1]) / ny * (np.arange(ny)[:, None] + s)
+    # axes (element row, element column, eta, xi); elements run x fastest
+    X = np.broadcast_to(cx[None, :, None, :], (ny, nx, p + 1, p + 1))
+    Y = np.broadcast_to(cy[:, None, :, None], X.shape)
+    return CurvedMesh(p, np.stack([X, Y], axis=-1).reshape(nx * ny, -1, 2))
 
 
 def perturb_mesh(mesh: CurvedMesh, amplitude: float, seed: int = 0) -> CurvedMesh:
     """Randomly displace non-corner nodes by up to amplitude*h per axis.
 
-    Corners stay put so the element footprint is preserved; interior and
-    edge nodes move, which is what bends the geometry.
+    h is the element's smaller extent. Corners stay put so the element
+    footprint is preserved; interior and edge nodes move, which is what
+    bends the geometry.
     """
     rng = np.random.default_rng(seed)
-    p = mesh.p
-    n1 = p + 1
-    corner = np.zeros((n1, n1), dtype=bool)
-    corner[[0, 0, -1, -1], [0, -1, 0, -1]] = True
-    keep = corner.ravel()
-    out = []
-    for e in mesh.elements:
-        h = min(np.ptp(e[:, 0]), np.ptp(e[:, 1]))
-        d = rng.uniform(-amplitude * h, amplitude * h, size=e.shape)
-        d[keep] = 0.0
-        out.append(e + d)
-    return CurvedMesh(p, tuple(out))
+    p, nodes = mesh.p, mesh.elements
+    h = np.ptp(nodes, axis=1).min(axis=1)[:, None, None]
+    d = rng.uniform(-amplitude * h, amplitude * h, size=nodes.shape)
+    d[:, [0, p, (p + 1) * p, (p + 1) ** 2 - 1]] = 0.0
+    return CurvedMesh(p, nodes + d)
 
 
 def mirror_element(element) -> np.ndarray:
@@ -296,52 +280,26 @@ def write_mesh(mesh: CurvedMesh, path) -> None:
         "polybound-mesh v1",
         f"dim=2 p={mesh.p} elements={mesh.n_elements}",
     ]
-    for e in mesh.elements:
-        lines.append(" ".join(f"{v:.17g}" for v in e.ravel()))
+    lines += (" ".join(f"{v:.17g}" for v in row)
+              for row in mesh.elements.reshape(mesh.n_elements, -1).tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _mesh_count(meta) -> int:
+    """Element count of a mesh header, after checking the header."""
+    if meta["dim"] != 2:
+        raise ValueError("only dim=2 meshes are supported")
+    if not 1 <= meta["p"] <= _MAX_GEOMETRIC_ORDER:
+        raise ValueError(f"geometric order must be 1..{_MAX_GEOMETRIC_ORDER}")
+    if meta["elements"] < 0:
+        raise ValueError(f"negative element count {meta['elements']}")
+    return meta["elements"]
+
+
 def read_mesh(path) -> CurvedMesh:
-    raw = Path(path).read_text(encoding="utf-8").splitlines()
-    if not raw or raw[0].strip() != "polybound-mesh v1":
-        raise MeshFormatError(f"{path}: missing 'polybound-mesh v1' header")
-    if len(raw) < 2:
-        raise MeshFormatError(f"{path}: truncated, missing metadata line")
-    fields = {}
-    for tok in raw[1].split():
-        if "=" not in tok:
-            raise MeshFormatError(f"{path}: bad metadata token {tok!r}")
-        k, v = tok.split("=", 1)
-        fields[k] = v
-    for key in ("dim", "p", "elements"):
-        if key not in fields:
-            raise MeshFormatError(f"{path}: metadata missing {key!r}")
-    try:
-        dim = int(fields["dim"])
-        p = int(fields["p"])
-        n = int(fields["elements"])
-    except ValueError as err:
-        raise MeshFormatError(f"{path}: {err}") from None
-    if dim != 2:
-        raise MeshFormatError(f"{path}: only dim=2 meshes are supported")
-    if n < 0:
-        raise MeshFormatError(f"{path}: negative element count {n}")
-    want = 2 * (p + 1) ** 2
-    body = raw[2:]
-    if len(body) < n:
-        raise MeshFormatError(
-            f"{path}: expected {n} element lines, found {len(body)}"
-        )
-    elements = []
-    for k in range(n):
-        parts = body[k].split()
-        if len(parts) != want:
-            raise MeshFormatError(
-                f"{path}: element {k}: expected {want} values, got {len(parts)}"
-            )
-        try:
-            flat = np.array([float(v) for v in parts])
-        except ValueError as err:
-            raise MeshFormatError(f"{path}: element {k}: {err}") from None
-        elements.append(flat.reshape(-1, 2))
-    return CurvedMesh(p, tuple(elements))
+    meta, records = _read_text(path, "polybound-mesh v1", MeshFormatError, _mesh_count,
+                               dim=int, p=int, elements=int)
+    want = 2 * (meta["p"] + 1) ** 2
+    values = [_floats(line, want, MeshFormatError, f"{path}: element {k}")
+              for k, line in enumerate(records)]
+    return CurvedMesh(meta["p"], np.reshape(values, (-1, want // 2, 2)))

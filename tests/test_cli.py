@@ -132,6 +132,14 @@ def _bound_with_edited_table(tmp_path, monkeypatch, edit):
     return main(["bound", str(path)])
 
 
+def test_bound_refuses_lines_after_last_record(tmp_path, capsys):
+    path = tmp_path / "c.txt"
+    write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 3), np.ones(4)), path)
+    path.write_text(path.read_text() + "1 2 3 4\n\n")
+    assert main(["bound", str(path)]) == 1
+    assert "line 4: unexpected content after the last record" in capsys.readouterr().err
+
+
 def test_bound_with_table_failing_verification(tmp_path, monkeypatch, capsys):
     raise_values = lambda values: [repr(float(v) + 0.5) for v in values]
     assert _bound_with_edited_table(tmp_path, monkeypatch, raise_values) == 2
@@ -188,6 +196,17 @@ def test_checkmesh_negative_element_count(tmp_path, capsys):
     path.write_text("polybound-mesh v1\ndim=2 p=2 elements=-3\n")
     assert main(["checkmesh", str(path)]) == 1
     assert "negative element count" in capsys.readouterr().err
+
+
+def test_checkmesh_refuses_lines_after_last_record(tmp_path, capsys):
+    path = tmp_path / "m.txt"
+    write_mesh(uniform_mesh(2, 1, 2), path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "dim=2 p=2 elements=2"
+    lines[1] = "dim=2 p=2 elements=1"  # the second element line is left over
+    path.write_text("\n".join(lines) + "\n")
+    assert main(["checkmesh", str(path)]) == 1
+    assert "line 4: unexpected content after the last record" in capsys.readouterr().err
 
 
 def test_checkmesh_malformed_file(tmp_path, capsys):

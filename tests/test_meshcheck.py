@@ -212,3 +212,16 @@ def test_mesh_constructor_guards():
         CurvedMesh(2, [np.zeros((5, 2))])  # wrong node count for p=2
     with pytest.raises(ValueError):
         CurvedMesh(0, [])
+
+
+def test_mesh_is_one_read_only_array():
+    mesh = uniform_mesh(3, 2, 2)
+    assert mesh.elements.shape == (6, 9, 2) and not mesh.elements.flags.writeable
+    assert len(mesh.elements) == mesh.n_elements == 6
+    rebuilt = CurvedMesh(2, [e for e in mesh.elements])
+    np.testing.assert_array_equal(rebuilt.elements, mesh.elements)
+    assert CurvedMesh(2, ()).elements.shape == (0, 9, 2)
+    bad = mesh.elements.copy()
+    bad[4, 3, 1] = np.nan
+    with pytest.raises(ValueError, match="element 4: non-finite"):
+        CurvedMesh(2, bad)
