@@ -40,6 +40,7 @@ __all__ = [
     "NodeBounds",
     "BoundSummary",
     "CoeffsFormatError",
+    "NonFiniteBoundsError",
     "project_p1",
     "bound_nodes",
     "bound_tensor",
@@ -143,6 +144,21 @@ class CoeffsFormatError(ValueError):
     """Malformed coefficient file; the message names the offending record."""
 
 
+class NonFiniteBoundsError(ArithmeticError):
+    """Node bounds overflowed to inf or NaN, so they certify nothing.
+
+    The message names the polynomial or element and the refinement stage.
+    """
+
+
+def _require_finite(lower, upper, message) -> None:
+    """Raise NonFiniteBoundsError(message(i)) for the first cell i of the
+    (cells, ...) node-bound stacks with a bound that is not finite."""
+    finite = (np.isfinite(lower) & np.isfinite(upper)).reshape(len(lower), -1).all(axis=1)
+    if not finite.all():
+        raise NonFiniteBoundsError(message(int(np.argmin(finite))))
+
+
 def _quad_eval(basis: BasisSpec, n_quad: int):
     xg, wg = gauss_legendre_rule(n_quad)
     Phi = basis_matrix(basis, xg)
@@ -151,13 +167,15 @@ def _quad_eval(basis: BasisSpec, n_quad: int):
 
 @lru_cache(maxsize=64)
 def _p1_ops(basis: BasisSpec):
-    """Precomputed projection vectors: coefficients -> (a0, a1) directly."""
+    """Precomputed projection operators: coefficient rows times w0, w1 and P
+    give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T."""
     xg, wg, Phi = _quad_eval(basis, basis.p + 2)
     w0 = Phi.T @ (0.5 * wg)
     w1 = Phi.T @ (1.5 * wg * xg)
     e0 = linear_coeffs(basis, 1.0, 0.0)
     e1 = linear_coeffs(basis, 0.0, 1.0)
-    return w0, w1, e0, e1
+    P = np.eye(basis.N) - np.outer(w0, e0) - np.outer(w1, e1)
+    return w0, w1, P
 
 
 def _p1_batch(basis: BasisSpec, rows: np.ndarray):
@@ -166,11 +184,8 @@ def _p1_batch(basis: BasisSpec, rows: np.ndarray):
     Returns (a0, a1, fluctuation rows). Quadrature with p+2 points is
     exact for the degree 2p+1 integrands involved.
     """
-    w0, w1, e0, e1 = _p1_ops(basis)
-    a0 = rows @ w0
-    a1 = rows @ w1
-    fluct = rows - np.outer(a0, e0) - np.outer(a1, e1)
-    return a0, a1, fluct
+    w0, w1, P = _p1_ops(basis)
+    return rows @ w0, rows @ w1, rows @ P
 
 
 def project_p1(coeffs: PolyCoeffs):
@@ -188,62 +203,72 @@ def project_p1(coeffs: PolyCoeffs):
     )
 
 
+@lru_cache(maxsize=64)
+def _sweep_ops(table: BoundingTable):
+    """Read-only operands of _sweep for one table.
+
+    W = [P | L + P q_lower] takes a coefficient row to its fluctuation and
+    to the linear part at the nodes, L = w0 1^T + w1 eta^T, plus the
+    fluctuation priced at q_lower. Then |q_lower|, q_upper - q_lower and
+    |q_upper| - |q_lower|.
+    """
+    w0, w1, P = _p1_ops(table.basis)
+    ql, qu = table.q_lower, table.q_upper
+    L = w0[:, None] + np.outer(w1, table.eta())
+    ops = np.hstack([P, L + P @ ql]), np.abs(ql), qu - ql, np.abs(qu) - np.abs(ql)
+    for a in ops:
+        a.setflags(write=False)
+    return ops
+
+
+def _sweep(mid, rad, table: BoundingTable):
+    """Node bounds of (B, N) coefficient rows mid +- rad; rad=None for exact rows.
+
+    With f the fluctuation of mid, r the radius and [ql, qu] a box entry,
+    the interval product (Moore, Kearfott & Cloud 2009, sec. 2.3) is
+
+        min w*q = f*ql - r*|ql| + min(0, f*(qu - ql) - r*(|qu| - |ql|))
+        max w*q = f*ql + r*|ql| + max(0, f*(qu - ql) + r*(|qu| - |ql|))
+
+    over w in [f - r, f + r]: for fixed q the least w*q is f*q - r*|q|,
+    concave in q, so it is least at an endpoint. With r = 0 this is the
+    sign split of an exact row.
+    """
+    W, abs_ql, dq, dabs = _sweep_ops(table)
+    N = len(W)
+    # rows on the last axis, so each elementwise pass is one long loop
+    G = W.T @ mid.T
+    F, base = G[:N], G[N:]
+    if rad is None:
+        lower, upper = base + dq.T @ np.minimum(F, 0.0), base + dq.T @ np.maximum(F, 0.0)
+    else:
+        rad = np.ascontiguousarray(rad.T)
+        spread = abs_ql.T @ rad
+        lower, upper = base - spread, base + spread
+        a, b, c = np.empty((3,) + base.shape)
+        for i in range(N):
+            np.multiply(dq[i, :, None], F[i], out=a)
+            np.multiply(dabs[i, :, None], rad[i], out=b)
+            np.subtract(a, b, out=c)
+            lower += np.minimum(c, 0.0, out=c)
+            np.add(a, b, out=a)
+            upper += np.maximum(a, 0.0, out=a)
+    # C-ordered (B, M) results keep the callers' reductions over nodes local
+    return np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)
+
+
 def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable):
     """Node bounds for stacked exact-coefficient rows: (B,N) -> (B,M)."""
-    a0, a1, fluct = _p1_batch(basis, rows)
-    eta = table.eta()
-    lin = a0[:, None] + np.outer(a1, eta)
-    pos = np.maximum(fluct, 0.0)
-    neg = np.minimum(fluct, 0.0)
-    lower = lin + pos @ table.q_lower + neg @ table.q_upper
-    upper = lin + pos @ table.q_upper + neg @ table.q_lower
-    return lower, upper
-
-
-# rows per block of the four-product sweep: enough to amortise the
-# per-block call overhead, few enough that the (N, M, rows) temporaries
-# stay in cache
-_BLOCK_ROWS = 256
+    return _sweep(rows, None, table)
 
 
 def _bound_interval_rows(basis: BasisSpec, lo_rows, hi_rows, table: BoundingTable):
     """Node bounds when each coefficient is only known to an interval.
 
-    Projection uses the interval midpoints; the radius re-enters through
-    the four products {lo*qlo, lo*qup, hi*qlo, hi*qup} per coefficient,
-    the only sound combination for interval data.
+    The midpoint carries the projection; the radius re-enters per
+    coefficient through the interval product in _sweep.
     """
-    mid = 0.5 * (lo_rows + hi_rows)
-    rad = 0.5 * (hi_rows - lo_rows)
-    a0, a1, fluct = _p1_batch(basis, mid)
-    eta = table.eta()
-    lin = a0[:, None] + np.outer(a1, eta)
-    # rows run along the last axis, (N, M, rows), so every elementwise
-    # pass below is one long contiguous loop rather than many of length M
-    wl = (fluct - rad).T[:, None, :]
-    wh = (fluct + rad).T[:, None, :]
-    ql = table.q_lower[:, :, None]
-    qu = table.q_upper[:, :, None]
-    B = lin.shape[0]
-    lo_sum = np.empty((ql.shape[1], B))
-    up_sum = np.empty((ql.shape[1], B))
-    buf = np.empty((5,) + ql.shape[:2] + (min(B, _BLOCK_ROWS),))
-    for start in range(0, B, _BLOCK_ROWS):
-        rows = slice(start, start + _BLOCK_ROWS)
-        p1, p2, p3, p4, acc = buf[..., : min(B - start, _BLOCK_ROWS)]
-        np.multiply(wl[..., rows], ql, out=p1)
-        np.multiply(wl[..., rows], qu, out=p2)
-        np.multiply(wh[..., rows], ql, out=p3)
-        np.multiply(wh[..., rows], qu, out=p4)
-        np.minimum(p1, p2, out=acc)
-        np.minimum(acc, p3, out=acc)
-        np.minimum(acc, p4, out=acc)
-        acc.sum(axis=0, out=lo_sum[:, rows])
-        np.maximum(p1, p2, out=acc)
-        np.maximum(acc, p3, out=acc)
-        np.maximum(acc, p4, out=acc)
-        acc.sum(axis=0, out=up_sum[:, rows])
-    return lin + lo_sum.T, lin + up_sum.T
+    return _sweep(0.5 * (lo_rows + hi_rows), 0.5 * (hi_rows - lo_rows), table)
 
 
 def bound_nodes(U, table: BoundingTable, dim: int):
@@ -280,6 +305,8 @@ def bound_tensor(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:
     """Guaranteed bounds of a 1D/2D/3D polynomial on the node tensor grid."""
     (table,) = _as_ladder(table, coeffs.basis)
     lower, upper = bound_nodes(coeffs.u, table, coeffs.dim)
+    _require_finite(lower[None], upper[None], lambda i: (
+        f"polynomial: node bounds not finite with the M={table.nodes.M} table"))
     return NodeBounds(table.eta(), lower, upper)
 
 
@@ -549,14 +576,17 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
     top = len(ladder) - 1
     history = []
 
-    def record(level, gap) -> bool:
+    def record(level, lower, upper) -> bool:
+        _require_finite(lower, upper, lambda i: (
+            f"polynomial: node bounds not finite at refinement level {level}"))
+        gap = upper - lower
         history.append({"level": level, "cells": len(gap), "worst_gap": float(gap.max())})
         return history[-1]["worst_gap"] <= tol
 
     U = coeffs.u[None]
     for level in range(top):
         lower, upper = bound_nodes(U, ladder[level], d)
-        done = record(level, upper - lower)
+        done = record(level, lower, upper)
         if done or level >= max_levels:
             return BoundSummary(float(lower.min()), float(upper.max()), level,
                                 done, tuple(history))
@@ -565,8 +595,8 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
 
     def split(level, owner, lower, upper):
         nonlocal gmin, gmax, converged
+        converged = record(top + level, lower, upper)
         gap = upper - lower
-        converged = record(top + level, gap)
         keep = (gap <= tol) | (top + level >= max_levels)
         if keep.any():
             gmin = min(gmin, float(lower[keep].min()))

@@ -30,6 +30,7 @@ from .boxopt import (
     verify_table,
 )
 from .bounder import (
+    NonFiniteBoundsError,
     bernstein_bounds,
     bound_adaptive,
     bound_tensor,
@@ -380,7 +381,7 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BoxOptimizationError as exc:
+    except (BoxOptimizationError, NonFiniteBoundsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

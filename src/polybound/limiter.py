@@ -355,7 +355,8 @@ def cfl_dt(state: DGState) -> float:
 def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
             bounds=(0.0, 1.0)) -> DGState:
     """One SSP-RK3 step; the limiter runs after every stage when a table
-    is supplied, so intermediate stages respect the bounds too."""
+    is supplied, so intermediate stages respect the bounds too. A limiter
+    error names the RK stage and the time at the start of the step."""
     if dt > cfl_dt(state) * (1.0 + 1e-12):
         raise ValueError(
             f"dt={dt} exceeds the CFL limit {cfl_dt(state)} for p={state.p}, "
@@ -363,15 +364,18 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
         )
     ops = _operators(state.elements, state.p)
 
-    def limit(U):
+    def limit(U, stage):
         if table is None:
             return U
-        return _limit_arrays(U, table, bounds, ops)[0]
+        try:
+            return _limit_arrays(U, table, bounds, ops)[0]
+        except ValueError as exc:
+            raise ValueError(f"RK stage {stage} of 3 at t={state.t}: {exc}") from exc
 
     U0 = state.U
-    U1 = limit(U0 + dt * _rhs(U0, ops))
-    U2 = limit(0.75 * U0 + 0.25 * (U1 + dt * _rhs(U1, ops)))
-    U3 = limit(U0 / 3.0 + 2.0 / 3.0 * (U2 + dt * _rhs(U2, ops)))
+    U1 = limit(U0 + dt * _rhs(U0, ops), 1)
+    U2 = limit(0.75 * U0 + 0.25 * (U1 + dt * _rhs(U1, ops)), 2)
+    U3 = limit(U0 / 3.0 + 2.0 / 3.0 * (U2 + dt * _rhs(U2, ops)), 3)
     return replace(state, U=U3, t=state.t + dt)
 
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from .basis import (_floats, _read_text, basis_deriv_matrix, basis_matrix,
                     gauss_lobatto_nodes, make_basis)
-from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _restrict,
-                      _restriction, bound_nodes, refine)
+from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _require_finite,
+                      _restrict, _restriction, bound_nodes, refine)
 
 __all__ = [
     "CurvedMesh",
@@ -153,6 +153,8 @@ def _classify(det, tables, tol: float, max_levels: int, start: int) -> list:
     levels = np.zeros(E, dtype=int)
 
     def split(level, owner, lower, upper):
+        _require_finite(lower, upper, lambda i: (
+            f"element {start + owner[i]}: det J bounds not finite at refinement level {level}"))
         gen_lo, gen_up = np.full((2, E), np.inf)
         np.minimum.at(gen_lo, owner, lower.min(axis=(1, 2)))
         np.minimum.at(gen_up, owner, upper.min(axis=(1, 2)))

@@ -1,9 +1,12 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from polybound import bounder
-from polybound.basis import FAMILIES, gauss_legendre_rule, make_basis, make_node_set
+from polybound.basis import (FAMILIES, basis_matrix, gauss_legendre_rule, linear_coeffs,
+                             make_basis, make_node_set)
 from polybound.boxopt import optimize_values, reference_table
 from polybound.bounder import (
     CoeffsFormatError,
@@ -140,6 +143,61 @@ def test_bound_nodes_stack_matches_single_polynomials(dim, t35):
         nb = bound_tensor(PolyCoeffs(dim, B3, U[idx]), t35)
         np.testing.assert_allclose(lower[idx], nb.lower, rtol=0, atol=1e-14 * scale)
         np.testing.assert_allclose(upper[idx], nb.upper, rtol=0, atol=1e-14 * scale)
+
+
+@lru_cache(maxsize=None)
+def _gll_table(family, p, M):
+    return optimize_values(make_basis(family, p), make_node_set("gauss-lobatto", M))
+
+
+def _four_corner_rows(table, lo_rows, hi_rows):
+    """Reference interval sweep: midpoint projection, then per coefficient
+    the extremes of the four products {lo, hi} x {q_lower, q_upper}.
+
+    Also returns the rounding scale per node: the magnitudes the sums for
+    a0 + a1*eta and for the priced coefficients run over.
+    """
+    basis = table.basis
+    mid, rad = 0.5 * (lo_rows + hi_rows), 0.5 * (hi_rows - lo_rows)
+    xg, wg = gauss_legendre_rule(basis.p + 2)
+    Phi = basis_matrix(basis, xg)
+    vals = mid @ Phi.T
+    a0, a1 = vals @ (0.5 * wg), vals @ (1.5 * wg * xg)
+    mag = np.abs(mid) @ np.abs(Phi.T)
+    q = np.maximum(np.abs(table.q_lower), np.abs(table.q_upper))
+    scale = (mag @ (0.5 * wg))[:, None] + np.outer(mag @ np.abs(1.5 * wg * xg), np.abs(table.eta()))
+    scale += np.maximum(np.abs(lo_rows), np.abs(hi_rows)) @ q
+    fluct = (mid - np.outer(a0, linear_coeffs(basis, 1.0, 0.0))
+             - np.outer(a1, linear_coeffs(basis, 0.0, 1.0)))
+    wl, wh = (fluct - rad)[..., None], (fluct + rad)[..., None]
+    ql, qu = table.q_lower, table.q_upper
+    corners = np.stack([wl * ql, wl * qu, wh * ql, wh * qu])
+    lin = a0[:, None] + np.outer(a1, table.eta())
+    return lin + corners.min(axis=0).sum(axis=1), lin + corners.max(axis=0).sum(axis=1), scale
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(FAMILIES), p=st.integers(1, 7), extra=st.sampled_from([0, 2]),
+       rows=st.integers(1, 40), exponent=st.integers(-40, 40), seed=st.integers(0, 2**32 - 1))
+def test_interval_sweep_matches_four_corner_reference(family, p, extra, rows, exponent, seed):
+    table = _gll_table(family, p, p + 1 + extra)
+    rng = np.random.default_rng(seed)
+    shape = (rows, p + 1)
+    f = 2.0**exponent * rng.standard_normal(shape) * (rng.uniform(size=shape) > 0.2)
+    r = 2.0**exponent * rng.exponential(size=shape) * (rng.uniform(size=shape) > 0.3)
+    lo, hi = f - r, f + r
+    ref_lo, ref_hi, scale = _four_corner_rows(table, lo, hi)
+    tol = 8 * np.finfo(float).eps * scale
+    lower, upper = bounder._bound_interval_rows(table.basis, lo, hi, table)
+    assert np.all(np.abs(lower - ref_lo) <= tol) and np.all(np.abs(upper - ref_hi) <= tol)
+    # a zero-width interval is an exact row
+    exact = bounder._bound_rows(table.basis, f, table)
+    point = bounder._bound_interval_rows(table.basis, f, f, table)
+    ref_lo, ref_hi, scale = _four_corner_rows(table, f, f)
+    tol = 8 * np.finfo(float).eps * scale
+    for got in (exact, point):
+        assert np.all(np.abs(got[0] - ref_lo) <= tol) and np.all(np.abs(got[1] - ref_hi) <= tol)
+    assert np.all(np.abs(point[0] - exact[0]) <= tol) and np.all(np.abs(point[1] - exact[1]) <= tol)
 
 
 def test_bound_tensor_separable_product(t35):

@@ -5,7 +5,7 @@ from polybound.basis import make_basis
 from polybound.boxopt import _data_dir, load_table
 from polybound.bounder import PolyCoeffs, write_coeffs
 from polybound.cli import main
-from polybound.meshcheck import mirror_element, perturb_mesh, uniform_mesh, write_mesh
+from polybound.meshcheck import CurvedMesh, mirror_element, perturb_mesh, uniform_mesh, write_mesh
 
 FIXTURE_MESH = _data_dir() / "meshes" / "near-degenerate-p2.txt"
 
@@ -153,6 +153,20 @@ def test_bound_with_non_finite_table(tmp_path, monkeypatch, capsys):
     assert "error:" in err and "finite" in err
 
 
+@pytest.mark.parametrize("dim, p, big", [(2, 2, 1e308), (1, 3, 1.7e308)])
+def test_bound_overflowing_coefficients_exit_two(dim, p, big, tmp_path, capsys):
+    # finite coefficients whose node bounds overflow certify nothing
+    u = np.linspace(-1.0, 1.0, (p + 1) ** dim)
+    u[1] = big
+    path = tmp_path / "c.txt"
+    write_coeffs(PolyCoeffs(dim, make_basis("lobatto-nodal", p), u), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["bound", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert f"error: polynomial: node bounds not finite with the M={p + 1} table" in captured.err
+    assert "global bounds" not in captured.out
+
+
 # -- checkmesh --------------------------------------------------------------
 
 
@@ -173,8 +187,6 @@ def test_checkmesh_shipped_invalid_fixture(capsys):
 
 
 def test_checkmesh_flipped_element(tmp_path, capsys):
-    from polybound.meshcheck import CurvedMesh
-
     mesh = uniform_mesh(2, 2, 2)
     els = [e.copy() for e in mesh.elements]
     els[0] = mirror_element(els[0])
@@ -182,6 +194,19 @@ def test_checkmesh_flipped_element(tmp_path, capsys):
     write_mesh(CurvedMesh(2, els), path)
     assert main(["checkmesh", str(path)]) == 2
     assert "3 valid, 1 invalid" in capsys.readouterr().out
+
+
+def test_checkmesh_overflowing_det_j_exits_two(tmp_path, capsys):
+    mesh = uniform_mesh(2, 1, 2)
+    nodes = mesh.elements.copy()
+    nodes[1, 4, 0] = 1e308  # finite, but det J overflows
+    path = tmp_path / "m.txt"
+    write_mesh(CurvedMesh(2, nodes), path)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["checkmesh", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: element 1: det J bounds not finite at refinement level 0" in captured.err
+    assert "valid" not in captured.out
 
 
 def test_checkmesh_empty_mesh(tmp_path, capsys):

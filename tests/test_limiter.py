@@ -224,6 +224,13 @@ def test_cfl_guard():
         dg_step(state, 1.01 * cfl_dt(state))
 
 
+def test_dg_step_names_stage_and_time_when_mean_leaves_bounds():
+    state = DGState(p=2, U=np.full((4, 4, 3, 3), 1.2), t=0.25)
+    message = r"^RK stage 1 of 3 at t=0\.25: element \(\d, \d\) mean 1\.\d+ lies outside"
+    with pytest.raises(ValueError, match=message):
+        dg_step(state, cfl_dt(state), table_for(2))
+
+
 def test_constant_preserved_100_steps():
     state = transport_state(4, 2, profile=lambda x, y: 0.7 + 0.0 * x * y)
     dt = cfl_dt(state)
