@@ -42,10 +42,10 @@ def main():
           f"limiter {'off' if table is None else 'on'}")
     print(f"interpolated initial data samples to [{raw_min:+.3e}, {raw_max:.6f}]")
     if table is not None:
+        alpha = limiter_decisions(state, table)[3]
         state = apply_limiter(state, table)
-        dec = limiter_decisions(state, table)
-        squeezed = sum(1 for d in dec.ravel() if d.alpha < 1.0)
-        print(f"initial limiter pass squeezed {squeezed} of {dec.size} elements")
+        squeezed = int(np.count_nonzero(alpha < 1.0))
+        print(f"initial limiter pass squeezed {squeezed} of {alpha.size} elements")
     print()
 
     m0 = total_mass(state)

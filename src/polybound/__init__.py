@@ -44,6 +44,7 @@ from .bounder import (
     bound_tensor,
     bernstein_bounds,
     brute_force_extrema,
+    sampled_extrema,
     subdivide,
     bound_adaptive,
     read_coeffs,
@@ -61,7 +62,6 @@ from .meshcheck import (
 )
 from .limiter import (
     DGState,
-    LimiterDecision,
     element_mean,
     squeeze_alpha,
     apply_limiter,
@@ -101,6 +101,7 @@ __all__ = [
     "bound_tensor",
     "bernstein_bounds",
     "brute_force_extrema",
+    "sampled_extrema",
     "subdivide",
     "bound_adaptive",
     "read_coeffs",
@@ -114,7 +115,6 @@ __all__ = [
     "read_mesh",
     "write_mesh",
     "DGState",
-    "LimiterDecision",
     "element_mean",
     "squeeze_alpha",
     "apply_limiter",

@@ -5,9 +5,10 @@ a fluctuation, prices each fluctuation coefficient against the table's
 lower or upper box row depending on its sign, and reads off bounds at the
 control nodes. Tensor products in 2D/3D run the same combination axis by
 axis, carrying interval coefficients after the first sweep. A Bernstein
-baseline, a sampling-plus-Newton oracle, subdivision, and one refinement
-driver, refine(), which bounds each generation of cells in one bound_nodes
-call for bound_adaptive and the mesh checker, round out the toolbox.
+baseline, a batched sampling-plus-Newton oracle, subdivision, and one
+refinement driver, refine(), which bounds each generation of cells in one
+bound_nodes call for bound_adaptive and the mesh checker, round out the
+toolbox.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ __all__ = [
     "bound_tensor",
     "bernstein_bounds",
     "brute_force_extrema",
+    "sampled_extrema",
     "subdivide",
     "refine",
     "bound_adaptive",
@@ -333,7 +335,7 @@ def _bernstein_stack(U: np.ndarray, basis: BasisSpec, dim: int) -> np.ndarray:
             stacklevel=3,
         )
     T = _transform_matrix(basis, make_basis("bernstein", basis.p))
-    return _restrict(U, [np.broadcast_to(T, (len(U),) + T.shape)] * dim)
+    return _restrict(U, [T] * dim)
 
 
 def bernstein_bounds(coeffs: PolyCoeffs):
@@ -342,112 +344,113 @@ def bernstein_bounds(coeffs: PolyCoeffs):
     return float(B.min()), float(B.max())
 
 
-def _cheb_tensor(coeffs: PolyCoeffs) -> np.ndarray:
-    """Chebyshev tensor coefficients, same axis layout as coeffs.u."""
-    T = cheb_coeffs(coeffs.basis)
-    C = coeffs.u
-    for axis in range(coeffs.dim):
-        C = np.moveaxis(np.tensordot(T, C, axes=([1], [axis])), 0, axis)
-    return C
+def _grid_values(U, basis: BasisSpec, axes) -> np.ndarray:
+    """Values of a (cells,) + (N,)*dim stack on the tensor grid of axes,
+    one 1D array per polynomial axis in array order (x last)."""
+    T = cheb_coeffs(basis)
+    return _restrict(U, [_cheb.chebvander(np.asarray(a, dtype=float), basis.p) @ T for a in axes])
 
 
 def eval_on_grid(coeffs: PolyCoeffs, axes) -> np.ndarray:
     """Evaluate on a tensor grid; axes are per-dimension 1D arrays (x first)."""
-    axes = [np.asarray(a, dtype=float) for a in axes]
     if len(axes) != coeffs.dim:
         raise ValueError("one axis array per dimension")
-    C = _cheb_tensor(coeffs)
-    if coeffs.dim == 1:
-        return _cheb.chebval(axes[0], C)
-    if coeffs.dim == 2:
-        return _cheb.chebgrid2d(axes[1], axes[0], C)
-    return _cheb.chebgrid3d(axes[2], axes[1], axes[0], C)
+    return _grid_values(coeffs.u[None], coeffs.basis, axes[::-1])[0]
 
 
-def _eval_point(C: np.ndarray, pt: np.ndarray) -> float:
-    # contract trailing-dimension axes first: C axes are (z, y, x)
-    v = C
-    for coord in pt[::-1]:
-        v = _cheb.chebval(coord, v)
-    return float(v)
+@lru_cache(maxsize=64)
+def _cheb_ops(basis: BasisSpec) -> np.ndarray:
+    """(3, N, N): basis coefficients to the Chebyshev coefficients of the
+    polynomial and of its first and second derivatives (p >= 2)."""
+    T = cheb_coeffs(basis)
+    ops = np.stack([np.pad(_cheb.chebder(T, m, axis=0), ((0, m), (0, 0))) for m in range(3)])
+    ops.setflags(write=False)
+    return ops
 
 
-def _newton_polish(C, grads, hessians, x0, sign, grid_val, iters=20):
-    """Local stationary-point polish; falls back to the grid value.
+def _derivatives(U, basis: BasisSpec, x) -> np.ndarray:
+    """All derivatives of order <= 2 per axis of each cell of U at its point.
 
-    sign=+1 seeks a maximum, -1 a minimum; only accepts a polished point
-    inside the cell that actually improves on the grid candidate.
+    U has shape (n,) + (N,)*dim and x shape (n, dim) in array-axis order;
+    the result is (n,) + (3,)*dim, each axis holding the derivative order
+    along it, flattened to (n, 3**dim).
     """
-    d = x0.size
-    x = x0.copy()
+    ops = _cheb_ops(basis)
+    return _restrict(U, [np.einsum("nk,okj->noj", _cheb.chebvander(x[:, a], basis.p), ops)
+                         for a in range(x.shape[1])]).reshape(len(U), -1)
+
+
+def _newton(U, basis: BasisSpec, x, iters: int = 20) -> np.ndarray:
+    """Newton toward a stationary point of each cell of U from its point x,
+    all candidates at once; returns the values at the end points.
+
+    Points are clipped to the cell. A candidate freezes when its step is
+    below 1e-14, when it leaves the finite numbers or when its Hessian is
+    singular (the LU pivot test np.linalg.solve itself applies).
+    """
+    dim = x.shape[1]
+    # flat positions of the gradient and Hessian in _derivatives' result
+    e, shape = np.eye(dim, dtype=int), (3,) * dim
+    g_at = np.ravel_multi_index(tuple(e), shape)
+    h_at = np.ravel_multi_index(tuple(e[:, :, None] + e[:, None]), shape)
+    x = x.copy()
+    active = np.arange(len(x))
     for _ in range(iters):
-        g = np.array([_eval_point(grads[k], x) for k in range(d)])
-        H = np.empty((d, d))
-        for k in range(d):
-            for l in range(k, d):
-                H[k, l] = H[l, k] = _eval_point(hessians[k][l], x)
-        try:
-            step = np.linalg.solve(H, g)
-        except np.linalg.LinAlgError:
-            return grid_val, x0
-        x_new = np.clip(x - step, -1.0, 1.0)
-        if not np.all(np.isfinite(x_new)):
-            return grid_val, x0
-        if np.max(np.abs(x_new - x)) < 1e-14:
-            x = x_new
+        if not len(active):
             break
-        x = x_new
-    val = _eval_point(C, x)
-    if sign * (val - grid_val) > 0.0:
-        return val, x
-    return grid_val, x0
+        D = _derivatives(U[active], basis, x[active])
+        H = D[:, h_at]
+        singular = np.linalg.slogdet(H)[0] == 0
+        H[singular] = np.eye(dim)
+        xa = x[active]
+        new = np.clip(xa - np.linalg.solve(H, D[:, g_at, None])[..., 0], -1.0, 1.0)
+        ok = ~singular & np.isfinite(new).all(axis=1)
+        x[active[ok]] = new[ok]
+        active = active[ok & (np.abs(new - xa).max(axis=1) >= 1e-14)]
+    return _derivatives(U, basis, x)[:, 0]
+
+
+def sampled_extrema(U, basis: BasisSpec, dim: int, samples_per_dim: int):
+    """Per-cell (min, max) of a (cells,) + (N,)*dim stack by sampling plus Newton.
+
+    Each cell is evaluated on samples_per_dim equispaced points per axis;
+    its 3 lowest and 3 highest grid points then start one Newton polish
+    run over the candidates of all cells together, and a polished value
+    is kept where it improves on the grid. Always an under-approximation:
+    min >= the true minimum and max <= the true maximum, per cell.
+    """
+    if samples_per_dim < 2:
+        raise ValueError("need at least 2 samples per dimension")
+    U = np.asarray(U, dtype=float)
+    axis = np.linspace(-1.0, 1.0, samples_per_dim)
+    G = samples_per_dim**dim
+    k = min(3, G)
+    block = max(1, (1 << 20) // G)  # cells per block: ~8 MB of grid values
+    lo, hi = np.empty(len(U)), np.empty(len(U))
+    for s in range(0, len(U), block):
+        cut = slice(s, s + block)
+        B = U[cut]
+        vals = _grid_values(B, basis, [axis] * dim).reshape(len(B), G)
+        lo[cut], hi[cut] = vals.min(axis=1), vals.max(axis=1)
+        if basis.p < 2:
+            continue  # multilinear: extremes sit at the corner samples already
+        part = np.argpartition(vals, (k - 1, G - k), axis=1)
+        idx = np.concatenate([part[:, :k], part[:, G - k:]], axis=1)
+        x = axis[np.stack(np.unravel_index(idx.ravel(), (samples_per_dim,) * dim), axis=1)]
+        f = _newton(np.repeat(B, 2 * k, axis=0), basis, x).reshape(len(B), 2 * k)
+        lo[cut] = np.minimum(lo[cut], f[:, :k].min(axis=1))
+        hi[cut] = np.maximum(hi[cut], f[:, k:].max(axis=1))
+    return lo, hi
 
 
 def brute_force_extrema(coeffs: PolyCoeffs, samples_per_dim: int):
-    """Approximate range by dense sampling plus Newton polish.
+    """Approximate range of one polynomial: sampled_extrema of a one-cell stack.
 
     Always an under-approximation: the returned minimum is >= the true
     minimum and the maximum <=. Good enough as a reference oracle.
     """
-    if samples_per_dim < 2:
-        raise ValueError("need at least 2 samples per dimension")
-    d = coeffs.dim
-    axis = np.linspace(-1.0, 1.0, samples_per_dim)
-    vals = eval_on_grid(coeffs, [axis] * d)
-    if coeffs.basis.p < 2:
-        # multilinear: extremes sit at the corner samples already
-        return float(vals.min()), float(vals.max())
-
-    C = _cheb_tensor(coeffs)
-    grads = [_cheb.chebder(C, axis=d - 1 - k) for k in range(d)]
-    hessians = [
-        {l: _cheb.chebder(grads[k], axis=d - 1 - l) for l in range(k, d)}
-        for k in range(d)
-    ]
-    for k in range(d):
-        for l in range(k):
-            hessians[k][l] = hessians[l][k]
-
-    def candidates(best_fn, n_top=3):
-        flat = vals.ravel()
-        order = np.argsort(flat)
-        idx = order[:n_top] if best_fn is min else order[-n_top:]
-        out = []
-        for j in idx:
-            multi = np.unravel_index(j, vals.shape)
-            # multi is (z, y, x); points are (x, y, z)
-            out.append(np.array([axis[multi[d - 1 - k]] for k in range(d)]))
-        return out
-
-    vmin = float(vals.min())
-    for x0 in candidates(min):
-        val, _ = _newton_polish(C, grads, hessians, x0, -1.0, _eval_point(C, x0))
-        vmin = min(vmin, val)
-    vmax = float(vals.max())
-    for x0 in candidates(max):
-        val, _ = _newton_polish(C, grads, hessians, x0, +1.0, _eval_point(C, x0))
-        vmax = max(vmax, val)
-    return vmin, vmax
+    lo, hi = sampled_extrema(coeffs.u[None], coeffs.basis, coeffs.dim, samples_per_dim)
+    return float(lo[0]), float(hi[0])
 
 
 @lru_cache(maxsize=256)
@@ -470,13 +473,18 @@ def _restriction(basis: BasisSpec, a: float, b: float) -> np.ndarray:
 
 
 def _restrict(U, mats):
-    """Restrict a stack of cells to subcells, remapped to the reference cell.
+    """Apply one matrix per polynomial axis to a stack of cells.
 
-    U has shape (cells,) + (N,)*dim; mats[k] has shape (cells, N, N) and
-    is each cell's restriction matrix along array axis 1 + k.
+    U has shape (cells,) + (N,)*dim; mats[k] acts along array axis 1 + k
+    and has shape (A, N), shared by every cell, or (cells, A, N), one per
+    cell. Restriction to subcells takes N x N matrices; evaluation at A
+    points takes A x N ones.
     """
     for axis, R in enumerate(mats, start=1):
-        U = np.moveaxis(np.einsum("c...b,cab->c...a", np.moveaxis(U, axis, -1), R), -1, axis)
+        if R.ndim == 2:
+            U = np.moveaxis(np.tensordot(U, R, axes=([axis], [1])), -1, axis)
+        else:
+            U = np.moveaxis(np.einsum("c...b,cab->c...a", np.moveaxis(U, axis, -1), R), -1, axis)
     return U
 
 

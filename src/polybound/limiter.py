@@ -24,17 +24,18 @@ from .basis import (
 )
 from .bounder import (
     BoundingTable,
+    NonFiniteBoundsError,
     PolyCoeffs,
     bernstein_bounds,
     bound_nodes,
     bound_tensor,
     brute_force_extrema,
+    sampled_extrema,
 )
 from .boxopt import standard_table
 
 __all__ = [
     "DGState",
-    "LimiterDecision",
     "element_mean",
     "squeeze_alpha",
     "apply_limiter",
@@ -96,17 +97,6 @@ class DGState:
     def element(self, ey: int, ex: int) -> PolyCoeffs:
         """Coefficients of one element as a 2D PolyCoeffs."""
         return PolyCoeffs(2, self.basis, self.U[ey, ex])
-
-
-@dataclass(frozen=True)
-class LimiterDecision:
-    """Outcome of the squeeze limiter on one element."""
-
-    mean: float
-    u_min: float
-    u_max: float
-    alpha: float
-    bounds: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +274,8 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     mean = np.asarray(mean, dtype=float)
     u_min = np.asarray(u_min, dtype=float)
     u_max = np.asarray(u_max, dtype=float)
-    if np.any(mean < a - _MEAN_TOL) or np.any(mean > b + _MEAN_TOL):
+    # a NaN mean fails both comparisons, so it counts as outside
+    if not np.all((mean >= a - _MEAN_TOL) & (mean <= b + _MEAN_TOL)):
         outside = np.maximum(a - mean, mean - b)
         worst = np.unravel_index(np.argmax(outside), outside.shape)
         label = f"element {tuple(int(i) for i in worst)}" if worst else "element"
@@ -314,6 +305,14 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
     lower, upper = bound_nodes(U, table, 2)
     u_min = lower.min(axis=(-2, -1))
     u_max = upper.max(axis=(-2, -1))
+    # min/max propagate NaN, and the sweeps keep lower <= upper node by
+    # node, so any bound at +-inf or NaN shows in u_min or u_max
+    finite = np.isfinite(means) & np.isfinite(u_min) & np.isfinite(u_max)
+    if not finite.all():
+        ey, ex = np.argwhere(~finite)[0]
+        raise NonFiniteBoundsError(
+            f"element ({ey}, {ex}): mean or node bounds not finite with the "
+            f"M={table.nodes.M} table")
     alpha = squeeze_alpha(means, u_min, u_max, a, b)
     Unew = alpha[..., None, None] * U + (1.0 - alpha[..., None, None]) * means[..., None, None]
     return Unew, means, u_min, u_max, alpha
@@ -327,20 +326,10 @@ def apply_limiter(state: DGState, table: BoundingTable, bounds=(0.0, 1.0)) -> DG
 
 
 def limiter_decisions(state: DGState, table: BoundingTable, bounds=(0.0, 1.0)):
-    """Per-element limiter diagnostics as an (Ne, Ne) object array."""
+    """Per-element limiter diagnostics: the (Ne, Ne) arrays
+    (mean, u_min, u_max, alpha) of one limiter pass over state."""
     ops = _operators(state.elements, state.p)
-    _, means, u_min, u_max, alpha = _limit_arrays(state.U, table, bounds, ops)
-    out = np.empty(means.shape, dtype=object)
-    for ey in range(means.shape[0]):
-        for ex in range(means.shape[1]):
-            out[ey, ex] = LimiterDecision(
-                mean=float(means[ey, ex]),
-                u_min=float(u_min[ey, ex]),
-                u_max=float(u_max[ey, ex]),
-                alpha=float(alpha[ey, ex]),
-                bounds=(bounds[0], bounds[1]),
-            )
-    return out
+    return _limit_arrays(state.U, table, bounds, ops)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +358,8 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
             return U
         try:
             return _limit_arrays(U, table, bounds, ops)[0]
-        except ValueError as exc:
-            raise ValueError(f"RK stage {stage} of 3 at t={state.t}: {exc}") from exc
+        except (ValueError, NonFiniteBoundsError) as exc:
+            raise type(exc)(f"RK stage {stage} of 3 at t={state.t}: {exc}") from exc
 
     U0 = state.U
     U1 = limit(U0 + dt * _rhs(U0, ops), 1)
@@ -403,15 +392,12 @@ def total_mass(state: DGState) -> float:
     return float(_mean_batch(state.U, ops).sum()) * state.h**2
 
 
-def sample_extrema(state: DGState, n_per_element: int = 1000, seed: int = 0):
-    """Min and max of the DG polynomial over random points in every element."""
-    rng = np.random.default_rng(seed)
-    Ne, N = state.elements, state.p + 1
-    pts = rng.uniform(-1.0, 1.0, size=(Ne, Ne, n_per_element, 2))
-    Px = basis_matrix(state.basis, pts[..., 0].ravel()).reshape(Ne, Ne, -1, N)
-    Py = basis_matrix(state.basis, pts[..., 1].ravel()).reshape(Ne, Ne, -1, N)
-    vals = np.einsum("EFsi,EFsj,EFij->EFs", Py, Px, state.U, optimize=True)
-    return float(vals.min()), float(vals.max())
+def sample_extrema(state: DGState, samples_per_dim: int = 32):
+    """Min and max of the DG solution by the sampled_extrema oracle over
+    every element, samples_per_dim grid points per axis before polishing."""
+    N = state.p + 1
+    lo, hi = sampled_extrema(state.U.reshape(-1, N, N), state.basis, 2, samples_per_dim)
+    return float(lo.min()), float(hi.max())
 
 
 def l2_error(state: DGState, exact) -> float:

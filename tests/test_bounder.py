@@ -3,10 +3,11 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import chebyshev as cheb
 
 from polybound import bounder
-from polybound.basis import (FAMILIES, basis_matrix, gauss_legendre_rule, linear_coeffs,
-                             make_basis, make_node_set)
+from polybound.basis import (FAMILIES, basis_matrix, cheb_coeffs, gauss_legendre_rule,
+                             linear_coeffs, make_basis, make_node_set)
 from polybound.boxopt import optimize_values, reference_table
 from polybound.bounder import (
     CoeffsFormatError,
@@ -19,6 +20,7 @@ from polybound.bounder import (
     eval_on_grid,
     project_p1,
     read_coeffs,
+    sampled_extrema,
     subdivide,
     write_coeffs,
 )
@@ -252,6 +254,42 @@ def test_brute_force_underapproximates(t34):
         # polish should leave essentially no slack on smooth 1D data
         assert abs(lo - dense.min()) < 1e-7
         assert abs(up - dense.max()) < 1e-7
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_sampled_extrema_matches_derivative_roots_1d(family):
+    # the true extrema of a 1D polynomial sit at the endpoints or at the
+    # real roots of its derivative in [-1, 1]
+    rng = np.random.default_rng(17)
+    for p in range(2, 10):
+        basis = make_basis(family, p)
+        for scale in (2.0**-20, 1.0, 2.0**20):
+            U = scale * rng.standard_normal((8, p + 1))
+            lo, hi = sampled_extrema(U, basis, 1, 2000)
+            for c, got_lo, got_hi in zip(U, lo, hi):
+                series = cheb_coeffs(basis) @ c
+                roots = cheb.chebroots(cheb.chebder(series))
+                x = np.concatenate([[-1.0, 1.0], roots.real[
+                    (np.abs(roots.imag) < 1e-12) & (np.abs(roots.real) <= 1.0)]])
+                vals = cheb.chebval(x, series)
+                mag = np.abs(c).sum()
+                u = np.finfo(float).eps
+                # inside the true range up to rounding, and within 1e-12 of it
+                assert vals.min() - 8 * u * mag <= got_lo <= vals.min() + 1e-12 * mag
+                assert vals.max() - 1e-12 * mag <= got_hi <= vals.max() + 8 * u * mag
+
+
+@pytest.mark.parametrize("dim, samples", [(1, 500), (2, 40), (3, 12)])
+def test_sampled_extrema_stack_matches_one_cell_calls(dim, samples):
+    rng = np.random.default_rng(dim)
+    for family in FAMILIES:
+        basis = make_basis(family, 4)
+        U = rng.standard_normal((7,) + (5,) * dim)
+        lo, hi = sampled_extrema(U, basis, dim, samples)
+        tol = 4 * np.finfo(float).eps * np.abs(U).reshape(7, -1).sum(axis=1)
+        for k in range(7):
+            lo1, hi1 = brute_force_extrema(PolyCoeffs(dim, basis, U[k]), samples)
+            assert abs(lo[k] - lo1) <= tol[k] and abs(hi[k] - hi1) <= tol[k]
 
 
 def test_subdivide_is_restriction():

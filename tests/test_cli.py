@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -160,8 +162,10 @@ def test_bound_overflowing_coefficients_exit_two(dim, p, big, tmp_path, capsys):
     u[1] = big
     path = tmp_path / "c.txt"
     write_coeffs(PolyCoeffs(dim, make_basis("lobatto-nodal", p), u), path)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["bound", str(path)]) == 2
+    assert not caught  # overflow is reported by the error line alone
     captured = capsys.readouterr()
     assert f"error: polynomial: node bounds not finite with the M={p + 1} table" in captured.err
     assert "global bounds" not in captured.out
@@ -202,8 +206,10 @@ def test_checkmesh_overflowing_det_j_exits_two(tmp_path, capsys):
     nodes[1, 4, 0] = 1e308  # finite, but det J overflows
     path = tmp_path / "m.txt"
     write_mesh(CurvedMesh(2, nodes), path)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         assert main(["checkmesh", str(path)]) == 2
+    assert not caught  # overflow is reported by the error line alone
     captured = capsys.readouterr()
     assert "error: element 1: det J bounds not finite at refinement level 0" in captured.err
     assert "valid" not in captured.out
@@ -246,7 +252,7 @@ def test_checkmesh_malformed_file(tmp_path, capsys):
 
 def test_limit_demo_short_run(capsys):
     rc = main(["limit-demo", "--elements", "4", "--order", "2",
-               "--tfinal", "0.02", "--samples", "50"])
+               "--tfinal", "0.02", "--samples", "8"])
     assert rc == 0
     out = capsys.readouterr().out
     assert "limiter on" in out
@@ -256,7 +262,7 @@ def test_limit_demo_short_run(capsys):
 def test_limit_demo_report_file(tmp_path, capsys):
     report = tmp_path / "summary.txt"
     rc = main(["limit-demo", "--elements", "4", "--order", "2",
-               "--tfinal", "0.02", "--samples", "50", "--report", str(report)])
+               "--tfinal", "0.02", "--samples", "8", "--report", str(report)])
     assert rc == 0
     text = report.read_text()
     assert "grid" in text and "sampled min" in text
@@ -265,7 +271,7 @@ def test_limit_demo_report_file(tmp_path, capsys):
 
 def test_limit_demo_no_limiter(capsys):
     rc = main(["limit-demo", "--elements", "4", "--order", "2",
-               "--tfinal", "0.02", "--samples", "50", "--no-limiter"])
+               "--tfinal", "0.02", "--samples", "8", "--no-limiter"])
     assert rc == 0
     assert "limiter off" in capsys.readouterr().out
 

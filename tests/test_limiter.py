@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from polybound.basis import basis_matrix, make_basis
 from polybound.boxopt import standard_table
-from polybound.bounder import PolyCoeffs
+from polybound.bounder import NonFiniteBoundsError, PolyCoeffs
 from polybound.limiter import (
     DGState,
     advance,
@@ -61,6 +61,9 @@ def test_alpha_mean_outside_raises():
     mean = np.array([[0.5, 1.0 + 1e-3], [-0.4, 0.2]])
     with pytest.raises(ValueError, match=r"element \(1, 0\) mean -0\.4 lies outside"):
         squeeze_alpha(mean, mean - 0.1, mean + 0.1, 0.0, 1.0)
+    # a NaN mean lies in no interval
+    with pytest.raises(ValueError, match=r"element \(0, 1\) mean nan lies outside"):
+        squeeze_alpha(np.array([[0.5, np.nan]]), 0.0, 1.0, 0.0, 1.0)
 
 
 def test_alpha_zero_at_mean_on_boundary():
@@ -167,7 +170,7 @@ def test_limiter_certifies_bounds():
     assert lower.min() >= -1e-12
     assert upper.max() <= 1.0 + 1e-12
     # and the certificate is honest: dense sampling stays inside too
-    smin, smax = sample_extrema(out, 500, seed=3)
+    smin, smax = sample_extrema(out, 23)
     assert smin >= -1e-12 and smax <= 1.0 + 1e-12
 
 
@@ -179,8 +182,8 @@ def test_limiter_idempotent():
     once = apply_limiter(state, table)
     twice = apply_limiter(once, table)
     np.testing.assert_allclose(twice.U, once.U, atol=1e-13, rtol=0)
-    alphas = [d.alpha for d in limiter_decisions(once, table).ravel()]
-    assert min(alphas) >= 1.0 - 1e-12
+    alpha = limiter_decisions(once, table)[3]
+    assert alpha.min() >= 1.0 - 1e-12
 
 
 def test_step_data_single_pass():
@@ -188,24 +191,22 @@ def test_step_data_single_pass():
         return np.where(x > 0.55, 0.5, -0.5) + 0.0 * y
 
     state = transport_state(8, 3, profile=step)
-    raw_min, raw_max = sample_extrema(state, 1000, seed=0)
+    raw_min, raw_max = sample_extrema(state, 32)
     assert raw_max > 0.5 + 1e-3 and raw_min < -0.5 - 1e-3  # interpolant overshoots
     out = apply_limiter(state, table_for(3), bounds=(-0.5, 0.5))
-    smin, smax = sample_extrema(out, 1000, seed=1)
+    smin, smax = sample_extrema(out, 32)
     assert smin >= -0.5 - 1e-12
     assert smax <= 0.5 + 1e-12
 
 
 def test_limiter_decisions_fields():
     state = transport_state(6, 3)
-    dec = limiter_decisions(state, table_for(3))
-    assert dec.shape == (6, 6)
-    alphas = np.array([[d.alpha for d in row] for row in dec])
-    assert np.all((alphas >= 0.0) & (alphas <= 1.0))
-    assert (alphas < 1.0).any()
-    one = dec[0, 0]
-    assert one.bounds == (0.0, 1.0)
-    assert one.u_min <= one.mean <= one.u_max
+    mean, u_min, u_max, alpha = limiter_decisions(state, table_for(3))
+    for a in (mean, u_min, u_max, alpha):
+        assert a.shape == (6, 6)
+    assert np.all((alpha >= 0.0) & (alpha <= 1.0))
+    assert (alpha < 1.0).any()
+    assert np.all((u_min <= mean) & (mean <= u_max))
 
 
 # -- time stepping ----------------------------------------------------------
@@ -231,6 +232,24 @@ def test_dg_step_names_stage_and_time_when_mean_leaves_bounds():
         dg_step(state, cfl_dt(state), table_for(2))
 
 
+def _nan_state():
+    U = transport_state(4, 3).U.copy()
+    U[1, 2, 1, 1] = np.nan
+    return DGState(p=3, U=U, t=0.5)
+
+
+def test_limiter_refuses_non_finite_element():
+    with pytest.raises(NonFiniteBoundsError, match=r"^element \(1, 2\): mean or node bounds"):
+        apply_limiter(_nan_state(), table_for(3))
+
+
+def test_dg_step_names_stage_when_bounds_not_finite():
+    state = _nan_state()
+    message = r"^RK stage 1 of 3 at t=0\.5: element \(1, 2\): mean or node bounds not finite"
+    with pytest.raises(NonFiniteBoundsError, match=message):
+        dg_step(state, cfl_dt(state), table_for(3))
+
+
 def test_constant_preserved_100_steps():
     state = transport_state(4, 2, profile=lambda x, y: 0.7 + 0.0 * x * y)
     dt = cfl_dt(state)
@@ -253,7 +272,7 @@ def test_bounds_hold_every_step():
     seen = []
 
     def watch(s):
-        seen.append(sample_extrema(s, 200, seed=len(seen)))
+        seen.append(sample_extrema(s, 15))
 
     advance(state, 15 * cfl_dt(state), table_for(3), callback=watch)
     assert len(seen) == 15
@@ -266,7 +285,7 @@ def test_unlimited_run_violates_bounds():
     # sanity check that the limiter is doing the work in the test above
     state = apply_limiter(transport_state(8, 3), table_for(3))
     out = advance(state, 15 * cfl_dt(state), table=None)
-    smin, smax = sample_extrema(out, 200, seed=0)
+    smin, smax = sample_extrema(out, 15)
     assert smin < -1e-12 or smax > 1.0 + 1e-12
 
 
