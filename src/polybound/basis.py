@@ -138,13 +138,20 @@ def gauss_legendre_nodes(n: int) -> np.ndarray:
     return _newton_legendre_roots(n)
 
 
+@lru_cache(maxsize=64)
 def gauss_legendre_rule(n: int):
-    """Gauss-Legendre quadrature rule on [-1, 1]; exact through order 2n - 1."""
+    """Gauss-Legendre quadrature rule on [-1, 1]; exact through order 2n - 1.
+
+    Cached per n, so the nodes and weights come back read-only.
+    """
     x = gauss_legendre_nodes(n)
-    _, dp = _legendre_and_deriv(n, x) if n > 1 else (None, None)
     if n == 1:
-        return x, np.array([2.0])
-    w = 2.0 / ((1.0 - x * x) * dp * dp)
+        w = np.array([2.0])
+    else:
+        _, dp = _legendre_and_deriv(n, x)
+        w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x.setflags(write=False)
+    w.setflags(write=False)
     return x, w
 
 

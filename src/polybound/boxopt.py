@@ -11,6 +11,9 @@ Each discrete subproblem is a convex QP with linear inequality
 constraints. It is solved exactly by the least-squares-with-inequalities
 reduction: QR factor the hat-function matrix, reduce to a least-distance
 problem, and solve that through NNLS. Deterministic, no tuning knobs.
+Within one node search, each NNLS starts from the support it ended with
+at the previous objective evaluation, since nearby nodes make the boxes
+touch phi at nearly the same samples; a one-shot fit starts empty.
 """
 
 from __future__ import annotations
@@ -111,18 +114,29 @@ class BoxOptimizationError(RuntimeError):
         self.quality = quality
 
 
-def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
+def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
     """Lawson-Hanson active-set NNLS:  min ||E u - f||  s.t.  u >= 0.
 
-    The passive-set least-squares subproblems are tiny here (E has at most
-    a couple dozen rows), so each one is solved fresh by SVD least squares;
-    exactness of the support solve is what the downstream reduction needs.
+    ``passive`` is the start support (a boolean mask over the columns of
+    E) and is updated in place to the support of the returned u. The
+    start is first pruned to a set whose least-squares solution is
+    positive, which is the invariant the outer loop needs; that loop's
+    multiplier test over every column then decides optimality, so the
+    result is the NNLS optimum from any start, and an all-False mask is
+    the textbook cold start. The support subproblems are tiny here (E has
+    at most a couple dozen rows) and are solved by SVD least squares.
     """
     m, n = E.shape
     max_outer = 3 * (m + n)
     u = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
     tol = 10.0 * np.finfo(float).eps * max(1.0, float(np.abs(E.T @ f).max()))
+    while passive.any():
+        cols = np.flatnonzero(passive)
+        z, *_ = np.linalg.lstsq(E[:, cols], f, rcond=None)
+        if z.min() > 0.0:
+            u[cols] = z
+            break
+        passive[cols[z <= 0.0]] = False
     for _ in range(max_outer):
         w = E.T @ (f - E @ u)
         w_free = np.where(passive, -np.inf, w)
@@ -132,6 +146,8 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
         passive[j] = True
         for _ in range(max_outer):
             cols = np.flatnonzero(passive)
+            if cols.size == 0:
+                break  # every column dropped, so u = 0: pick again from w
             z, *_ = np.linalg.lstsq(E[:, cols], f, rcond=None)
             if z.min() > 0.0:
                 u[:] = 0.0
@@ -153,13 +169,16 @@ def _nnls(E: np.ndarray, f: np.ndarray) -> np.ndarray:
     raise RuntimeError("NNLS iteration budget exhausted")
 
 
-def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray,
+              active: np.ndarray) -> np.ndarray:
     """Exact solution of  min ||A q - b||  s.t.  A q >= b,  A = Q R.
 
     Least-distance reduction: with y = R q - Q^T b the objective becomes
     ||y||, constrained by Q y >= (I - Q Q^T) b; that least-distance
-    problem is solved through its NNLS dual. Finite termination, no
-    tuning, deterministic.
+    problem is solved through its NNLS dual. ``active`` marks the
+    samples where the box touched b in a nearby solve; the NNLS starts
+    from it and leaves in it the samples where this box touches b.
+    Finite termination, no tuning, deterministic.
     """
     M = Q.shape[1]
     Qtb = Q.T @ b
@@ -167,7 +186,7 @@ def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray) -> np.ndarray:
     E = np.vstack([Q.T, resid[None, :]])
     f = np.zeros(M + 1)
     f[M] = 1.0
-    u = _nnls(E, f)
+    u = _nnls(E, f, active)
     s = E @ u - f
     if abs(s[M]) < 1e-13:
         raise RuntimeError("incompatible constraint set in box subproblem")
@@ -291,7 +310,13 @@ def _sample_matrix(basis: BasisSpec, n_samples: int) -> np.ndarray:
     return Phi
 
 
-def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
+def _active_sets(basis: BasisSpec, n_samples: int) -> np.ndarray:
+    """Empty start supports for every box subproblem of _raw_boxes:
+    [0, i] for row i's upper fit, [1, i] for its lower fit."""
+    return np.zeros((2, _solved_rows(basis), n_samples), dtype=bool)
+
+
+def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int, active: np.ndarray):
     """Pre-offset box rows from the sampled one-sided fits.
 
     Returns (q_lower, q_upper, failures) with full symmetry applied: only
@@ -299,6 +324,10 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     its own mirror image (the middle nodal row, an even Legendre mode) is
     symmetrised. Failed rows fall back to the plain least-squares fit and
     are listed in failures.
+
+    ``active`` (from _active_sets) holds each subproblem's start support
+    and is updated in place, so a caller solving at nearby nodes can
+    pass it back in.
     """
     N, M = basis.N, eta.size
     x = np.linspace(-1.0, 1.0, n_samples)
@@ -306,9 +335,9 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     Q, R = np.linalg.qr(A)
     Phi = _sample_matrix(basis, n_samples)
 
-    def solve_upper(col):
+    def solve_upper(col, start):
         try:
-            return _upper_qp(Q, R, col), True
+            return _upper_qp(Q, R, col, start), True
         except RuntimeError:
             # least-squares candidate; the offset step will make it feasible
             return solve_triangular(R, Q.T @ col), False
@@ -318,9 +347,9 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int):
     q_lo = np.empty((N, M))
     failures = []
     for i in range(_solved_rows(basis)):
-        q_up[i], ok = solve_upper(Phi[:, i])
+        q_up[i], ok = solve_upper(Phi[:, i], active[0, i])
         if pairs or i % 2 == 0:  # an odd mode's lower row comes from _mirror
-            neg, ok_l = solve_upper(-Phi[:, i])
+            neg, ok_l = solve_upper(-Phi[:, i], active[1, i])
             q_lo[i] = -neg
             ok = ok and ok_l
         if (2 * i == N - 1) if pairs else (i % 2 == 0):  # its own mirror image
@@ -340,7 +369,8 @@ def optimize_values(basis: BasisSpec, nodes: NodeSet) -> BoundingTable:
     """
     if _N_SAMPLES < 2 * nodes.M:
         raise ValueError(f"M={nodes.M} needs more than {_N_SAMPLES} samples")
-    q_lo, q_up, failures = _raw_boxes(basis, nodes.array(), _N_SAMPLES)
+    q_lo, q_up, failures = _raw_boxes(basis, nodes.array(), _N_SAMPLES,
+                                      _active_sets(basis, _N_SAMPLES))
     # offset the solved rows, then mirror so symmetry stays exact
     n = _solved_rows(basis)
     q_lo[:n], q_up[:n], padded = offset_correction(basis, nodes, q_lo[:n], q_up[:n])
@@ -401,14 +431,16 @@ def _z_from_nodes(eta: np.ndarray) -> np.ndarray:
     return np.log(np.diff(eta)[: eta.size // 2])
 
 
-def _raw_objective(basis: BasisSpec, eta: np.ndarray) -> float:
+def _raw_objective(basis: BasisSpec, eta: np.ndarray, active: np.ndarray) -> float:
     """Sum of continuous gap norms of the pre-offset boxes.
 
     Smooth in the node positions, unlike the post-offset quality: the
     offset magnitude carries a sawtooth ripple from where the envelope
-    kinks fall relative to the fixed sample grid.
+    kinks fall relative to the fixed sample grid. ``active`` carries the
+    box subproblems' supports from one evaluation to the next (see
+    _raw_boxes).
     """
-    q_lo, q_up, failures = _raw_boxes(basis, eta, _N_SAMPLES)
+    q_lo, q_up, failures = _raw_boxes(basis, eta, _N_SAMPLES, active)
     if failures:
         return 1e6
     return _gap_norms(basis, eta, q_lo, q_up)
@@ -441,12 +473,15 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
         return build([-1.0, 1.0] if M == 2 else [-1.0, 0.0, 1.0])
 
     best_raw = {"value": np.inf, "z": None}
+    # consecutive evaluations differ by a quasi-Newton step or a
+    # finite-difference probe: each one's supports start the next one's
+    active = _active_sets(basis, _N_SAMPLES)
 
     def objective(z_free):
         eta = _nodes_from_z(np.asarray(z_free, dtype=float), M)
         if np.min(np.diff(eta)) < 1e-6:
             return 1e6 - np.min(np.diff(eta))
-        value = _raw_objective(basis, eta)
+        value = _raw_objective(basis, eta, active)
         if value < best_raw["value"]:
             best_raw.update(value=value, z=np.array(z_free, dtype=float))
         return value

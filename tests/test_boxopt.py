@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
-from polybound.basis import basis_matrix, make_basis, make_node_set, mirror_pairs
+from polybound.basis import (FAMILIES, basis_matrix, hat_matrix, make_basis, make_node_set,
+                             mirror_pairs)
 from polybound.boxopt import (
+    _N_SAMPLES,
     BoxOptimizationError,
     TableFormatError,
+    _active_sets,
+    _data_dir,
+    _nnls,
+    _nodes_from_z,
+    _raw_boxes,
     load_table,
     offset_correction,
     optimize_nodes,
@@ -61,8 +69,6 @@ def test_upper_qp_against_slsqp():
     # the raw (pre-offset) discrete problem
     from scipy.optimize import minimize
 
-    from polybound.boxopt import _raw_boxes
-
     basis = make_basis("lobatto-nodal", 2)
     eta = make_node_set("equispaced", 4).array()
     n = 240
@@ -72,7 +78,7 @@ def test_upper_qp_against_slsqp():
         e = np.zeros(4)
         e[j] = 1.0
         A[:, j] = _pl_eval(eta, e, x)
-    q_lo_raw, q_up_raw, failures = _raw_boxes(basis, eta, n)
+    q_lo_raw, q_up_raw, failures = _raw_boxes(basis, eta, n, _active_sets(basis, n))
     assert not failures
     for i in range(basis.N):
         phi = basis_matrix(basis, x)[:, i]
@@ -123,6 +129,73 @@ def test_optimize_nodes_deterministic():
     t2 = optimize_nodes(basis, 4, restarts=2, maxiter=20, seed=3)
     np.testing.assert_array_equal(t1.eta(), t2.eta())
     np.testing.assert_array_equal(t1.q_lower, t2.q_lower)
+
+
+def test_shipped_table_regenerates_byte_identically(tmp_path):
+    # the shipped p1-M4 table was written by optimize_nodes with these
+    # settings; rerunning them must reproduce the file exactly
+    table = optimize_nodes(make_basis("lobatto-nodal", 1), 4, restarts=8, maxiter=60)
+    save_table(table, tmp_path / "t.txt")
+    shipped = _data_dir() / "tables" / "lobatto-nodal-p1-M4.txt"
+    assert (tmp_path / "t.txt").read_bytes() == shipped.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(FAMILIES), p=st.integers(1, 7), extra=st.sampled_from([0, 2]),
+       seed=st.integers(0, 2**32 - 1))
+# a row the nodes almost fit exactly: the start keeps one coefficient of
+# 7e-15, the inner loop drops it with the entering column, and the outer
+# loop must carry on from the empty support
+@example(family="legendre-modal", p=6, extra=2, seed=2000)
+def test_raw_boxes_warm_start_matches_cold(family, p, extra, seed):
+    M = p + 1 + extra
+    assume(M >= 4)
+    basis = make_basis(family, p)
+    rng = np.random.default_rng(seed)
+    eta1, eta2 = (_nodes_from_z(rng.normal(0.0, 0.5, M // 2), M) for _ in range(2))
+    active = _active_sets(basis, _N_SAMPLES)
+    _raw_boxes(basis, eta1, _N_SAMPLES, active)
+    warm_lo, warm_up, warm_failures = _raw_boxes(basis, eta2, _N_SAMPLES, active)
+    cold_lo, cold_up, cold_failures = _raw_boxes(basis, eta2, _N_SAMPLES,
+                                                 _active_sets(basis, _N_SAMPLES))
+    assert warm_failures == cold_failures
+    for warm, cold in ((warm_lo, cold_lo), (warm_up, cold_up)):
+        assert (np.abs(warm - cold) <= 1e-12 * np.maximum(1.0, np.abs(cold))).all()
+    if not cold_failures:
+        x = np.linspace(-1.0, 1.0, _N_SAMPLES)
+        A, Phi = hat_matrix(eta2, x), basis_matrix(basis, x)
+        assert (A @ warm_up.T >= Phi - 1e-12).all()
+        assert (A @ warm_lo.T <= Phi + 1e-12).all()
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_nnls_reaches_cold_optimum_from_any_start(family):
+    # the NNLS duals of the box subproblems at fixed nodes, as _upper_qp
+    # builds them; every start must end at the cold optimum, with KKT
+    basis = make_basis(family, 3)
+    x = np.linspace(-1.0, 1.0, _N_SAMPLES)
+    Q, _ = np.linalg.qr(hat_matrix(make_node_set("equispaced", 5).array(), x))
+    Phi = basis_matrix(basis, x)
+    rng = np.random.default_rng(7)
+    for b in np.concatenate([Phi, -Phi], axis=1).T:
+        resid = b - Q @ (Q.T @ b)
+        if np.abs(resid).max() < 1e-12:
+            continue  # b is piecewise linear on the nodes: the box is b itself
+        E = np.vstack([Q.T, resid[None, :]])
+        f = np.zeros(E.shape[0])
+        f[-1] = 1.0
+        support = np.zeros(_N_SAMPLES, dtype=bool)
+        cold = _nnls(E, f, support)
+        assert support.any()
+        starts = (np.ones(_N_SAMPLES, dtype=bool), rng.uniform(size=_N_SAMPLES) < 0.3,
+                  support.copy())
+        for start in starts:
+            u = _nnls(E, f, start)
+            np.testing.assert_array_equal(start, u > 0.0)
+            assert u.min() >= 0.0
+            np.testing.assert_allclose(E @ u - f, E @ cold - f, rtol=0.0, atol=1e-12)
+            w = E.T @ (f - E @ u)
+            assert w.max() <= 1e-12 and np.abs(w[start]).max() <= 1e-12
 
 
 def test_trivial_p1_box_is_tight():
