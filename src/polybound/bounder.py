@@ -156,7 +156,7 @@ class NonFiniteBoundsError(ArithmeticError):
 def _require_finite(lower, upper, message) -> None:
     """Raise NonFiniteBoundsError(message(i)) for the first cell i of the
     (cells, ...) node-bound stacks with a bound that is not finite."""
-    finite = (np.isfinite(lower) & np.isfinite(upper)).reshape(len(lower), -1).all(axis=1)
+    finite = (np.isfinite(lower) & np.isfinite(upper)).all(axis=tuple(range(1, lower.ndim)))
     if not finite.all():
         raise NonFiniteBoundsError(message(int(np.argmin(finite))))
 
@@ -235,28 +235,29 @@ def _sweep(mid, rad, table: BoundingTable):
     over w in [f - r, f + r]: for fixed q the least w*q is f*q - r*|q|,
     concave in q, so it is least at an endpoint. With r = 0 this is the
     sign split of an exact row.
+
+    Rows are read best as (B, N) views of (N, B) memory: the GEMM reads
+    them in place and every elementwise pass runs along the B rows. The
+    results are (B, M) views of (M, B) arrays.
     """
     W, abs_ql, dq, dabs = _sweep_ops(table)
     N = len(W)
-    # rows on the last axis, so each elementwise pass is one long loop
     G = W.T @ mid.T
     F, base = G[:N], G[N:]
     if rad is None:
         lower, upper = base + dq.T @ np.minimum(F, 0.0), base + dq.T @ np.maximum(F, 0.0)
     else:
-        rad = np.ascontiguousarray(rad.T)
+        rad = np.ascontiguousarray(rad.T)  # no copy for node-major rows
         spread = abs_ql.T @ rad
         lower, upper = base - spread, base + spread
-        a, b, c = np.empty((3,) + base.shape)
+        # base and spread are spent and serve as two of the three scratch arrays
+        a, b, c = base, spread, np.empty_like(spread)
         for i in range(N):
             np.multiply(dq[i, :, None], F[i], out=a)
             np.multiply(dabs[i, :, None], rad[i], out=b)
-            np.subtract(a, b, out=c)
-            lower += np.minimum(c, 0.0, out=c)
-            np.add(a, b, out=a)
-            upper += np.maximum(a, 0.0, out=a)
-    # C-ordered (B, M) results keep the callers' reductions over nodes local
-    return np.ascontiguousarray(lower.T), np.ascontiguousarray(upper.T)
+            lower += np.minimum(np.subtract(a, b, out=c), 0.0, out=c)
+            upper += np.maximum(np.add(a, b, out=a), 0.0, out=a)
+    return lower.T, upper.T
 
 
 def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable):
@@ -268,9 +269,14 @@ def _bound_interval_rows(basis: BasisSpec, lo_rows, hi_rows, table: BoundingTabl
     """Node bounds when each coefficient is only known to an interval.
 
     The midpoint carries the projection; the radius re-enters per
-    coefficient through the interval product in _sweep.
+    coefficient through the interval product in _sweep. Both are written
+    to (N, B) memory, whatever the layout of the rows.
     """
-    return _sweep(0.5 * (lo_rows + hi_rows), 0.5 * (hi_rows - lo_rows), table)
+    mid = np.add(lo_rows.T, hi_rows.T, order="C")
+    rad = np.subtract(hi_rows.T, lo_rows.T, order="C")
+    mid *= 0.5
+    rad *= 0.5
+    return _sweep(mid.T, rad.T, table)
 
 
 def bound_nodes(U, table: BoundingTable, dim: int):
@@ -281,26 +287,30 @@ def bound_nodes(U, table: BoundingTable, dim: int):
     along x exactly; later sweeps carry interval coefficients. Each sweep
     is one batched call over all rows of the stack, O(N^d M + N M^d)
     multiply-adds per polynomial.
+
+    The stack is copied once, to memory ordered (x, cells..., z, y). Each
+    sweep then reads its rows in place and puts its node axis in front,
+    so the next sweep's axis is last, and after the last sweep the
+    memory is node-major, (M,)^dim + (cells...). The results are views
+    of it: a reduction over the nodes of each cell runs along the long
+    cells axis.
     """
     N, M = table.basis.N, table.nodes.M
     U = np.asarray(U, dtype=float)
     if dim < 1 or U.shape[U.ndim - dim:] != (N,) * dim:
         raise ValueError(f"need coefficients of shape (..., {N})^{dim}, got {U.shape}")
-    lead = U.ndim - dim
-    lo = hi = U
-    for sweep in range(dim):
-        shape = lo.shape[:-1] + (M,)
-        if sweep == 0:
-            lower, upper = _bound_rows(table.basis, lo.reshape(-1, N), table)
-        else:
-            lower, upper = _bound_interval_rows(
-                table.basis, lo.reshape(-1, N), hi.reshape(-1, N), table
-            )
-        # the bounded axis moves to the front of the polynomial axes, so
-        # after dim sweeps they are back in their original order
-        lo = np.moveaxis(lower.reshape(shape), -1, lead)
-        hi = np.moveaxis(upper.reshape(shape), -1, lead)
-    return lo, hi
+    X = np.moveaxis(U, -1, 0)
+    lower, upper = _bound_rows(table.basis, X.reshape(N, -1).T, table)
+    for _ in range(1, dim):
+        # the (M, B) memory of a sweep, read N values at a time, holds the
+        # next sweep's rows
+        lower, upper = _bound_interval_rows(
+            table.basis, lower.T.reshape(-1, N), upper.T.reshape(-1, N), table
+        )
+    lead = U.shape[:U.ndim - dim]
+    order = tuple(range(dim, dim + len(lead))) + tuple(range(dim))
+    shape = (M,) * dim + lead
+    return lower.T.reshape(shape).transpose(order), upper.T.reshape(shape).transpose(order)
 
 
 def bound_tensor(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:

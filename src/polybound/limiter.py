@@ -156,93 +156,89 @@ def transport_state(elements: int, p: int, profile=rotating_shapes) -> DGState:
 
 @lru_cache(maxsize=16)
 def _operators(elements: int, p: int):
+    """Read-only operators of the Ne x Ne grid at order p.
+
+    The residual is sum-factorised. Let V and V' hold the basis values
+    and derivatives at the Gauss points, Minv the inverse 1D mass matrix
+    and S = V^T diag(wq) V'. Because cx depends only on the element row
+    and cy only on the column, the volume term of element (ey, ex) is
+
+        A[ey] U B + C U D[ex],  A = (2/h) Minv V^T diag(wq cx_ey) V,  B = S Minv,
+                                C = (2/h) Minv S^T,  D = V^T diag(wq cy_ex) V Minv.
+
+    Kx and Ky hold the two terms as Kronecker products acting on the
+    row-major flattened U, one (N^2, N^2) block per element row or
+    column, so each term is one batched GEMM of Ne members; four N x N
+    products per element would each be a batch of Ne^2 tiny GEMMs. The
+    upwind flux through a face is [u on this side, u on the far side]
+    times the upwind face masses times Minv, per row (Fx) or column (Fy).
+    The rows of Eb lift it onto the element after the face and the one
+    before it, a rank-one update each.
+    """
     basis = make_basis("lobatto-nodal", p)
     N = p + 1
     h = 1.0 / elements
     xq, wq = gauss_legendre_rule(p + 2)
     V = basis_matrix(basis, xq)  # (nq, N)
-    D = basis_deriv_matrix(basis, xq)
-    M1 = V.T @ (wq[:, None] * V)
-    Minv = np.linalg.inv(M1)
+    Minv = np.linalg.inv(V.T @ (wq[:, None] * V))
+    S = V.T @ (wq[:, None] * basis_deriv_matrix(basis, xq))
 
     # physical coordinates: columns of quadrature points and of GLL nodes
     cols = np.arange(elements)
-    tnodes = np.asarray(basis.nodes)
     xquad = (cols[:, None] + (xq[None, :] + 1.0) / 2.0) * h  # (Ne, nq)
-    xnodes = (cols[:, None] + (tnodes[None, :] + 1.0) / 2.0) * h
+    xnodes = (cols[:, None] + (np.asarray(basis.nodes)[None, :] + 1.0) / 2.0) * h
 
-    # velocity at volume quadrature points; cx depends on y only, cy on x
-    cx_vol = -2.0 * np.pi * (xquad - 0.5)  # indexed by (ey, a)
-    cy_vol = 2.0 * np.pi * (xquad - 0.5)  # indexed by (ex, b)
+    # velocity at the quadrature points of a row (cx) or column (cy)
+    cx = -2.0 * np.pi * (xquad - 0.5)
+    cy = 2.0 * np.pi * (xquad - 0.5)
 
+    def mass(c):  # (Ne, nq) weights -> (Ne, N, N) V^T diag(wq c) V
+        return np.einsum("qi,eq,qj->eij", V, wq * c, V)
+
+    def kron(left, right):  # vec(left U right) = vec(U) @ kron(...), row-major
+        return np.einsum("...ik,...lj->...klij", left, right).reshape(-1, N * N, N * N)
+
+    def face(c):
+        return np.concatenate([mass(np.maximum(c, 0.0)), mass(np.minimum(c, 0.0))], axis=1) @ Minv
+
+    s = 2.0 / h
     g = wq @ V  # integrals of the basis functions over [-1, 1]
-
-    # quadrature-weighted velocity on the volume points, flattened over
-    # elements so the residual reduces to batched matmuls
-    nq = len(xq)
-    wab = wq[:, None] * wq[None, :]
-    full = (elements, elements, nq, nq)
-    wcx = np.broadcast_to(wab * cx_vol[:, None, :, None], full).reshape(-1, nq, nq)
-    wcy = np.broadcast_to(wab * cy_vol[None, :, None, :], full).reshape(-1, nq, nq)
-    wqV = wq[:, None] * V
-
-    return {
+    ops = {
         "basis": basis,
         "N": N,
-        "h": h,
-        "xq": xq,
         "wq": wq,
         "V": V,
-        "D": D,
-        "Minv": Minv,
         "xquad": xquad,
         "xnodes": xnodes,
-        "cx_vol": cx_vol,
-        "cy_vol": cy_vol,
-        "g": g,
-        "wcx": wcx,
-        "wcy": wcy,
-        "wqV": wqV,
+        "mean": np.kron(g, g) / 4.0,
+        "Kx": kron(s * Minv @ mass(cx), S @ Minv),
+        "Ky": kron(s * Minv @ S.T, mass(cy) @ Minv),
+        "Fx": face(cx),
+        "Fy": face(cy),
+        "Eb": s * np.array([[1.0], [-1.0]]) * Minv[[0, N - 1]],
     }
+    for v in ops.values():
+        if isinstance(v, np.ndarray):
+            v.setflags(write=False)
+    return ops
 
 
 def _rhs(U: np.ndarray, ops) -> np.ndarray:
-    """Semi-discrete RHS of u_t = -div(c u) in weak form."""
-    V, D, wqV = ops["V"], ops["D"], ops["wqV"]
-    h, Minv = ops["h"], ops["Minv"]
-    N = ops["N"]
-    Ne = U.shape[0]
-
-    # volume term: integral of (c u) . grad(phi) on the reference square,
-    # as batched small matmuls over the flattened element index
-    Uf = U.reshape(-1, N, N)
-    uq = V @ Uf @ V.T  # (E, nq, nq), row = y quadrature index
-    R = V.T @ (ops["wcx"] * uq) @ D + D.T @ (ops["wcy"] * uq) @ V
-
-    # upwind fluxes, evaluated once per face so the two sides cancel exactly
-    nq = V.shape[0]
-    trR = (Uf[:, :, N - 1] @ V.T).reshape(Ne, Ne, nq)
-    trL = (Uf[:, :, 0] @ V.T).reshape(Ne, Ne, nq)
-    # vertical faces see cx at the row's y-quadrature points, independent
-    # of which face; horizontal faces likewise with cy
-    cxf = ops["cx_vol"][:, None, :]
-    FR = np.maximum(cxf, 0.0) * trR + np.minimum(cxf, 0.0) * np.roll(trL, -1, axis=1)
-    FL = np.roll(FR, 1, axis=1)
-    R = R.reshape(Ne, Ne, N, N)
-    R[:, :, :, N - 1] -= (FR.reshape(-1, nq) @ wqV).reshape(Ne, Ne, N)
-    R[:, :, :, 0] += (FL.reshape(-1, nq) @ wqV).reshape(Ne, Ne, N)
-
-    trT = (Uf[:, N - 1, :] @ V.T).reshape(Ne, Ne, nq)
-    trB = (Uf[:, 0, :] @ V.T).reshape(Ne, Ne, nq)
-    cyf = ops["cy_vol"][None, :, :]
-    FT = np.maximum(cyf, 0.0) * trT + np.minimum(cyf, 0.0) * np.roll(trB, -1, axis=0)
-    FB = np.roll(FT, 1, axis=0)
-    R[:, :, N - 1, :] -= (FT.reshape(-1, nq) @ wqV).reshape(Ne, Ne, N)
-    R[:, :, 0, :] += (FB.reshape(-1, nq) @ wqV).reshape(Ne, Ne, N)
-
-    out = Minv @ R.reshape(-1, N, N) @ Minv
-    out *= 2.0 / h
-    return out.reshape(Ne, Ne, N, N)
+    """Semi-discrete RHS of u_t = -div(c u) in weak form (see _operators)."""
+    Ne, N = U.shape[0], ops["N"]
+    rows = U.reshape(Ne, Ne, N * N)  # swapaxes(0, 1) makes element columns
+    out = rows @ ops["Kx"]
+    out += (rows.swapaxes(0, 1) @ ops["Ky"]).swapaxes(0, 1)
+    out = out.reshape(U.shape)
+    # upwind flux through every right and top face, computed once per face
+    # and lifted onto both of its elements, so the two sides cancel exactly
+    fx = np.concatenate([U[..., N - 1], np.roll(U[..., 0], -1, axis=1)], axis=-1) @ ops["Fx"]
+    fy = np.concatenate([U[..., N - 1, :], np.roll(U[..., 0, :], -1, axis=0)], axis=-1)
+    fy = (fy.swapaxes(0, 1) @ ops["Fy"]).swapaxes(0, 1)
+    for f, axis, lift in ((fx, 1, out), (fy, 0, out.swapaxes(-1, -2))):
+        Q = np.stack([np.roll(f, 1, axis=axis), f]).reshape(2, -1)
+        lift += (Q.T @ ops["Eb"]).reshape(U.shape)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -250,8 +246,7 @@ def _rhs(U: np.ndarray, ops) -> np.ndarray:
 
 
 def _mean_batch(U: np.ndarray, ops) -> np.ndarray:
-    g = ops["g"]
-    return np.einsum("EFij,i,j->EF", U, g, g) / 4.0
+    return U.reshape(U.shape[:2] + (-1,)) @ ops["mean"]
 
 
 def element_mean(coeffs: PolyCoeffs) -> float:

@@ -11,6 +11,7 @@ time through bounder.refine, one batched bound per generation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
@@ -100,6 +101,16 @@ class ValidityReport:
 
 class MeshFormatError(ValueError):
     """Malformed mesh file; the message names the offending record."""
+
+
+def _element_nodes(element):
+    """One element's (n, 2) node array and its geometric order p, n = (p+1)^2."""
+    nodes = np.asarray(element, dtype=float)
+    n = len(nodes) if nodes.ndim else 0
+    if nodes.shape != (n, 2) or math.isqrt(n) ** 2 != n:
+        raise ValueError(f"an element needs (p+1)^2 nodes of 2 coordinates, got {n} nodes "
+                         f"in an array of shape {nodes.shape}")
+    return nodes, math.isqrt(n) - 1
 
 
 @lru_cache(maxsize=_MAX_GEOMETRIC_ORDER)
@@ -195,8 +206,8 @@ def classify_element(element, tables, tol: float, max_levels: int = 10,
     the supplied table ladder (tighter boxes at the same cost class),
     then subdivide with the finest table.
     """
-    p = int(round(np.sqrt(np.asarray(element, dtype=float).shape[0]))) - 1
-    return _classify(detj_coeffs(element, p).u[None], tables, tol, max_levels, index)[0]
+    nodes, p = _element_nodes(element)
+    return _classify(detj_coeffs(nodes, p).u[None], tables, tol, max_levels, index)[0]
 
 
 # elements per _classify call: larger blocks raise peak memory, smaller ones pay more call overhead
@@ -272,9 +283,8 @@ def perturb_mesh(mesh: CurvedMesh, amplitude: float, seed: int = 0) -> CurvedMes
 
 def mirror_element(element) -> np.ndarray:
     """Reverse the xi direction; det J changes sign everywhere."""
-    nodes = np.asarray(element, dtype=float)
-    n1 = int(round(np.sqrt(nodes.shape[0])))
-    return nodes.reshape(n1, n1, 2)[:, ::-1, :].reshape(-1, 2)
+    nodes, p = _element_nodes(element)
+    return nodes.reshape(p + 1, p + 1, 2)[:, ::-1, :].reshape(-1, 2)
 
 
 def write_mesh(mesh: CurvedMesh, path) -> None:

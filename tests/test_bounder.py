@@ -147,6 +147,33 @@ def test_bound_nodes_stack_matches_single_polynomials(dim, t35):
         np.testing.assert_allclose(upper[idx], nb.upper, rtol=0, atol=1e-14 * scale)
 
 
+def _assert_matches_single_polynomials(U, lower, upper, table, dim, name):
+    lead = U.shape[:U.ndim - dim]
+    assert lower.shape == upper.shape == lead + (table.nodes.M,) * dim, name
+    scale = np.abs(U).max(initial=1.0)
+    for idx in np.ndindex(*lead):
+        nb = bound_tensor(PolyCoeffs(dim, table.basis, U[idx]), table)
+        np.testing.assert_allclose(lower[idx], nb.lower, rtol=0, atol=1e-14 * scale, err_msg=name)
+        np.testing.assert_allclose(upper[idx], nb.upper, rtol=0, atol=1e-14 * scale, err_msg=name)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bound_nodes_layout_contract(dim, t35):
+    rng = np.random.default_rng(70 + dim)
+    U = 3.0 * rng.standard_normal((3, 4) + (4,) * dim)
+    stacks = {
+        "reversed": U[:, ::-1],
+        "fortran": np.asfortranarray(U),
+        "strided": U[::2, :, ..., ::-1],
+        "single": U[1, 2],
+        "empty": np.zeros((0,) + (4,) * dim),
+        "empty lead": np.zeros((2, 0) + (4,) * dim),
+    }
+    for name, V in stacks.items():
+        lower, upper = bound_nodes(V, t35, dim)
+        _assert_matches_single_polynomials(V, lower, upper, t35, dim, name)
+
+
 @lru_cache(maxsize=None)
 def _gll_table(family, p, M):
     return optimize_values(make_basis(family, p), make_node_set("gauss-lobatto", M))

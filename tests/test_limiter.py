@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polybound.basis import basis_matrix, make_basis
+from polybound.basis import basis_deriv_matrix, basis_matrix, gauss_legendre_rule, make_basis
 from polybound.boxopt import standard_table
 from polybound.bounder import NonFiniteBoundsError, PolyCoeffs
 from polybound.limiter import (
@@ -23,7 +23,7 @@ from polybound.limiter import (
     total_mass,
     transport_state,
 )
-from polybound.limiter import _mean_batch, _operators
+from polybound.limiter import _mean_batch, _operators, _rhs
 
 
 def table_for(p):
@@ -125,6 +125,58 @@ def test_element_mean_monte_carlo():
     mc = vals.mean()
     sigma = vals.std() / np.sqrt(n)
     assert abs(element_mean(c) - mc) < 3 * sigma
+
+
+# -- DG residual ------------------------------------------------------------
+
+
+def _quadrature_rhs(U, p):
+    """The weak-form residual written out at the Gauss points.
+
+    Volume: V^T (w c_x u) D' + D'^T (w c_y u) V on the tensor quadrature
+    grid. Faces: upwind flux at the face quadrature points, weighted by
+    the trace basis, once per face. Then (2/h) Minv R Minv.
+    """
+    Ne, N = U.shape[0], p + 1
+    h = 1.0 / Ne
+    basis = make_basis("lobatto-nodal", p)
+    xq, wq = gauss_legendre_rule(p + 2)
+    V, D = basis_matrix(basis, xq), basis_deriv_matrix(basis, xq)
+    Minv = np.linalg.inv(V.T @ (wq[:, None] * V))
+    xquad = (np.arange(Ne)[:, None] + (xq + 1.0) / 2.0) * h
+    cx, cy = -2.0 * np.pi * (xquad - 0.5), 2.0 * np.pi * (xquad - 0.5)
+    wab = np.outer(wq, wq)
+    uq = np.einsum("ai,bj,yxij->yxab", V, V, U)
+    R = (np.einsum("ai,yxab,bj->yxij", V, wab * cx[:, None, :, None] * uq, D)
+         + np.einsum("ai,yxab,bj->yxij", D, wab * cy[None, :, None, :] * uq, V))
+    trace = lambda u: u @ V.T  # face values at the quadrature points
+    FR = (np.maximum(cx, 0)[:, None] * trace(U[..., N - 1])
+          + np.minimum(cx, 0)[:, None] * trace(np.roll(U[..., 0], -1, axis=1)))
+    FT = (np.maximum(cy, 0)[None] * trace(U[..., N - 1, :])
+          + np.minimum(cy, 0)[None] * trace(np.roll(U[..., 0, :], -1, axis=0)))
+    wV = wq[:, None] * V
+    R[..., :, N - 1] -= FR @ wV
+    R[..., :, 0] += np.roll(FR, 1, axis=1) @ wV
+    R[..., N - 1, :] -= FT @ wV
+    R[..., 0, :] += np.roll(FT, 1, axis=0) @ wV
+    return 2.0 / h * Minv @ R @ Minv
+
+
+@pytest.mark.parametrize("Ne", [3, 4])
+@pytest.mark.parametrize("p", [1, 2, 3, 4])
+def test_factored_rhs_matches_quadrature_form(Ne, p):
+    rng = np.random.default_rng(10 * Ne + p)
+    U = rng.uniform(-1.0, 1.0, size=(Ne, Ne, p + 1, p + 1))
+    ops = _operators(Ne, p)
+    got, ref = _rhs(U, ops), _quadrature_rhs(U, p)
+    assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+    # a constant state is steady: the velocity field is divergence-free
+    assert np.abs(_rhs(np.full_like(U, 0.3), ops)).max() <= 1e-13 * np.abs(ref).max()
+    # the face fluxes cancel pairwise and the volume term has zero mean
+    xq, wq = gauss_legendre_rule(p + 2)
+    g = wq @ basis_matrix(make_basis("lobatto-nodal", p), xq)
+    mass = np.einsum("i,yxij,j->", g, got, g)
+    assert abs(mass) <= 1e-14 * np.einsum("i,yxij,j->", g, np.abs(got), g)
 
 
 # -- apply_limiter ----------------------------------------------------------

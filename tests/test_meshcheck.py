@@ -70,6 +70,15 @@ def test_mirrored_element_flips_sign():
     )
 
 
+@pytest.mark.parametrize("n", [15, 17])
+def test_element_node_count_must_be_a_square(n, tables_p2):
+    nodes = np.zeros((n, 2))
+    with pytest.raises(ValueError, match=f"got {n} nodes"):
+        mirror_element(nodes)
+    with pytest.raises(ValueError, match=f"got {n} nodes"):
+        classify_element(nodes, tables_p2, tol=1e-4)
+
+
 def test_valid_mesh_all_valid(tables_p2):
     mesh = perturb_mesh(uniform_mesh(3, 3, 2), 0.08, seed=0)
     report = check_mesh(mesh, tables_p2, tol=1e-4)
