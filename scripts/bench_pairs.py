@@ -1,14 +1,13 @@
 """Compare two checkouts on the benchmark with alternated runs.
 
-Runs `python3 perfbench/run.py --workload W --seed S --seconds T --trace 0`
-in a base checkout and in a head checkout, taking turns, for a number of
-pairs per workload, and writes one JSON record: the machine, and for each
-workload and side the five end-to-end metrics of every run and their
-medians. Each run of a pair uses the same seed; pairs use seeds
-seed0, seed0 + 1, ...
+Runs `python3 perfbench/run.py --workload W --seed S --trace 0` in a base
+checkout and in a head checkout, taking turns, for PAIRS pairs per
+workload, and writes one JSON record: the machine, and for each workload
+and side the five end-to-end metrics of every run and their medians. The
+run length is perfbench's own. Each run of a pair uses the same seed;
+pairs use seeds seed0, seed0 + 1, ...
 
-    python3 scripts/bench_pairs.py --base ../parent --out BENCH_9.json \\
-        --pairs 5 --seconds 20
+    python3 scripts/bench_pairs.py --base ../parent --out BENCH_9.json --seed0 11
 
 The head defaults to this checkout. Runs go one at a time, so the two
 sides see the same host, and the base runs first in even pairs and
@@ -26,12 +25,13 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 WORKLOADS = ("rotation", "meshcheck", "adaptive", "tablegen")
+PAIRS = 10  # the fewest alternated pairs a gain is judged on
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float):
+def run_once(checkout: Path, workload: str, seed: int):
     """(machine record, {metric: value}) of one untraced run in checkout."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
     if out.returncode != 0 or len(lines) < 2:
@@ -46,8 +46,6 @@ def main(argv=None) -> int:
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
     ap.add_argument("--head", type=Path, default=ROOT, help="checkout of the change")
     ap.add_argument("--out", type=Path, required=True)
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--seed0", type=int, default=1)
     ap.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     args = ap.parse_args(argv)
@@ -56,10 +54,10 @@ def main(argv=None) -> int:
     machine, report = None, {}
     for workload in args.workloads:
         runs = {side: [] for side in sides}
-        for k in range(args.pairs):
+        for k in range(PAIRS):
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
             for side in order:
-                machine, metrics = run_once(sides[side], workload, args.seed0 + k, args.seconds)
+                machine, metrics = run_once(sides[side], workload, args.seed0 + k)
                 runs[side].append(metrics)
                 print(f"{workload} pair {k} {side}: "
                       + " ".join(f"{m}={v:.6g}" for m, v in metrics.items()), flush=True)
@@ -71,10 +69,9 @@ def main(argv=None) -> int:
             for side, rs in runs.items()
         }
     args.out.write_text(json.dumps({
-        "command": "python3 perfbench/run.py --workload W --seed S --seconds "
-                   f"{args.seconds:g} --trace 0",
-        "pairs": args.pairs,
-        "seeds": list(range(args.seed0, args.seed0 + args.pairs)),
+        "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
+        "pairs": PAIRS,
+        "seeds": list(range(args.seed0, args.seed0 + PAIRS)),
         "machine": machine,
         "workloads": report,
     }, indent=1) + "\n", encoding="utf-8")

@@ -237,7 +237,8 @@ def _sweep(mid, rad, table: BoundingTable):
     sign split of an exact row.
 
     Rows are read best as (B, N) views of (N, B) memory: the GEMM reads
-    them in place and every elementwise pass runs along the B rows. The
+    them in place and every elementwise pass runs along the B rows. A
+    radius always comes in that way, from _bound_interval_rows. The
     results are (B, M) views of (M, B) arrays.
     """
     W, abs_ql, dq, dabs = _sweep_ops(table)
@@ -247,7 +248,7 @@ def _sweep(mid, rad, table: BoundingTable):
     if rad is None:
         lower, upper = base + dq.T @ np.minimum(F, 0.0), base + dq.T @ np.maximum(F, 0.0)
     else:
-        rad = np.ascontiguousarray(rad.T)  # no copy for node-major rows
+        rad = rad.T
         spread = abs_ql.T @ rad
         lower, upper = base - spread, base + spread
         # base and spread are spent and serve as two of the three scratch arrays

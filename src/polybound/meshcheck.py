@@ -107,10 +107,12 @@ def _element_nodes(element):
     """One element's (n, 2) node array and its geometric order p, n = (p+1)^2."""
     nodes = np.asarray(element, dtype=float)
     n = len(nodes) if nodes.ndim else 0
-    if nodes.shape != (n, 2) or math.isqrt(n) ** 2 != n:
-        raise ValueError(f"an element needs (p+1)^2 nodes of 2 coordinates, got {n} nodes "
-                         f"in an array of shape {nodes.shape}")
-    return nodes, math.isqrt(n) - 1
+    p = math.isqrt(n) - 1
+    if nodes.shape != (n, 2) or (p + 1) ** 2 != n or not 1 <= p <= _MAX_GEOMETRIC_ORDER:
+        raise ValueError(f"an element needs (p+1)^2 nodes of 2 coordinates with geometric "
+                         f"order p in 1..{_MAX_GEOMETRIC_ORDER}, got {n} nodes in an array "
+                         f"of shape {nodes.shape}")
+    return nodes, p
 
 
 @lru_cache(maxsize=_MAX_GEOMETRIC_ORDER)

@@ -70,7 +70,7 @@ def test_mirrored_element_flips_sign():
     )
 
 
-@pytest.mark.parametrize("n", [15, 17])
+@pytest.mark.parametrize("n", [0, 1, 15, 17, 100])
 def test_element_node_count_must_be_a_square(n, tables_p2):
     nodes = np.zeros((n, 2))
     with pytest.raises(ValueError, match=f"got {n} nodes"):
