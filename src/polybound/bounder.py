@@ -13,7 +13,10 @@ toolbox.
 
 from __future__ import annotations
 
+import math
+import threading
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -223,7 +226,46 @@ def _sweep_ops(table: BoundingTable):
     return ops
 
 
-def _sweep(mid, rad, table: BoundingTable):
+class _Scratch:
+    """Grow-only buffers of the bounding kernel, kept by one owner across calls.
+
+    take(key, shape) returns a view of the key's buffer, grown to the
+    largest size asked for and never shrunk, so a warm owner allocates
+    nothing. An array taken under a key is valid until the next take of
+    that key. Capacities are powers of two: a scratch that sees many
+    sizes, as refine's generations do, then regrows rarely, and malloc
+    can reuse the few chunk sizes it frees instead of handing pages back
+    to the system and faulting them in again. borrow() lends the scratch to one user at a time; a user
+    that finds it busy gets a throwaway scratch, so results never depend
+    on sharing. Copies and pickles of an owner start with a fresh one.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return _Scratch, ()
+
+    def take(self, key, shape) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < n:
+            buf = self._buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
+        return buf[:n].reshape(shape)
+
+    @contextmanager
+    def borrow(self):
+        if not self._lock.acquire(blocking=False):
+            yield _Scratch()
+            return
+        try:
+            yield self
+        finally:
+            self._lock.release()
+
+
+def _sweep(mid, rad, table: BoundingTable, scratch: _Scratch):
     """Node bounds of (B, N) coefficient rows mid +- rad; rad=None for exact rows.
 
     With f the fluctuation of mid, r the radius and [ql, qu] a box entry,
@@ -240,19 +282,34 @@ def _sweep(mid, rad, table: BoundingTable):
     them in place and every elementwise pass runs along the B rows. A
     radius always comes in that way, from _bound_interval_rows. The
     results are (B, M) views of (M, B) arrays.
+
+    Every array is a row block of the scratch array "sweep": the GEMM
+    output [F; base], lower, upper, then the sign split of an exact sweep
+    or the spread and the third loop buffer of an interval one. One take
+    per sweep keeps small calls cheap. mid and rad must come from other
+    keys: a later sweep's rows are this block's results, which
+    _bound_interval_rows copies out before the block is taken again.
     """
     W, abs_ql, dq, dabs = _sweep_ops(table)
-    N = len(W)
-    G = W.T @ mid.T
+    (N, M), B = dq.shape, len(mid)
+    block = scratch.take("sweep", (N + 3 * M + (N if rad is None else 2 * M), B))
+    G, lower, upper, rest = (block[:N + M], block[N + M:N + 2 * M],
+                             block[N + 2 * M:N + 3 * M], block[N + 3 * M:])
+    np.matmul(W.T, mid.T, out=G)
     F, base = G[:N], G[N:]
     if rad is None:
-        lower, upper = base + dq.T @ np.minimum(F, 0.0), base + dq.T @ np.maximum(F, 0.0)
+        np.matmul(dq.T, np.minimum(F, 0.0, out=rest), out=lower)
+        np.matmul(dq.T, np.maximum(F, 0.0, out=rest), out=upper)
+        lower += base
+        upper += base
     else:
         rad = rad.T
-        spread = abs_ql.T @ rad
-        lower, upper = base - spread, base + spread
-        # base and spread are spent and serve as two of the three scratch arrays
-        a, b, c = base, spread, np.empty_like(spread)
+        spread, c = rest[:M], rest[M:]
+        np.matmul(abs_ql.T, rad, out=spread)
+        np.subtract(base, spread, out=lower)
+        np.add(base, spread, out=upper)
+        # base and spread are spent and serve as two of the three loop buffers
+        a, b = base, spread
         for i in range(N):
             np.multiply(dq[i, :, None], F[i], out=a)
             np.multiply(dabs[i, :, None], rad[i], out=b)
@@ -261,23 +318,25 @@ def _sweep(mid, rad, table: BoundingTable):
     return lower.T, upper.T
 
 
-def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable):
+def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable, scratch: _Scratch):
     """Node bounds for stacked exact-coefficient rows: (B,N) -> (B,M)."""
-    return _sweep(rows, None, table)
+    return _sweep(rows, None, table, scratch)
 
 
-def _bound_interval_rows(basis: BasisSpec, lo_rows, hi_rows, table: BoundingTable):
+def _bound_interval_rows(basis: BasisSpec, lo_rows, hi_rows, table: BoundingTable,
+                         scratch: _Scratch):
     """Node bounds when each coefficient is only known to an interval.
 
     The midpoint carries the projection; the radius re-enters per
     coefficient through the interval product in _sweep. Both are written
-    to (N, B) memory, whatever the layout of the rows.
+    to (N, B) scratch memory, whatever the layout of the rows.
     """
-    mid = np.add(lo_rows.T, hi_rows.T, order="C")
-    rad = np.subtract(hi_rows.T, lo_rows.T, order="C")
+    mid, rad = scratch.take("interval", (2,) + lo_rows.shape[::-1])
+    np.add(lo_rows.T, hi_rows.T, out=mid)
+    np.subtract(hi_rows.T, lo_rows.T, out=rad)
     mid *= 0.5
     rad *= 0.5
-    return _sweep(mid.T, rad.T, table)
+    return _sweep(mid.T, rad.T, table, scratch)
 
 
 def bound_nodes(U, table: BoundingTable, dim: int):
@@ -296,17 +355,24 @@ def bound_nodes(U, table: BoundingTable, dim: int):
     of it: a reduction over the nodes of each cell runs along the long
     cells axis.
     """
+    return _bound_nodes(U, table, dim, _Scratch())
+
+
+def _bound_nodes(U, table: BoundingTable, dim: int, scratch: _Scratch):
+    """bound_nodes with every array taken from scratch; the results stay
+    valid until the next call on the same scratch."""
     N, M = table.basis.N, table.nodes.M
     U = np.asarray(U, dtype=float)
     if dim < 1 or U.shape[U.ndim - dim:] != (N,) * dim:
         raise ValueError(f"need coefficients of shape (..., {N})^{dim}, got {U.shape}")
-    X = np.moveaxis(U, -1, 0)
-    lower, upper = _bound_rows(table.basis, X.reshape(N, -1).T, table)
+    X = scratch.take("x", (N,) + U.shape[:-1])
+    np.copyto(X, U.transpose(-1, *range(U.ndim - 1)))
+    lower, upper = _bound_rows(table.basis, X.reshape(N, -1).T, table, scratch)
     for _ in range(1, dim):
         # the (M, B) memory of a sweep, read N values at a time, holds the
         # next sweep's rows
         lower, upper = _bound_interval_rows(
-            table.basis, lower.T.reshape(-1, N), upper.T.reshape(-1, N), table
+            table.basis, lower.T.reshape(-1, N), upper.T.reshape(-1, N), table, scratch
         )
     lead = U.shape[:U.ndim - dim]
     order = tuple(range(dim, dim + len(lead))) + tuple(range(dim))
@@ -558,13 +624,15 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
     that cell i descends from, and the returned (cells,) + (M-1,)*dim
     mask picks the spans between control nodes that make the next
     generation. Stops after generation max_levels or when nothing is
-    picked; returns the last level bounded.
+    picked; returns the last level bounded. The generations share one
+    scratch, so lower and upper are valid only inside split.
     """
     owner = np.arange(len(U))
     level = 0
+    scratch = _Scratch()
     while True:
         table = ladder[min(level, len(ladder) - 1)]
-        lower, upper = bound_nodes(U, table, dim)
+        lower, upper = _bound_nodes(U, table, dim, scratch)
         mask = split(level, owner, lower, upper)
         if level >= max_levels or not mask.any():
             return level

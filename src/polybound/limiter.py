@@ -26,8 +26,9 @@ from .bounder import (
     BoundingTable,
     NonFiniteBoundsError,
     PolyCoeffs,
+    _bound_nodes,
+    _Scratch,
     bernstein_bounds,
-    bound_nodes,
     bound_tensor,
     brute_force_extrema,
     sampled_extrema,
@@ -67,12 +68,16 @@ class DGState:
     U has shape (Ne, Ne, N, N): element row (y), element column (x),
     node row (y), node column (x).  Coefficients are nodal values on the
     tensor GLL grid of each element.
+
+    The bounding scratch of the limiter passes to every state made from
+    this one by dataclasses.replace, so one run reuses the same buffers.
     """
 
     p: int
     U: np.ndarray
     t: float = 0.0
     basis: BasisSpec = field(init=False, repr=False, compare=False)
+    _scratch: _Scratch = field(default_factory=_Scratch, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
@@ -289,7 +294,7 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     return alpha
 
 
-def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
+def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops, scratch: _Scratch):
     if table.basis != ops["basis"]:
         raise ValueError(
             f"bounding table is for {table.basis.family} p={table.basis.p}, "
@@ -297,9 +302,10 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
         )
     a, b = bounds
     means = _mean_batch(U, ops)
-    lower, upper = bound_nodes(U, table, 2)
-    u_min = lower.min(axis=(-2, -1))
-    u_max = upper.max(axis=(-2, -1))
+    with scratch.borrow() as s:
+        lower, upper = _bound_nodes(U, table, 2, s)
+        u_min = lower.min(axis=(-2, -1))
+        u_max = upper.max(axis=(-2, -1))
     # min/max propagate NaN, and the sweeps keep lower <= upper node by
     # node, so any bound at +-inf or NaN shows in u_min or u_max
     finite = np.isfinite(means) & np.isfinite(u_min) & np.isfinite(u_max)
@@ -316,7 +322,7 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
 def apply_limiter(state: DGState, table: BoundingTable, bounds=(0.0, 1.0)) -> DGState:
     """Squeeze every element's node-bound range into the global interval."""
     ops = _operators(state.elements, state.p)
-    Unew, _, _, _, _ = _limit_arrays(state.U, table, bounds, ops)
+    Unew, _, _, _, _ = _limit_arrays(state.U, table, bounds, ops, state._scratch)
     return replace(state, U=Unew)
 
 
@@ -324,7 +330,7 @@ def limiter_decisions(state: DGState, table: BoundingTable, bounds=(0.0, 1.0)):
     """Per-element limiter diagnostics: the (Ne, Ne) arrays
     (mean, u_min, u_max, alpha) of one limiter pass over state."""
     ops = _operators(state.elements, state.p)
-    return _limit_arrays(state.U, table, bounds, ops)[1:]
+    return _limit_arrays(state.U, table, bounds, ops, state._scratch)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +358,7 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
         if table is None:
             return U
         try:
-            return _limit_arrays(U, table, bounds, ops)[0]
+            return _limit_arrays(U, table, bounds, ops, state._scratch)[0]
         except (ValueError, NonFiniteBoundsError) as exc:
             raise type(exc)(f"RK stage {stage} of 3 at t={state.t}: {exc}") from exc
 

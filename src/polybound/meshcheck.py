@@ -151,15 +151,20 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes, p)[0])
 
 
-def _classify(det, tables, tol: float, max_levels: int, start: int) -> list:
-    """classify_element for a stack of det J polynomials of shape (E, N, N).
-
-    One refine() call serves the whole stack; split keeps each element's
-    bookkeeping in arrays indexed by owner. Reports are indexed from start.
-    """
+def _detj_ladder(tables, tol: float, p: int) -> list:
+    """The table ladder for det J of geometric order p, after checking tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    ladder = _as_ladder(tables, make_basis("lobatto-nodal", det.shape[-1] - 1))
+    return _as_ladder(tables, _detj_ops(p)[0])
+
+
+def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
+    """classify_element for a stack of det J polynomials of shape (E, N, N).
+
+    ladder and tol come checked from _detj_ladder. One refine() call
+    serves the whole stack; split keeps each element's bookkeeping in
+    arrays indexed by owner. Reports are indexed from start.
+    """
     E = len(det)
     certified_lo, up_min = np.full((2, E), np.inf)
     invalid, exhausted = np.zeros((2, E), dtype=bool)
@@ -209,7 +214,8 @@ def classify_element(element, tables, tol: float, max_levels: int = 10,
     then subdivide with the finest table.
     """
     nodes, p = _element_nodes(element)
-    return _classify(detj_coeffs(nodes, p).u[None], tables, tol, max_levels, index)[0]
+    ladder = _detj_ladder(tables, tol, p)
+    return _classify(detj_coeffs(nodes, p).u[None], ladder, tol, max_levels, index)[0]
 
 
 # elements per _classify call: larger blocks raise peak memory, smaller ones pay more call overhead
@@ -219,10 +225,11 @@ _BLOCK_ELEMENTS = 64
 def check_mesh(mesh: CurvedMesh, tables, tol: float,
                max_levels: int = 10) -> ValidityReport:
     """Classify every element independently, a block of elements at a time."""
+    ladder = _detj_ladder(tables, tol, mesh.p)
     reports = []
     for start in range(0, mesh.n_elements, _BLOCK_ELEMENTS):
         det = _detj_stack(mesh.elements[start:start + _BLOCK_ELEMENTS], mesh.p)
-        reports += _classify(det, tables, tol, max_levels, start)
+        reports += _classify(det, ladder, tol, max_levels, start)
     return ValidityReport(tuple(reports))
 
 

@@ -174,6 +174,27 @@ def test_bound_nodes_layout_contract(dim, t35):
         _assert_matches_single_polynomials(V, lower, upper, t35, dim, name)
 
 
+def test_reused_scratch_matches_fresh_scratch(t35):
+    # one scratch over dims 1-3 and over stacks that grow, then shrink
+    rng = np.random.default_rng(90)
+    scratch = bounder._Scratch()
+    for dim, cells in [(2, 3), (2, 60), (1, 500), (3, 40), (3, 2), (2, 0), (1, 7), (2, 60)]:
+        U = 3.0 * rng.standard_normal((cells,) + (4,) * dim)
+        lower, upper = bounder._bound_nodes(U, t35, dim, scratch)
+        fresh = bounder._bound_nodes(U, t35, dim, bounder._Scratch())
+        assert np.array_equal(lower, fresh[0]) and np.array_equal(upper, fresh[1]), (dim, cells)
+
+
+def test_bound_nodes_results_outlive_later_calls(t35):
+    rng = np.random.default_rng(91)
+    U = rng.standard_normal((5, 4, 4))
+    lower, upper = bound_nodes(U, t35, 2)
+    kept = lower.copy(), upper.copy()
+    bound_nodes(-2.0 * U, t35, 2)
+    bound_nodes(rng.standard_normal((50, 4, 4, 4)), t35, 3)
+    assert np.array_equal(lower, kept[0]) and np.array_equal(upper, kept[1])
+
+
 @lru_cache(maxsize=None)
 def _gll_table(family, p, M):
     return optimize_values(make_basis(family, p), make_node_set("gauss-lobatto", M))
@@ -217,11 +238,11 @@ def test_interval_sweep_matches_four_corner_reference(family, p, extra, rows, ex
     lo, hi = f - r, f + r
     ref_lo, ref_hi, scale = _four_corner_rows(table, lo, hi)
     tol = 8 * np.finfo(float).eps * scale
-    lower, upper = bounder._bound_interval_rows(table.basis, lo, hi, table)
+    lower, upper = bounder._bound_interval_rows(table.basis, lo, hi, table, bounder._Scratch())
     assert np.all(np.abs(lower - ref_lo) <= tol) and np.all(np.abs(upper - ref_hi) <= tol)
     # a zero-width interval is an exact row
-    exact = bounder._bound_rows(table.basis, f, table)
-    point = bounder._bound_interval_rows(table.basis, f, f, table)
+    exact = bounder._bound_rows(table.basis, f, table, bounder._Scratch())
+    point = bounder._bound_interval_rows(table.basis, f, f, table, bounder._Scratch())
     ref_lo, ref_hi, scale = _four_corner_rows(table, f, f)
     tol = 8 * np.finfo(float).eps * scale
     for got in (exact, point):

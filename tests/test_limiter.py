@@ -1,3 +1,9 @@
+import copy
+import pickle
+import sys
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,7 +29,7 @@ from polybound.limiter import (
     total_mass,
     transport_state,
 )
-from polybound.limiter import _mean_batch, _operators, _rhs
+from polybound.limiter import _limit_arrays, _mean_batch, _operators, _rhs
 
 
 def table_for(p):
@@ -263,6 +269,52 @@ def test_limiter_decisions_fields():
 
 # -- time stepping ----------------------------------------------------------
 
+def test_steps_in_two_threads_match_sequential_steps():
+    # both threads step one DGState, so they contend for its bounding scratch
+    table = table_for(3)
+    state = apply_limiter(transport_state(32, 3), table)
+    dt = cfl_dt(state)
+
+    def run(out, k):
+        s = state
+        for _ in range(5):
+            s = dg_step(s, dt, table)
+            out[k].append(s.U)
+
+    expected = {0: []}
+    run(expected, 0)
+    got = {0: [], 1: []}
+    threads = [threading.Thread(target=run, args=(got, k)) for k in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads often, inside a scratch borrow too
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in (0, 1):
+        assert len(got[k]) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(got[k], expected[0]))
+
+
+def test_warm_limiter_pass_allocation_budget():
+    # the rotation benchmark's state and table; a warm scratch leaves only
+    # the (Ne, Ne) diagnostics and the blended state to allocate
+    table = standard_table("lobatto-nodal", 3, 4)
+    state = apply_limiter(transport_state(32, 3), table)
+    ops = _operators(32, 3)
+    _limit_arrays(state.U, table, (0.0, 1.0), ops, state._scratch)
+    tracemalloc.start()
+    try:
+        _limit_arrays(state.U, table, (0.0, 1.0), ops, state._scratch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024
+
 
 def test_velocity_field():
     cx, cy = rotation_velocity(0.5, 0.5)
@@ -380,6 +432,13 @@ def test_dgstate_validation():
     assert state.h == 0.25
     el = state.element(1, 2)
     assert el.dim == 2 and el.u.shape == (3, 3)
+
+
+def test_dgstate_copies_and_pickles_with_a_fresh_scratch():
+    state = transport_state(4, 2)
+    for twin in (copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert (twin.p, twin.t) == (state.p, state.t) and np.array_equal(twin.U, state.U)
+        assert twin._scratch is not state._scratch
 
 
 # -- step interpolation table ----------------------------------------------

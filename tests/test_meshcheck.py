@@ -120,6 +120,19 @@ def test_empty_mesh_gives_empty_report(tables_p2):
     assert report.elements == () and report.all_valid
 
 
+@pytest.mark.parametrize("elements", [0, 1])
+def test_bad_tol_and_tables_raise_whatever_the_mesh_size(tables_p2, elements):
+    mesh = CurvedMesh(2, uniform_mesh(1, 1, 2).elements[:elements])
+    with pytest.raises(ValueError, match="tol must be positive"):
+        check_mesh(mesh, tables_p2, tol=-1.0)
+    with pytest.raises(TypeError, match="BoundingTable"):
+        check_mesh(mesh, ["not a table"], tol=1e-4)
+    with pytest.raises(ValueError, match="at least one table"):
+        check_mesh(mesh, [], tol=1e-4)
+    with pytest.raises(ValueError, match="does not match"):
+        check_mesh(mesh, _tables(3), tol=1e-4)
+
+
 def test_ladder_tables_must_match_the_basis(tables_p2):
     # another family with the same N is rejected even where the ladder
     # would never reach it: the element and the polynomial settle at once
