@@ -11,7 +11,8 @@ pairs use seeds seed0, seed0 + 1, ...
 
 The head defaults to this checkout. Runs go one at a time, so the two
 sides see the same host, and the base runs first in even pairs and
-second in odd ones.
+second in odd ones. A run whose checks fail is recorded and the pairs
+go on; the script then exits 1.
 """
 
 from __future__ import annotations
@@ -29,16 +30,22 @@ PAIRS = 10  # the fewest alternated pairs a gain is judged on
 
 
 def run_once(checkout: Path, workload: str, seed: int):
-    """(machine record, {metric: value}) of one untraced run in checkout."""
+    """(machine record, {metric: value}, attempted, failed) of one untraced
+    run in checkout. A run whose checks failed (exit 1, "correct": false)
+    is returned like any other; any other exit is an error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
     lines = out.stdout.strip().splitlines()
-    if out.returncode != 0 or len(lines) < 2:
+    try:
+        record, result = json.loads(lines[-2]), json.loads(lines[-1])
+    except (IndexError, ValueError):
+        record, result = None, {}
+    if result.get("correct") is not (out.returncode == 0):
         sys.stderr.write(out.stdout + out.stderr)
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited with {out.returncode}")
-    record, result = json.loads(lines[-2]), json.loads(lines[-1])
-    return record["machine"], {k: v["value"] for k, v in result["metrics"].items()}
+    return (record["machine"], {k: v["value"] for k, v in result["metrics"].items()},
+            result["attempted"], result["failed"])
 
 
 def main(argv=None) -> int:
@@ -51,20 +58,25 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": args.base.resolve(), "change": args.head.resolve()}
-    machine, report = None, {}
+    machine, report, failures = None, {}, 0
     for workload in args.workloads:
         runs = {side: [] for side in sides}
         for k in range(PAIRS):
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
             for side in order:
-                machine, metrics = run_once(sides[side], workload, args.seed0 + k)
-                runs[side].append(metrics)
+                machine, metrics, attempted, failed = run_once(sides[side], workload,
+                                                               args.seed0 + k)
+                runs[side].append((metrics, attempted, failed))
+                failures += failed > 0
                 print(f"{workload} pair {k} {side}: "
-                      + " ".join(f"{m}={v:.6g}" for m, v in metrics.items()), flush=True)
+                      + " ".join(f"{m}={v:.6g}" for m, v in metrics.items())
+                      + f" failed={failed}/{attempted}", flush=True)
         report[workload] = {
             side: {
-                "runs": rs,
-                "median": {m: statistics.median(r[m] for r in rs) for m in rs[0]},
+                "runs": [m for m, _, _ in rs],
+                "median": {m: statistics.median(r[m] for r, _, _ in rs) for m in rs[0][0]},
+                "attempted": [a for _, a, _ in rs],
+                "failed": [f for _, _, f in rs],
             }
             for side, rs in runs.items()
         }
@@ -75,7 +87,9 @@ def main(argv=None) -> int:
         "machine": machine,
         "workloads": report,
     }, indent=1) + "\n", encoding="utf-8")
-    return 0
+    if failures:
+        print(f"{failures} run(s) failed their checks", file=sys.stderr)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

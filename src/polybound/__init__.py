@@ -12,7 +12,6 @@ small DG transport solver.
 
 from .basis import (
     BasisSpec,
-    NodeSet,
     make_basis,
     make_node_set,
     eval_basis,
@@ -24,7 +23,6 @@ from .basis import (
 )
 from .boxopt import (
     BoundingTable,
-    BoxQuality,
     optimize_values,
     offset_correction,
     optimize_nodes,
@@ -36,7 +34,6 @@ from .boxopt import (
 )
 from .bounder import (
     PolyCoeffs,
-    LinearPart,
     NodeBounds,
     BoundSummary,
     project_p1,
@@ -73,7 +70,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BasisSpec",
-    "NodeSet",
     "make_basis",
     "make_node_set",
     "eval_basis",
@@ -83,7 +79,6 @@ __all__ = [
     "gauss_legendre_rule",
     "gauss_lobatto_rule",
     "BoundingTable",
-    "BoxQuality",
     "optimize_values",
     "offset_correction",
     "optimize_nodes",
@@ -93,7 +88,6 @@ __all__ = [
     "reference_table",
     "standard_table",
     "PolyCoeffs",
-    "LinearPart",
     "NodeBounds",
     "BoundSummary",
     "project_p1",

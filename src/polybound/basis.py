@@ -104,29 +104,16 @@ def _newton_legendre_roots(n: int) -> np.ndarray:
 
 
 def _legendre_and_deriv(n: int, x: np.ndarray):
-    """P_n(x) and P_n'(x) via the three-term recurrence.
+    """P_n(x) and P_n'(x), from the last two columns of _legendre_matrix.
 
     Valid for |x| < 1 (the derivative uses the interior identity); callers
     only evaluate at strictly interior points.
     """
     x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
+    V = _legendre_matrix(n, x)
+    p_prev, p = V[:, -2], V[:, -1]
     dp = n * (x * p - p_prev) / (x * x - 1.0)
     return p, dp
-
-
-def _legendre_value(n: int, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    p_prev = np.ones_like(x)
-    p = x.copy()
-    for k in range(1, n):
-        p_prev, p = p, ((2 * k + 1) * x * p - k * p_prev) / (k + 1)
-    return p
 
 
 def gauss_legendre_nodes(n: int) -> np.ndarray:
@@ -179,7 +166,7 @@ def gauss_lobatto_nodes(n: int) -> np.ndarray:
 def gauss_lobatto_rule(n: int):
     """Gauss-Lobatto quadrature on [-1, 1]; exact through order 2n - 3."""
     x = gauss_lobatto_nodes(n)
-    pm = _legendre_value(n - 1, x)
+    pm = _legendre_matrix(n - 1, x)[:, -1]
     w = 2.0 / (n * (n - 1) * pm * pm)
     return x, w
 

@@ -619,12 +619,13 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
     """Bound a stack of cells generation by generation, refining where asked.
 
     Generation `level` bounds the whole (cells,) + (N,)*dim stack with
-    ladder[min(level, top)] in one bound_nodes call. split(level, owner,
+    ladder[min(level, top)] in one _bound_nodes call. split(level, owner,
     lower, upper) is the caller's decision: owner[i] is the input cell
-    that cell i descends from, and the returned (cells,) + (M-1,)*dim
-    mask picks the spans between control nodes that make the next
-    generation. Stops after generation max_levels or when nothing is
-    picked; returns the last level bounded. The generations share one
+    that cell i descends from. A returned (cells,) mask carries the picked
+    cells whole into the next generation, to be bounded with the next
+    table; a (cells,) + (M-1,)*dim mask picks the spans between control
+    nodes that make it. Stops after generation max_levels or when nothing
+    is picked; returns the last level bounded. The generations share one
     scratch, so lower and upper are valid only inside split.
     """
     owner = np.arange(len(U))
@@ -636,13 +637,16 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
         mask = split(level, owner, lower, upper)
         if level >= max_levels or not mask.any():
             return level
-        eta = table.eta()
-        spans = np.stack([
-            _restriction(table.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
-        ])
-        cell, *picked = np.nonzero(mask)
-        U = _restrict(U[cell], [spans[i] for i in picked])
-        owner = owner[cell]
+        if mask.ndim == 1:
+            U, owner = U[mask], owner[mask]
+        else:
+            eta = table.eta()
+            spans = np.stack([
+                _restriction(table.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
+            ])
+            cell, *picked = np.nonzero(mask)
+            U = _restrict(U[cell], [spans[i] for i in picked])
+            owner = owner[cell]
         level += 1
 
 
@@ -650,48 +654,36 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
                    max_levels: int = 10) -> BoundSummary:
     """Refine until every control node has gap <= tol, or levels run out.
 
-    The whole polynomial first walks up the table ladder; at its top,
-    refine() recurses into the spans between adjacent control nodes that
-    still fail. Global bounds envelope every node that meets tol and, at
-    the last level, every leaf cell, so they stay sound even when
+    One refine() call: the whole polynomial first climbs the table ladder;
+    at its top, the spans between adjacent control nodes that still fail
+    are subdivided. Global bounds envelope every node that meets tol and,
+    at the last level, every leaf cell, so they stay sound even when
     unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     ladder = _as_ladder(tables, coeffs.basis)
     d = coeffs.dim
-    top = len(ladder) - 1
+    climb = min(len(ladder) - 1, max_levels)
     history = []
+    gmin, gmax = np.inf, -np.inf
 
-    def record(level, lower, upper) -> bool:
+    def split(level, owner, lower, upper):
+        nonlocal gmin, gmax
         _require_finite(lower, upper, lambda i: (
             f"polynomial: node bounds not finite at refinement level {level}"))
         gap = upper - lower
         history.append({"level": level, "cells": len(gap), "worst_gap": float(gap.max())})
-        return history[-1]["worst_gap"] <= tol
-
-    U = coeffs.u[None]
-    for level in range(top):
-        lower, upper = bound_nodes(U, ladder[level], d)
-        done = record(level, lower, upper)
-        if done or level >= max_levels:
-            return BoundSummary(float(lower.min()), float(upper.max()), level,
-                                done, tuple(history))
-
-    gmin, gmax, converged = np.inf, -np.inf, True
-
-    def split(level, owner, lower, upper):
-        nonlocal gmin, gmax, converged
-        converged = record(top + level, lower, upper)
-        gap = upper - lower
-        keep = (gap <= tol) | (top + level >= max_levels)
+        if level < climb and history[-1]["worst_gap"] > tol:
+            return np.ones(1, dtype=bool)
+        keep = (gap <= tol) | (level >= max_levels)
         if keep.any():
             gmin = min(gmin, float(lower[keep].min()))
             gmax = max(gmax, float(upper[keep].max()))
         return _corners(gap > tol, np.logical_or, d)
 
-    level = top + refine(U, ladder[top:], d, split, max_levels - top)
-    return BoundSummary(gmin, gmax, level, converged, tuple(history))
+    level = refine(coeffs.u[None], ladder, d, split, max_levels)
+    return BoundSummary(gmin, gmax, level, history[-1]["worst_gap"] <= tol, tuple(history))
 
 
 def write_coeffs(coeffs: PolyCoeffs, path) -> None:

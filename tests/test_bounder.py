@@ -363,6 +363,30 @@ def test_subdivide_full_cell_is_identity():
     np.testing.assert_allclose(sub.u, c.u, atol=1e-12)
 
 
+def test_refine_carries_picked_cells_up_the_ladder(t34, t35):
+    # (cells,) masks carry picked cells whole; past the top the last table repeats
+    ladder = [t34, t35, reference_table(3, 6)]
+    rng = np.random.default_rng(17)
+    U = rng.standard_normal((5, 4, 4))
+    # the last mask is returned at max_levels, where refine stops anyway
+    masks = [np.array([True, False, True, True, False]), np.array([False, True, True]),
+             np.array([True, True]), np.array([True, True])]
+    seen = []
+
+    def split(level, owner, lower, upper):
+        seen.append((owner.copy(), lower.copy(), upper.copy()))
+        return masks[level]
+
+    assert bounder.refine(U, ladder, 2, split, max_levels=3) == 3
+    picked = np.arange(5)
+    for k, (owner, lower, upper) in enumerate(seen):
+        assert np.array_equal(owner, picked), k
+        ref = bound_nodes(U[picked], ladder[min(k, 2)], 2)
+        assert np.array_equal(lower, ref[0]) and np.array_equal(upper, ref[1]), k
+        picked = picked[masks[k]]
+    assert [len(o) for o, _, _ in seen] == [5, 3, 2, 2]
+
+
 def test_bound_adaptive_tightens_to_oracle(t34, t35):
     c = _rand_coeffs(2, 11)
     lo_ref, up_ref = brute_force_extrema(c, 200)
@@ -382,6 +406,18 @@ def test_bound_adaptive_increase_m_strategy(t34, t35):
     s1 = bound_adaptive(c, t34, tol=1e-12, max_levels=0)
     assert s0.global_min >= s1.global_min - 1e-12
     assert s0.global_max <= s1.global_max + 1e-12
+
+
+def test_bound_adaptive_budget_ends_on_the_ladder(t34, t35):
+    # the level budget runs out before the top table: the bounds are the
+    # whole polynomial's with the table reached, not an empty envelope
+    ladder = [t34, t35, reference_table(3, 6)]
+    c = _rand_coeffs(2, 19)
+    s = bound_adaptive(c, ladder, tol=1e-12, max_levels=1)
+    nb = bound_tensor(c, t35)
+    assert s.levels_used == 1 and s.converged is False
+    assert (s.global_min, s.global_max) == (nb.global_min(), nb.global_max())
+    assert [h["cells"] for h in s.level_history] == [1, 1]
 
 
 def test_bound_adaptive_converges_on_tame_input(t34):
