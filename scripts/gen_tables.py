@@ -1,12 +1,12 @@
 """Generate the shipped standard bounding tables under data/tables/.
 
-Published reference tables are copied verbatim where they exist (p2..p6,
-M in {N, N+1, N+2}); every other configuration is optimized here. The
-order puts the acceptance-critical tables first so a truncated run still
+The published reference tables (p2..p6, M in {N, N+1, N+2}, header
+provenance=reference) ship in the same directory and are not
+regenerated; every other configuration is optimized here. The order
+puts the acceptance-critical tables first so a truncated run still
 leaves a usable set. Rerunning is deterministic.
 """
 
-import shutil
 import sys
 import time
 from pathlib import Path
@@ -20,23 +20,12 @@ from polybound.basis import make_basis  # noqa: E402
 from polybound.boxopt import (  # noqa: E402
     load_table,
     optimize_nodes,
-    reference_table_paths,
     save_table,
     verify_table,
 )
 
 OUT = ROOT / "src" / "polybound" / "data" / "tables"
 FAMILY = "lobatto-nodal"
-
-
-def ship_reference_copies():
-    for src in reference_table_paths():
-        dst = OUT / src.name
-        shutil.copyfile(src, dst)
-        t = load_table(dst)
-        q = verify_table(t)
-        print(f"copied {src.name}: eps2 {q.eps2:.6f} margin {q.max_violation:+.2e}",
-              flush=True)
 
 
 def generate(p, M, restarts, maxiter, warm=()):
@@ -70,7 +59,6 @@ def insert_node(eta):
 
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
-    ship_reference_copies()
 
     # small orders not covered by the published set
     for M in (2, 3, 4):

@@ -8,110 +8,15 @@ at the cost of a few small matrix products. Two applications are included:
 validity certification of high-order curved quad meshes (positivity of the
 Jacobian determinant) and a bounds-preserving squeeze limiter inside a
 small DG transport solver.
+
+The top level carries the quick-start names; everything else is imported
+from its module (basis, boxopt, bounder, meshcheck, limiter).
 """
 
-from .basis import (
-    BasisSpec,
-    make_basis,
-    make_node_set,
-    eval_basis,
-    basis_matrix,
-    basis_deriv_matrix,
-    change_basis,
-    gauss_legendre_rule,
-    gauss_lobatto_rule,
-)
-from .boxopt import (
-    BoundingTable,
-    optimize_values,
-    offset_correction,
-    optimize_nodes,
-    verify_table,
-    save_table,
-    load_table,
-    reference_table,
-    standard_table,
-)
-from .bounder import (
-    PolyCoeffs,
-    NodeBounds,
-    BoundSummary,
-    project_p1,
-    bound_nodes,
-    bound_tensor,
-    bernstein_bounds,
-    brute_force_extrema,
-    sampled_extrema,
-    subdivide,
-    bound_adaptive,
-    read_coeffs,
-    write_coeffs,
-)
-from .meshcheck import (
-    CurvedMesh,
-    ElementReport,
-    ValidityReport,
-    detj_coeffs,
-    classify_element,
-    check_mesh,
-    read_mesh,
-    write_mesh,
-)
-from .limiter import (
-    DGState,
-    element_mean,
-    squeeze_alpha,
-    apply_limiter,
-    dg_step,
-    step_interpolation_table,
-)
+from .basis import make_basis
+from .boxopt import standard_table
+from .bounder import PolyCoeffs, bound_tensor, bernstein_bounds
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BasisSpec",
-    "make_basis",
-    "make_node_set",
-    "eval_basis",
-    "basis_matrix",
-    "basis_deriv_matrix",
-    "change_basis",
-    "gauss_legendre_rule",
-    "gauss_lobatto_rule",
-    "BoundingTable",
-    "optimize_values",
-    "offset_correction",
-    "optimize_nodes",
-    "verify_table",
-    "save_table",
-    "load_table",
-    "reference_table",
-    "standard_table",
-    "PolyCoeffs",
-    "NodeBounds",
-    "BoundSummary",
-    "project_p1",
-    "bound_nodes",
-    "bound_tensor",
-    "bernstein_bounds",
-    "brute_force_extrema",
-    "sampled_extrema",
-    "subdivide",
-    "bound_adaptive",
-    "read_coeffs",
-    "write_coeffs",
-    "CurvedMesh",
-    "ElementReport",
-    "ValidityReport",
-    "detj_coeffs",
-    "classify_element",
-    "check_mesh",
-    "read_mesh",
-    "write_mesh",
-    "DGState",
-    "element_mean",
-    "squeeze_alpha",
-    "apply_limiter",
-    "dg_step",
-    "step_interpolation_table",
-]
+__all__ = ["PolyCoeffs", "make_basis", "standard_table", "bound_tensor", "bernstein_bounds"]

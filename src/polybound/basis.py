@@ -233,6 +233,7 @@ def _bary_weights(nodes: tuple) -> np.ndarray:
     w = np.ones_like(x)
     for i in range(x.size):
         w[i] = 1.0 / np.prod(x[i] - np.delete(x, i))
+    w.setflags(write=False)
     return w
 
 

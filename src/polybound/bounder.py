@@ -172,7 +172,7 @@ def _quad_eval(basis: BasisSpec, n_quad: int):
 
 @lru_cache(maxsize=64)
 def _p1_ops(basis: BasisSpec):
-    """Precomputed projection operators: coefficient rows times w0, w1 and P
+    """Read-only projection operators: coefficient rows times w0, w1 and P
     give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T."""
     xg, wg, Phi = _quad_eval(basis, basis.p + 2)
     w0 = Phi.T @ (0.5 * wg)
@@ -180,6 +180,8 @@ def _p1_ops(basis: BasisSpec):
     e0 = linear_coeffs(basis, 1.0, 0.0)
     e1 = linear_coeffs(basis, 0.0, 1.0)
     P = np.eye(basis.N) - np.outer(w0, e0) - np.outer(w1, e1)
+    for a in (w0, w1, P):
+        a.setflags(write=False)
     return w0, w1, P
 
 

@@ -552,6 +552,13 @@ def save_table(table: BoundingTable, path) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_table_text(path):
+    """(meta, records) of a table file, header and record count checked."""
+    return _read_text(path, "polybound-table v1", TableFormatError,
+                      lambda meta: 1 + 2 * (meta["p"] + 1), family=str, p=int,
+                      M=int, epsilon=float, provenance=str)
+
+
 def load_table(path, force: bool = False) -> BoundingTable:
     """Read and verify a table file.
 
@@ -559,9 +566,7 @@ def load_table(path, force: bool = False) -> BoundingTable:
     ``force`` is set. Provenance is kept for reference tables and
     otherwise becomes loaded-from-file.
     """
-    meta, records = _read_text(path, "polybound-table v1", TableFormatError,
-                               lambda meta: 1 + 2 * (meta["p"] + 1), family=str, p=int,
-                               M=int, epsilon=float, provenance=str)
+    meta, records = _read_table_text(path)
     p, M = meta["p"], meta["M"]
     if not records[0].startswith("nodes:"):
         raise TableFormatError(f"{path}: expected 'nodes:' record on line 3")
@@ -602,14 +607,16 @@ def _data_dir() -> Path:
 
 def reference_table(p: int, M: int) -> BoundingTable:
     """A shipped reference table (lobatto-nodal family)."""
-    path = _data_dir() / "reference" / f"lobatto-nodal-p{p}-M{M}.txt"
-    if not path.exists():
+    path = _data_dir() / "tables" / f"lobatto-nodal-p{p}-M{M}.txt"
+    if path not in reference_table_paths():
         raise FileNotFoundError(f"no reference table for p={p}, M={M}")
     return load_table(path)
 
 
 def reference_table_paths():
-    return sorted((_data_dir() / "reference").glob("*.txt"))
+    """The shipped tables whose header records provenance=reference, by name."""
+    return [path for path in sorted((_data_dir() / "tables").glob("*.txt"))
+            if _read_table_text(path)[0]["provenance"] == "reference"]
 
 
 def standard_table(family: str = "lobatto-nodal", p: int = 3, M: Optional[int] = None,

@@ -209,9 +209,9 @@ def classify_element(element, tables, tol: float, max_levels: int = 10,
     inversion; spans whose corner lower bounds are all positive are
     certified; the remaining straddling spans are re-interpolated and
     re-bounded, until they fall below tol (indeterminate by policy) or
-    the level budget is spent. Successive generations first step up
-    the supplied table ladder (tighter boxes at the same cost class),
-    then subdivide with the finest table.
+    the level budget is spent. Every generation subdivides; generation
+    k is bounded with ladder[min(k, top)], so the finer tables of the
+    supplied ladder serve the deeper generations.
     """
     nodes, p = _element_nodes(element)
     ladder = _detj_ladder(tables, tol, p)

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from polybound import bounder
-from polybound.basis import (FAMILIES, basis_matrix, cheb_coeffs, gauss_legendre_rule,
-                             linear_coeffs, make_basis, make_node_set)
+from polybound.basis import (FAMILIES, _bary_weights, basis_matrix, cheb_coeffs,
+                             gauss_legendre_rule, linear_coeffs, make_basis, make_node_set)
 from polybound.boxopt import optimize_values, reference_table
 from polybound.bounder import (
     CoeffsFormatError,
@@ -193,6 +193,16 @@ def test_bound_nodes_results_outlive_later_calls(t35):
     bound_nodes(-2.0 * U, t35, 2)
     bound_nodes(rng.standard_normal((50, 4, 4, 4)), t35, 3)
     assert np.array_equal(lower, kept[0]) and np.array_equal(upper, kept[1])
+
+
+def test_cached_operators_are_read_only(t35):
+    U = np.random.default_rng(92).standard_normal((5, 4, 4))
+    before = bound_nodes(U, t35, 2)
+    for op in (*bounder._p1_ops(t35.basis), _bary_weights(tuple(t35.basis.nodes))):
+        with pytest.raises(ValueError):
+            op[0] += 1.0
+    after = bound_nodes(U, t35, 2)
+    assert np.array_equal(before[0], after[0]) and np.array_equal(before[1], after[1])
 
 
 @lru_cache(maxsize=None)

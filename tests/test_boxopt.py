@@ -116,6 +116,13 @@ def test_all_reference_fixtures_verify():
         assert rep.max_violation >= -1e-12, path.name
 
 
+def test_reference_table_refuses_shipped_optimized_and_missing_tables():
+    assert reference_table(3, 4).provenance == "reference"
+    for p, M in [(3, 7), (1, 2), (9, 9)]:
+        with pytest.raises(FileNotFoundError):
+            reference_table(p, M)
+
+
 def test_optimized_beats_equispaced():
     basis = make_basis("lobatto-nodal", 3)
     opt = optimize_nodes(basis, 4, restarts=2, maxiter=25)

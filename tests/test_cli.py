@@ -1,3 +1,4 @@
+import dataclasses
 import warnings
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 from polybound.basis import make_basis
 from polybound.boxopt import _data_dir, load_table
 from polybound.bounder import PolyCoeffs, write_coeffs
-from polybound.cli import main
-from polybound.meshcheck import CurvedMesh, mirror_element, perturb_mesh, uniform_mesh, write_mesh
+from polybound.cli import _mesh_oracle_violations, _mesh_tables, main
+from polybound.meshcheck import (CurvedMesh, ValidityReport, check_mesh, mirror_element, perturb_mesh,
+                                 uniform_mesh, write_mesh)
 
 FIXTURE_MESH = _data_dir() / "meshes" / "near-degenerate-p2.txt"
 
@@ -188,6 +190,26 @@ def test_checkmesh_shipped_invalid_fixture(capsys):
     out = capsys.readouterr().out
     assert "invalid" in out
     assert "0 interval-soundness violation(s)" in out
+
+
+def test_checkmesh_oracle_ignores_samples_above_the_certified_upper_end(tmp_path, capsys):
+    # at 12 samples per axis some sampled minima miss the true minimum and land
+    # above the upper end, a node's upper bound; that is no bound failure
+    path = tmp_path / "m.txt"
+    write_mesh(perturb_mesh(uniform_mesh(20, 20, 3), 0.2, seed=3), path)
+    main(["checkmesh", str(path), "--oracle", "--samples", "12"])
+    assert "oracle: 0 interval-soundness violation(s)" in capsys.readouterr().out
+
+
+def test_checkmesh_oracle_counts_a_lower_end_above_the_sampled_minimum():
+    mesh = uniform_mesh(2, 2, 2)
+    report = check_mesh(mesh, _mesh_tables(mesh.p, None), tol=1e-4)
+    assert _mesh_oracle_violations(mesh, report, 12) == 0
+    er = report.elements[1]
+    lo, hi = er.min_detj_interval
+    raised = dataclasses.replace(er, min_detj_interval=(lo + 1.0, hi + 1.0))
+    elements = report.elements[:1] + (raised,) + report.elements[2:]
+    assert _mesh_oracle_violations(mesh, ValidityReport(elements), 12) == 1
 
 
 def test_checkmesh_flipped_element(tmp_path, capsys):
