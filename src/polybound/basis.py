@@ -9,7 +9,8 @@ Everything lives on [-1, 1]. Four families are supported:
 
 Nodal evaluation uses the barycentric Lagrange form; every family also has
 a cached Chebyshev representation used for derivatives and root finding.
-Basis function indices are 1-based in the public API.
+Arrays index the basis functions from 0; only the ``L i:``/``U i:`` rows
+of table files number them from 1.
 """
 
 from __future__ import annotations
@@ -18,20 +19,12 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
 
 FAMILIES = ("lobatto-nodal", "legendre-nodal", "bernstein", "legendre-modal")
-NODE_KINDS = (
-    "gauss-legendre+endpoints",
-    "gauss-lobatto",
-    "chebyshev",
-    "equispaced",
-    "optimized",
-    "explicit",
-)
 
 # slop allowed when checking x is inside the reference interval
 _EDGE_TOL = 1e-12
@@ -62,9 +55,11 @@ class BasisSpec:
 
 @dataclass(frozen=True)
 class NodeSet:
-    """M control-node positions in [-1, 1], symmetric, endpoints included."""
+    """M control-node positions in [-1, 1], symmetric, endpoints included.
 
-    kind: str
+    Any sequence of positions is accepted and kept as a tuple of floats.
+    """
+
     positions: tuple
 
     @property
@@ -72,8 +67,7 @@ class NodeSet:
         return len(self.positions)
 
     def __post_init__(self):
-        if self.kind not in NODE_KINDS:
-            raise ValueError(f"unknown node kind {self.kind!r}")
+        object.__setattr__(self, "positions", tuple(float(v) for v in self.positions))
         eta = np.asarray(self.positions, dtype=float)
         if eta.size < 2:
             raise ValueError("need at least 2 control nodes")
@@ -179,20 +173,12 @@ def _chebyshev_lobatto(m: int) -> np.ndarray:
     return x
 
 
-def make_node_set(kind: str, M: int, positions: Optional[Sequence[float]] = None) -> NodeSet:
-    """Build a control-node set of the requested kind.
-
-    ``explicit`` and ``optimized`` take their positions from the
-    ``positions`` argument; the other kinds are computed.
-    """
+def make_node_set(kind: str, M: int) -> NodeSet:
+    """The M control nodes of a computed kind: equispaced, gauss-lobatto,
+    chebyshev or gauss-legendre+endpoints. Other positions, such as
+    optimized ones, go to NodeSet directly."""
     if M < 2:
         raise ValueError("need M >= 2 control nodes")
-    if kind in ("explicit", "optimized"):
-        if positions is None:
-            raise ValueError(f"{kind} node set needs explicit positions")
-        return NodeSet(kind, tuple(float(v) for v in positions))
-    if positions is not None:
-        raise ValueError("positions only allowed for explicit/optimized kinds")
     if kind == "equispaced":
         eta = np.linspace(-1.0, 1.0, M)
     elif kind == "gauss-lobatto":
@@ -206,7 +192,7 @@ def make_node_set(kind: str, M: int, positions: Optional[Sequence[float]] = None
             eta = np.concatenate(([-1.0], gauss_legendre_nodes(M - 2), [1.0]))
     else:
         raise ValueError(f"unknown node kind {kind!r}")
-    return NodeSet(kind, tuple(eta))
+    return NodeSet(eta)
 
 
 @lru_cache(maxsize=64)
@@ -287,15 +273,6 @@ def basis_matrix(spec: BasisSpec, x) -> np.ndarray:
     return _legendre_matrix(spec.p, x)
 
 
-def eval_basis(spec: BasisSpec, i: int, x) -> float:
-    """Evaluate basis function i (1-based) at a point x in [-1, 1]."""
-    if not 1 <= i <= spec.N:
-        raise IndexError(f"basis index {i} outside 1..{spec.N}")
-    xs = np.atleast_1d(np.asarray(x, dtype=float))
-    vals = basis_matrix(spec, xs)[:, i - 1]
-    return float(vals[0]) if np.isscalar(x) or np.ndim(x) == 0 else vals
-
-
 @lru_cache(maxsize=None)
 def cheb_coeffs(spec: BasisSpec) -> np.ndarray:
     """Chebyshev coefficients of every basis function; shape (p+1, N).
@@ -319,10 +296,7 @@ def basis_deriv_matrix(spec: BasisSpec, x) -> np.ndarray:
     """Evaluate all N first derivatives at the points x; shape (len(x), N)."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     _check_range(x)
-    C = cheb_coeffs(spec)
-    if spec.p == 0:
-        return np.zeros((x.size, spec.N))
-    dC = _cheb.chebder(C, axis=0)
+    dC = _cheb.chebder(cheb_coeffs(spec), axis=0)
     return _cheb.chebval(x, dC).T
 
 

@@ -87,9 +87,6 @@ class PolyCoeffs:
         arr.flags.writeable = False
         object.__setattr__(self, "u", arr)
 
-    def flat(self) -> np.ndarray:
-        return self.u.ravel()
-
 
 @dataclass(frozen=True)
 class LinearPart:
@@ -164,17 +161,12 @@ def _require_finite(lower, upper, message) -> None:
         raise NonFiniteBoundsError(message(int(np.argmin(finite))))
 
 
-def _quad_eval(basis: BasisSpec, n_quad: int):
-    xg, wg = gauss_legendre_rule(n_quad)
-    Phi = basis_matrix(basis, xg)
-    return xg, wg, Phi
-
-
 @lru_cache(maxsize=64)
 def _p1_ops(basis: BasisSpec):
     """Read-only projection operators: coefficient rows times w0, w1 and P
     give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T."""
-    xg, wg, Phi = _quad_eval(basis, basis.p + 2)
+    xg, wg = gauss_legendre_rule(basis.p + 2)
+    Phi = basis_matrix(basis, xg)
     w0 = Phi.T @ (0.5 * wg)
     w1 = Phi.T @ (1.5 * wg * xg)
     e0 = linear_coeffs(basis, 1.0, 0.0)
@@ -459,9 +451,13 @@ def _derivatives(U, basis: BasisSpec, x) -> np.ndarray:
                          for a in range(x.shape[1])]).reshape(len(U), -1)
 
 
-def _newton(U, basis: BasisSpec, x, iters: int = 20) -> np.ndarray:
+_NEWTON_STEPS = 20
+
+
+def _newton(U, basis: BasisSpec, x) -> np.ndarray:
     """Newton toward a stationary point of each cell of U from its point x,
-    all candidates at once; returns the values at the end points.
+    all candidates at once, for at most _NEWTON_STEPS steps; returns the
+    values at the end points.
 
     Points are clipped to the cell. A candidate freezes when its step is
     below 1e-14, when it leaves the finite numbers or when its Hessian is
@@ -474,7 +470,7 @@ def _newton(U, basis: BasisSpec, x, iters: int = 20) -> np.ndarray:
     h_at = np.ravel_multi_index(tuple(e[:, :, None] + e[:, None]), shape)
     x = x.copy()
     active = np.arange(len(x))
-    for _ in range(iters):
+    for _ in range(_NEWTON_STEPS):
         if not len(active):
             break
         D = _derivatives(U[active], basis, x[active])
@@ -617,27 +613,43 @@ def _corners(a, reduce, dim: int):
     return a
 
 
+# sweep memory one generation may need; refine ends where the next could need more
+_GENERATION_BYTES = 1 << 30
+
+
+def _sweep_bytes(cells: int, table: BoundingTable, dim: int) -> int:
+    """At least the bytes of the largest block _sweep takes when
+    _bound_nodes bounds cells dim-D polynomials with table."""
+    N, M = table.basis.N, table.nodes.M
+    return 8 * cells * (2 * N + 5 * M) * max(N, M) ** (dim - 1)
+
+
 def refine(U, ladder, dim: int, split, max_levels: int) -> int:
     """Bound a stack of cells generation by generation, refining where asked.
 
     Generation `level` bounds the whole (cells,) + (N,)*dim stack with
     ladder[min(level, top)] in one _bound_nodes call. split(level, owner,
-    lower, upper) is the caller's decision: owner[i] is the input cell
-    that cell i descends from. A returned (cells,) mask carries the picked
-    cells whole into the next generation, to be bounded with the next
-    table; a (cells,) + (M-1,)*dim mask picks the spans between control
-    nodes that make it. Stops after generation max_levels or when nothing
-    is picked; returns the last level bounded. The generations share one
-    scratch, so lower and upper are valid only inside split.
+    lower, upper, last) is the caller's decision: owner[i] is the input
+    cell that cell i descends from. A returned (cells,) mask carries the
+    picked cells whole into the next generation, to be bounded with the
+    next table; a (cells,) + (M-1,)*dim mask picks the spans between
+    control nodes that make it. last is true at generation max_levels and
+    where splitting every span of every cell would give a generation past
+    _GENERATION_BYTES; split then settles every cell, and refine stops
+    there or when nothing is picked. Returns the last level bounded. The
+    generations share one scratch, so lower and upper are valid only
+    inside split.
     """
     owner = np.arange(len(U))
     level = 0
     scratch = _Scratch()
     while True:
-        table = ladder[min(level, len(ladder) - 1)]
+        table, following = (ladder[min(k, len(ladder) - 1)] for k in (level, level + 1))
+        children = len(U) * (table.nodes.M - 1) ** dim
+        last = level >= max_levels or _sweep_bytes(children, following, dim) > _GENERATION_BYTES
         lower, upper = _bound_nodes(U, table, dim, scratch)
-        mask = split(level, owner, lower, upper)
-        if level >= max_levels or not mask.any():
+        mask = split(level, owner, lower, upper, last)
+        if last or not mask.any():
             return level
         if mask.ndim == 1:
             U, owner = U[mask], owner[mask]
@@ -654,7 +666,8 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
 
 def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
                    max_levels: int = 10) -> BoundSummary:
-    """Refine until every control node has gap <= tol, or levels run out.
+    """Refine until every control node has gap <= tol, or until refine's
+    level or memory budget ends it.
 
     One refine() call: the whole polynomial first climbs the table ladder;
     at its top, the spans between adjacent control nodes that still fail
@@ -666,19 +679,18 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
         raise ValueError("tol must be positive")
     ladder = _as_ladder(tables, coeffs.basis)
     d = coeffs.dim
-    climb = min(len(ladder) - 1, max_levels)
     history = []
     gmin, gmax = np.inf, -np.inf
 
-    def split(level, owner, lower, upper):
+    def split(level, owner, lower, upper, last):
         nonlocal gmin, gmax
         _require_finite(lower, upper, lambda i: (
             f"polynomial: node bounds not finite at refinement level {level}"))
         gap = upper - lower
         history.append({"level": level, "cells": len(gap), "worst_gap": float(gap.max())})
-        if level < climb and history[-1]["worst_gap"] > tol:
+        if not last and level < len(ladder) - 1 and history[-1]["worst_gap"] > tol:
             return np.ones(1, dtype=bool)
-        keep = (gap <= tol) | (level >= max_levels)
+        keep = (gap <= tol) | last
         if keep.any():
             gmin = min(gmin, float(lower[keep].min()))
             gmax = max(gmax, float(upper[keep].max()))
@@ -692,7 +704,7 @@ def write_coeffs(coeffs: PolyCoeffs, path) -> None:
     lines = [
         "polybound-coeffs v1",
         f"dim={coeffs.dim} family={coeffs.basis.family} p={coeffs.basis.p}",
-        " ".join(f"{v:.17g}" for v in coeffs.flat()),
+        " ".join(f"{v:.17g}" for v in coeffs.u.ravel()),
     ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 

@@ -466,7 +466,7 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     rng = np.random.default_rng(seed)  # rejects a bad seed even when unused
 
     def build(eta_arr):
-        return optimize_values(basis, make_node_set("optimized", M, positions=eta_arr))
+        return optimize_values(basis, NodeSet(eta_arr))
 
     if M <= 3:
         # symmetry pins these node sets completely
@@ -559,12 +559,13 @@ def _read_table_text(path):
                       M=int, epsilon=float, provenance=str)
 
 
-def load_table(path, force: bool = False) -> BoundingTable:
+def load_table(path) -> BoundingTable:
     """Read and verify a table file.
 
-    Tables whose continuous margin is below -1e-12 are refused unless
-    ``force`` is set. Provenance is kept for reference tables and
-    otherwise becomes loaded-from-file.
+    A table whose continuous margin is below -1e-12 raises
+    BoxOptimizationError, whose ``table`` and ``quality`` hold the table
+    as read and its verification. Provenance is kept for reference
+    tables and otherwise becomes loaded-from-file.
     """
     meta, records = _read_table_text(path)
     p, M = meta["p"], meta["M"]
@@ -584,19 +585,19 @@ def load_table(path, force: bool = False) -> BoundingTable:
     provenance = "reference" if meta["provenance"] == "reference" else "loaded-from-file"
     try:
         table = BoundingTable(make_basis(meta["family"], p),
-                              make_node_set("explicit", M, positions=eta),
+                              NodeSet(eta),
                               q_lower, q_upper, meta["epsilon"], provenance)
     except ValueError as err:
         raise TableFormatError(f"{path}: {err}") from None
     quality = verify_table(table)
-    if quality.max_violation < -1e-12 and not force:
+    if quality.max_violation < -1e-12:
         raise BoxOptimizationError(
             f"{path}: table violates its bounding property "
-            f"(margin {quality.max_violation:.3e}); pass force=True to accept",
+            f"(margin {quality.max_violation:.3e})",
             table=table,
             quality=quality,
         )
-    if np.any(table.q_lower > table.q_upper) and not force:
+    if np.any(table.q_lower > table.q_upper):
         raise TableFormatError(f"{path}: lower values exceed upper values")
     return table
 

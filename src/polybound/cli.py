@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .basis import make_basis, make_node_set
+from .basis import NodeSet, make_basis, make_node_set
 from .boxopt import (
     BoxOptimizationError,
     optimize_nodes,
@@ -52,6 +52,10 @@ _KIND_ALIASES = {
     "gl+endpoints": "gauss-legendre+endpoints",
     "cheb": "chebyshev",
 }
+
+# --nodes values: each node kind and its alias
+_NODE_CHOICES = ("optimized", "equispaced", "gll", "gauss-lobatto", "gl+endpoints",
+                 "gauss-legendre+endpoints", "cheb", "chebyshev")
 
 
 def _family(name: str) -> str:
@@ -265,9 +269,7 @@ def cmd_tables(args) -> int:
         ref = load_table(path)
         basis = ref.basis
         eta = ref.eta()
-        recomputed = optimize_values(
-            basis, make_node_set("optimized", len(eta), positions=eta)
-        )
+        recomputed = optimize_values(basis, NodeSet(eta))
         diff = max(
             np.max(np.abs(recomputed.q_lower - ref.q_lower)),
             np.max(np.abs(recomputed.q_upper - ref.q_upper)),
@@ -318,10 +320,7 @@ def _build_parser() -> _Parser:
     bg.add_argument("--family", default="lobatto")
     bg.add_argument("--p", type=int, default=3)
     bg.add_argument("--m", type=int, default=None)
-    bg.add_argument("--nodes", default="optimized",
-                    choices=["optimized", "equispaced", "gll", "gauss-lobatto",
-                             "gl+endpoints", "gauss-legendre+endpoints",
-                             "cheb", "chebyshev"])
+    bg.add_argument("--nodes", default="optimized", choices=_NODE_CHOICES)
     bg.add_argument("--seed", type=int, default=0)
     bg.add_argument("--restarts", type=int, default=8)
     bg.add_argument("-o", "--output", default=None)
@@ -330,10 +329,7 @@ def _build_parser() -> _Parser:
     bd = sub.add_parser("bound", help="bound a polynomial from a coefficients file")
     bd.add_argument("coeffs", nargs="?", default=None)
     bd.add_argument("--m", type=int, default=None)
-    bd.add_argument("--nodes", default="optimized",
-                    choices=["optimized", "equispaced", "gll", "gauss-lobatto",
-                             "gl+endpoints", "gauss-legendre+endpoints",
-                             "cheb", "chebyshev"])
+    bd.add_argument("--nodes", default="optimized", choices=_NODE_CHOICES)
     bd.add_argument("--oracle", action="store_true")
     bd.add_argument("--samples", type=int, default=2000)
     bd.add_argument("--subdivide", type=int, default=0,

@@ -115,7 +115,7 @@ def rotation_velocity(x, y):
     return -2.0 * np.pi * (y - 0.5), 2.0 * np.pi * (x - 0.5)
 
 
-_SPEED_MAX = 2.0 * np.pi * np.sqrt(0.5)  # corner of the unit square
+_SPEED_MAX = np.hypot(*rotation_velocity(0.0, 0.0))  # at a corner of the unit square
 
 
 def rotating_shapes(x, y):
@@ -194,8 +194,7 @@ def _operators(elements: int, p: int):
     xnodes = (cols[:, None] + (np.asarray(basis.nodes)[None, :] + 1.0) / 2.0) * h
 
     # velocity at the quadrature points of a row (cx) or column (cy)
-    cx = -2.0 * np.pi * (xquad - 0.5)
-    cy = 2.0 * np.pi * (xquad - 0.5)
+    cx, cy = rotation_velocity(xquad, xquad)
 
     def mass(c):  # (Ne, nq) weights -> (Ne, N, N) V^T diag(wq c) V
         return np.einsum("qi,eq,qj->eij", V, wq * c, V)
@@ -370,7 +369,7 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
 
 
 def advance(state: DGState, tfinal: float, table: BoundingTable | None = None,
-            bounds=(0.0, 1.0), callback=None) -> DGState:
+            bounds=(0.0, 1.0)) -> DGState:
     """March to state.t + tfinal with uniform steps at the CFL limit."""
     if tfinal <= 0:
         return state
@@ -378,8 +377,6 @@ def advance(state: DGState, tfinal: float, table: BoundingTable | None = None,
     dt = tfinal / n
     for _ in range(n):
         state = dg_step(state, dt, table, bounds)
-        if callback is not None:
-            callback(state)
     return state
 
 

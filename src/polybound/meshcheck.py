@@ -170,7 +170,7 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
     invalid, exhausted = np.zeros((2, E), dtype=bool)
     levels = np.zeros(E, dtype=int)
 
-    def split(level, owner, lower, upper):
+    def split(level, owner, lower, upper, last):
         _require_finite(lower, upper, lambda i: (
             f"element {start + owner[i]}: det J bounds not finite at refinement level {level}"))
         gen_lo, gen_up = np.full((2, E), np.inf)
@@ -186,7 +186,7 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
         corner_lo = _corners(lower, np.minimum, 2)
         corner_gap = _corners(upper - lower, np.maximum, 2)
         # straddling spans wider than tol refine; every other span settles
-        pick = live & (corner_lo <= 0) & (corner_gap > tol) & (level < max_levels)
+        pick = live & (corner_lo <= 0) & (corner_gap > tol) & (not last)
         settled = live & ~pick
         np.minimum.at(certified_lo, owner, np.where(settled, corner_lo, np.inf).min(axis=(1, 2)))
         np.logical_or.at(exhausted, owner, (settled & (corner_lo <= 0)).any(axis=(1, 2)))
@@ -201,8 +201,7 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
     ]
 
 
-def classify_element(element, tables, tol: float, max_levels: int = 10,
-                     index: int = 0) -> ElementReport:
+def classify_element(element, tables, tol: float, max_levels: int = 10) -> ElementReport:
     """Decide valid / invalid / indeterminate for one element.
 
     Per generation: any control node with upper bound < 0 proves
@@ -211,11 +210,11 @@ def classify_element(element, tables, tol: float, max_levels: int = 10,
     re-bounded, until they fall below tol (indeterminate by policy) or
     the level budget is spent. Every generation subdivides; generation
     k is bounded with ladder[min(k, top)], so the finer tables of the
-    supplied ladder serve the deeper generations.
+    supplied ladder serve the deeper generations. The report's index is 0.
     """
     nodes, p = _element_nodes(element)
     ladder = _detj_ladder(tables, tol, p)
-    return _classify(detj_coeffs(nodes, p).u[None], ladder, tol, max_levels, index)[0]
+    return _classify(detj_coeffs(nodes, p).u[None], ladder, tol, max_levels, 0)[0]
 
 
 # elements per _classify call: larger blocks raise peak memory, smaller ones pay more call overhead
@@ -262,13 +261,13 @@ def refinement_ladder(coeffs: PolyCoeffs, table, levels: int):
     return rows
 
 
-def uniform_mesh(nx: int, ny: int, p: int, lo=(0.0, 0.0), hi=(1.0, 1.0)) -> CurvedMesh:
-    """Axis-aligned nx-by-ny quad mesh with Gauss-Lobatto node placement."""
+def uniform_mesh(nx: int, ny: int, p: int) -> CurvedMesh:
+    """nx-by-ny quad mesh of the unit square with Gauss-Lobatto node placement."""
     if nx < 1 or ny < 1:
         raise ValueError("need at least one element per direction")
     s = 0.5 * (gauss_lobatto_nodes(p + 1) + 1.0)
-    cx = lo[0] + (hi[0] - lo[0]) / nx * (np.arange(nx)[:, None] + s)
-    cy = lo[1] + (hi[1] - lo[1]) / ny * (np.arange(ny)[:, None] + s)
+    cx = 1.0 / nx * (np.arange(nx)[:, None] + s)
+    cy = 1.0 / ny * (np.arange(ny)[:, None] + s)
     # axes (element row, element column, eta, xi); elements run x fastest
     X = np.broadcast_to(cx[None, :, None, :], (ny, nx, p + 1, p + 1))
     Y = np.broadcast_to(cy[:, None, :, None], X.shape)

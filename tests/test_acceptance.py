@@ -11,7 +11,8 @@ import time
 import numpy as np
 import pytest
 
-from polybound.basis import change_basis, gauss_legendre_rule, basis_matrix, make_basis, make_node_set
+from polybound.basis import (NodeSet, change_basis, gauss_legendre_rule, basis_matrix, make_basis,
+                             make_node_set)
 from polybound.boxopt import (
     load_table,
     optimize_values,
@@ -95,8 +96,7 @@ def test_2_reference_table_reproduction():
         assert verify_table(ref).max_violation >= -1e-12, path.name
         if ref.basis.p > 4:
             continue
-        nodes = make_node_set("optimized", ref.nodes.M, positions=ref.eta())
-        mine = optimize_values(ref.basis, nodes)
+        mine = optimize_values(ref.basis, NodeSet(ref.eta()))
         dq_lo = np.abs(mine.q_lower - ref.q_lower).max()
         dq_up = np.abs(mine.q_upper - ref.q_upper).max()
         assert max(dq_lo, dq_up) < 2e-3, (path.name, dq_lo, dq_up)

@@ -4,11 +4,11 @@ from hypothesis import given, settings, strategies as st
 
 from polybound.basis import (
     FAMILIES,
+    NodeSet,
     basis_deriv_matrix,
     basis_matrix,
     change_basis,
     cheb_coeffs,
-    eval_basis,
     gauss_legendre_rule,
     gauss_lobatto_nodes,
     gauss_lobatto_rule,
@@ -143,16 +143,6 @@ def test_linear_coeffs_represent_linears(family):
     np.testing.assert_allclose(got, 0.25 - 1.5 * x, atol=1e-12)
 
 
-def test_eval_basis_single_function():
-    # 1-based index, matching the numbering used in the table files
-    b = make_basis("lobatto-nodal", 3)
-    x = np.array([0.3])
-    for i in range(1, 5):
-        assert abs(eval_basis(b, i, 0.3) - basis_matrix(b, x)[0, i - 1]) < 1e-14
-    with pytest.raises(IndexError):
-        eval_basis(b, 0, 0.3)
-
-
 def test_mirror_pairs_flags():
     assert mirror_pairs(make_basis("lobatto-nodal", 3))
     assert mirror_pairs(make_basis("bernstein", 4))
@@ -165,7 +155,12 @@ def test_node_set_validation():
     ns = make_node_set("equispaced", 5)
     assert ns.array()[0] == -1.0 and ns.array()[-1] == 1.0
     with pytest.raises(ValueError):
-        make_node_set("optimized", 3, positions=[-1.0, 0.3, 1.0])  # not symmetric
+        make_node_set("optimized", 3)  # not a computed kind
+    with pytest.raises(ValueError):
+        NodeSet([-1.0, 0.3, 1.0])  # not symmetric
+    given = NodeSet(np.array([-1.0, 0.0, 1.0]))
+    assert given.positions == (-1.0, 0.0, 1.0)
+    assert all(type(v) is float for v in given.positions)
     with pytest.raises(ValueError):
         make_basis("no-such-family", 2)
 

@@ -8,7 +8,7 @@ from numpy.polynomial import chebyshev as cheb
 from polybound import bounder
 from polybound.basis import (FAMILIES, _bary_weights, basis_matrix, cheb_coeffs,
                              gauss_legendre_rule, linear_coeffs, make_basis, make_node_set)
-from polybound.boxopt import optimize_values, reference_table
+from polybound.boxopt import optimize_values, reference_table, standard_table
 from polybound.bounder import (
     CoeffsFormatError,
     PolyCoeffs,
@@ -383,7 +383,8 @@ def test_refine_carries_picked_cells_up_the_ladder(t34, t35):
              np.array([True, True]), np.array([True, True])]
     seen = []
 
-    def split(level, owner, lower, upper):
+    def split(level, owner, lower, upper, last):
+        assert last == (level == 3)
         seen.append((owner.copy(), lower.copy(), upper.copy()))
         return masks[level]
 
@@ -428,6 +429,21 @@ def test_bound_adaptive_budget_ends_on_the_ladder(t34, t35):
     assert s.levels_used == 1 and s.converged is False
     assert (s.global_min, s.global_max) == (nb.global_min(), nb.global_max())
     assert [h["cells"] for h in s.level_history] == [1, 1]
+
+
+def test_bound_adaptive_stops_before_a_generation_past_the_memory_budget():
+    # splitting generation 4 would give 262,144 cells and a ~1.5 GB sweep
+    # block, so refinement ends there unconverged instead of allocating it
+    ladder = [standard_table("lobatto-nodal", 2, m) for m in (3, 4, 5)]
+    c = _rand_coeffs(3, 0, p=2)
+    s = bound_adaptive(c, ladder, tol=1e-9)
+    cells = [h["cells"] for h in s.level_history]
+    assert (s.converged, s.levels_used, cells) == (False, 4, [1, 1, 1, 64, 4096])
+    for level, n in enumerate(cells):
+        assert bounder._sweep_bytes(n, ladder[min(level, 2)], 3) <= bounder._GENERATION_BYTES
+    assert bounder._sweep_bytes(64 * cells[-1], ladder[2], 3) > bounder._GENERATION_BYTES
+    lo, hi = brute_force_extrema(c, 40)
+    assert s.global_min <= lo and s.global_max >= hi
 
 
 def test_bound_adaptive_converges_on_tame_input(t34):

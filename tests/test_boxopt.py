@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from polybound.basis import (FAMILIES, basis_matrix, hat_matrix, make_basis, make_node_set,
-                             mirror_pairs)
+from polybound.basis import (FAMILIES, NodeSet, basis_matrix, hat_matrix, make_basis,
+                             make_node_set, mirror_pairs)
 from polybound.boxopt import (
     _N_SAMPLES,
     BoxOptimizationError,
@@ -101,9 +101,7 @@ def test_upper_qp_against_slsqp():
 def test_published_p2_values_reproduced():
     ref = reference_table(2, 3)
     basis = ref.basis
-    recomputed = optimize_values(
-        basis, make_node_set("optimized", 3, positions=ref.eta())
-    )
+    recomputed = optimize_values(basis, NodeSet(ref.eta()))
     assert np.max(np.abs(recomputed.q_lower - ref.q_lower)) < 2e-3
     assert np.max(np.abs(recomputed.q_upper - ref.q_upper)) < 2e-3
 
@@ -237,11 +235,12 @@ def test_load_rejects_tampered_table(tmp_path, p3_table):
             parts[2] = str(float(parts[2]) - 0.8)  # push bound below the basis
             lines[k] = " ".join(parts)
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(BoxOptimizationError):
+    with pytest.raises(BoxOptimizationError) as err:
         load_table(path)
-    # force=True lets diagnostic tooling look at a broken file
-    t = load_table(path, force=True)
-    assert verify_table(t).max_violation < -1e-6
+    # the error carries the table as read, so tooling can look at a broken file
+    assert verify_table(err.value.table) == err.value.quality
+    assert err.value.quality.max_violation < -1e-6
+    assert err.value.table.q_upper[0, 0] == pytest.approx(p3_table.q_upper[0, 0] - 0.8)
 
 
 def test_load_rejects_malformed_header(tmp_path):
@@ -268,7 +267,7 @@ def test_standard_table_env_override(tmp_path, p3_table, monkeypatch):
 def test_optimize_values_rejects_bad_nodes():
     basis = make_basis("lobatto-nodal", 3)
     with pytest.raises(ValueError):
-        make_node_set("optimized", 3, positions=[-1.0, -0.5, 1.0])
+        NodeSet([-1.0, -0.5, 1.0])
     with pytest.raises(ValueError):
         make_node_set("equispaced", 1)
 

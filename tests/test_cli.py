@@ -115,6 +115,16 @@ def test_bound_2d_subdivide(tmp_path, capsys):
     assert "global bounds" in out
 
 
+def test_bound_3d_subdivide_past_the_memory_budget(tmp_path, capsys):
+    # a third level would bound 262,144 cells; refinement ends one level early
+    path = tmp_path / "c3.txt"
+    u = np.random.default_rng(0).standard_normal((3, 3, 3))
+    write_coeffs(PolyCoeffs(3, make_basis("lobatto-nodal", 2), u), path)
+    assert main(["bound", str(path), "--m", "5", "--subdivide", "3", "--tol", "1e-12"]) == 0
+    out = capsys.readouterr().out
+    assert "adaptive bounds after 2 level(s), converged=False" in out
+
+
 def test_bound_missing_file():
     assert main(["bound", "/nonexistent/coeffs.txt"]) == 1
 

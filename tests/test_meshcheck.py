@@ -29,7 +29,7 @@ def tables_p2():
 
 
 def test_unit_square_detj_constant():
-    mesh = uniform_mesh(1, 1, 2, hi=(1.0, 1.0))
+    mesh = uniform_mesh(1, 1, 2)
     c = detj_coeffs(mesh.elements[0], 2)
     x = np.linspace(-1, 1, 9)
     np.testing.assert_allclose(eval_on_grid(c, [x, x]), 0.25, atol=1e-13)
@@ -107,10 +107,10 @@ def test_check_mesh_blocks_match_single_elements(tables_p2):
     assert all(report.counts().values())
     assert max(er.levels_used for er in report.elements) >= 2
     for er in report.elements:
-        one = classify_element(mesh.elements[er.index], tables_p2, tol=1e-4,
-                               index=er.index)
-        assert (er.index, er.status, er.levels_used, er.policy_invalid) == (
-            one.index, one.status, one.levels_used, one.policy_invalid)
+        one = classify_element(mesh.elements[er.index], tables_p2, tol=1e-4)
+        assert one.index == 0
+        assert (er.status, er.levels_used, er.policy_invalid) == (
+            one.status, one.levels_used, one.policy_invalid)
         np.testing.assert_allclose(er.min_detj_interval, one.min_detj_interval,
                                    rtol=1e-12)
 
