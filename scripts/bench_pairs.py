@@ -3,9 +3,11 @@
 Runs `python3 perfbench/run.py --workload W --seed S --trace 0` in a base
 checkout and in a head checkout, taking turns, for PAIRS pairs per
 workload, and writes one JSON record: the machine, and for each workload
-and side the five end-to-end metrics of every run and their medians. The
-run length is perfbench's own. Each run of a pair uses the same seed;
-pairs use seeds seed0, seed0 + 1, ...
+and side the five end-to-end metrics of every run, their medians and
+quartiles; and per workload and metric the pairs each side won, with
+the better direction read from BENCHMARK.json. The run length is
+perfbench's own. Each run of a pair uses the same seed; pairs use seeds
+seed0, seed0 + 1, ...
 
     python3 scripts/bench_pairs.py --base ../parent --out BENCH_9.json --seed0 11
 
@@ -13,6 +15,10 @@ The head defaults to this checkout. Runs go one at a time, so the two
 sides see the same host, and the base runs first in even pairs and
 second in odd ones. A run whose checks fail is recorded and the pairs
 go on; the script then exits 1.
+
+A gain is claimed on a metric when the change wins at least 9 of 10
+pairs and its median beats the parent's by more than the parent's
+interquartile range; both halves of that rule can be read off the record.
 """
 
 from __future__ import annotations
@@ -48,6 +54,30 @@ def run_once(checkout: Path, workload: str, seed: int):
             result["attempted"], result["failed"])
 
 
+def summarize(runs, better):
+    """Medians, quartiles and pair wins of one workload's runs.
+
+    ``runs`` maps "parent" and "change" to their runs' {metric: value}
+    in pair order; ``better`` maps each metric to "higher" or "lower".
+    Quartiles are the inclusive (linear) ones, as [q1, q3]. A pair goes
+    to the side whose value is better; a tie counts for neither.
+    Returns ({side: {"median": ..., "quartiles": ...}}, {metric: wins}).
+    """
+    metrics = list(runs["parent"][0])
+    sides = {side: {"median": {m: statistics.median(r[m] for r in rs) for m in metrics},
+                    "quartiles": {m: statistics.quantiles([r[m] for r in rs], n=4,
+                                                          method="inclusive")[::2]
+                                  for m in metrics}}
+             for side, rs in runs.items()}
+    wins = {}
+    for m in metrics:
+        sign = 1.0 if better[m] == "higher" else -1.0
+        gains = [sign * (c[m] - p[m]) for p, c in zip(runs["parent"], runs["change"])]
+        wins[m] = {"better": better[m], "change": sum(g > 0 for g in gains),
+                   "parent": sum(g < 0 for g in gains), "ties": sum(g == 0 for g in gains)}
+    return sides, wins
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
@@ -58,6 +88,8 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     sides = {"parent": args.base.resolve(), "change": args.head.resolve()}
+    config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    better = {m["name"]: m["better"] for m in config["end_to_end"]}
     machine, report, failures = None, {}, 0
     for workload in args.workloads:
         runs = {side: [] for side in sides}
@@ -71,15 +103,18 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {k} {side}: "
                       + " ".join(f"{m}={v:.6g}" for m, v in metrics.items())
                       + f" failed={failed}/{attempted}", flush=True)
+        stats, wins = summarize({side: [m for m, _, _ in rs] for side, rs in runs.items()},
+                                better)
         report[workload] = {
             side: {
                 "runs": [m for m, _, _ in rs],
-                "median": {m: statistics.median(r[m] for r, _, _ in rs) for m in rs[0][0]},
+                **stats[side],
                 "attempted": [a for _, a, _ in rs],
                 "failed": [f for _, _, f in rs],
             }
             for side, rs in runs.items()
         }
+        report[workload]["wins"] = wins
     args.out.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "pairs": PAIRS,

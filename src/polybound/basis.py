@@ -198,13 +198,12 @@ def make_node_set(kind: str, M: int) -> NodeSet:
 @lru_cache(maxsize=64)
 def make_basis(family: str, p: int) -> BasisSpec:
     """Construct a BasisSpec, computing interpolation nodes for nodal families."""
+    spec = BasisSpec(family, p)  # checks family and order before any nodes
     if family == "lobatto-nodal":
         return BasisSpec(family, p, tuple(gauss_lobatto_nodes(p + 1)))
     if family == "legendre-nodal":
         return BasisSpec(family, p, tuple(gauss_legendre_nodes(p + 1)))
-    if family in ("bernstein", "legendre-modal"):
-        return BasisSpec(family, p, None)
-    raise ValueError(f"unknown basis family {family!r}")
+    return spec
 
 
 def _check_range(x: np.ndarray):
@@ -229,8 +228,8 @@ def _lagrange_matrix(nodes: tuple, x: np.ndarray) -> np.ndarray:
     w = _bary_weights(nodes)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     diff = x[:, None] - xn[None, :]
-    exact = np.isclose(diff, 0.0, rtol=0.0, atol=1e-15)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    exact = np.abs(diff) <= 1e-15
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         terms = w[None, :] / diff
         denom = terms.sum(axis=1)
         out = terms / denom[:, None]
@@ -357,13 +356,13 @@ def hat_matrix(eta: np.ndarray, x: np.ndarray) -> np.ndarray:
     eta = np.asarray(eta, dtype=float)
     x = np.atleast_1d(np.asarray(x, dtype=float))
     M = eta.size
-    idx = np.clip(np.searchsorted(eta, x, side="right") - 1, 0, M - 2)
+    idx = np.searchsorted(eta[1:-1], x, side="right")  # span, 0..M-2
     t = (x - eta[idx]) / (eta[idx + 1] - eta[idx])
-    A = np.zeros((x.size, M))
-    rows = np.arange(x.size)
-    A[rows, idx] = 1.0 - t
-    A[rows, idx + 1] = t
-    return A
+    A = np.zeros(x.size * M)
+    flat = np.arange(0, x.size * M, M) + idx  # row-major (row, idx)
+    A[flat] = 1.0 - t
+    A[flat + 1] = t
+    return A.reshape(x.size, M)
 
 
 def mirror_pairs(basis: BasisSpec) -> bool:

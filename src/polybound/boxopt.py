@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.optimize import minimize
 
 from .basis import (
@@ -55,6 +55,7 @@ PROVENANCE_VALUES = (
 _ROOT_TOL = 1e-12  # window slack when assigning roots to a subinterval
 _N_SAMPLES = 1000  # equispaced samples of the discrete one-sided fits
 _EPSILON = 1e-6  # safety margin added after the continuous offset
+_NNLS_EPS = 10.0 * np.finfo(float).eps  # NNLS multiplier tolerance, relative
 
 
 @dataclass(frozen=True, eq=False)
@@ -129,69 +130,85 @@ def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
     m, n = E.shape
     max_outer = 3 * (m + n)
     u = np.zeros(n)
-    tol = 10.0 * np.finfo(float).eps * max(1.0, float(np.abs(E.T @ f).max()))
+    tol = _NNLS_EPS * max(1.0, float(np.abs(E.T @ f).max()))
     while passive.any():
-        cols = np.flatnonzero(passive)
-        z, *_ = np.linalg.lstsq(E[:, cols], f, rcond=None)
+        cols = passive.nonzero()[0]
+        z = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
         if z.min() > 0.0:
             u[cols] = z
             break
         passive[cols[z <= 0.0]] = False
     for _ in range(max_outer):
         w = E.T @ (f - E @ u)
-        w_free = np.where(passive, -np.inf, w)
-        j = int(np.argmax(w_free))
-        if w_free[j] <= tol:
+        w[passive] = -np.inf
+        j = int(w.argmax())
+        if w[j] <= tol:
             return u
         passive[j] = True
         for _ in range(max_outer):
-            cols = np.flatnonzero(passive)
+            cols = passive.nonzero()[0]
             if cols.size == 0:
                 break  # every column dropped, so u = 0: pick again from w
-            z, *_ = np.linalg.lstsq(E[:, cols], f, rcond=None)
+            z = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
             if z.min() > 0.0:
                 u[:] = 0.0
                 u[cols] = z
                 break
             # back off along the segment to keep u nonnegative
+            uc = u[cols]
             neg = z <= 0.0
-            ratios = u[cols][neg] / (u[cols][neg] - z[neg])
-            alpha = float(ratios.min())
-            u[cols] += alpha * (z - u[cols])
-            drop = cols[u[cols] <= 1e-14 * max(1.0, u[cols].max())]
+            alpha = float((uc[neg] / (uc[neg] - z[neg])).min())
+            uc += alpha * (z - uc)
+            u[cols] = uc
+            drop = cols[uc <= 1e-14 * max(1.0, uc.max())]
             u[drop] = 0.0
             passive[drop] = False
             if drop.size == 0:
                 # numerical stall; drop the most negative direction instead
-                k = cols[int(np.argmin(z))]
+                k = cols[int(z.argmin())]
                 u[k] = 0.0
                 passive[k] = False
     raise RuntimeError("NNLS iteration budget exhausted")
 
 
-def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray,
-              active: np.ndarray) -> np.ndarray:
+def _solve_r(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """R x = rhs for the C-ordered upper-triangular R of np.linalg.qr.
+
+    The LAPACK call scipy's solve_triangular makes for such an R (its
+    transpose is column-major lower triangular), without that wrapper's
+    per-call argument checks.
+    """
+    x, info = dtrtrs(R.T, rhs, lower=1, trans=1)
+    if info:
+        raise np.linalg.LinAlgError(f"singular R: zero on diagonal {info - 1}")
+    return x
+
+
+def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray, active: np.ndarray,
+              E: np.ndarray, f: np.ndarray) -> np.ndarray:
     """Exact solution of  min ||A q - b||  s.t.  A q >= b,  A = Q R.
 
     Least-distance reduction: with y = R q - Q^T b the objective becomes
     ||y||, constrained by Q y >= (I - Q Q^T) b; that least-distance
-    problem is solved through its NNLS dual. ``active`` marks the
-    samples where the box touched b in a nearby solve; the NNLS starts
-    from it and leaves in it the samples where this box touches b.
-    Finite termination, no tuning, deterministic.
+    problem is solved through its NNLS dual  min ||E u - f||,  u >= 0,
+    with E = [Q^T; ((I - Q Q^T) b)^T] and f = e_{M+1}. The caller fills
+    E[:M] = Q^T and f once per Q; this rewrites only E's last row. E is
+    column-major, the layout np.vstack of Q^T and one row gives: it fixes
+    the summation order of the NNLS's matrix-vector products, and so the
+    last bits of every table. ``active`` marks the samples where the box
+    touched b in a nearby solve; the NNLS starts from it and leaves in it
+    the samples where this box touches b. Finite termination, no tuning,
+    deterministic.
     """
     M = Q.shape[1]
     Qtb = Q.T @ b
-    resid = b - Q @ Qtb
-    E = np.vstack([Q.T, resid[None, :]])
-    f = np.zeros(M + 1)
-    f[M] = 1.0
+    np.subtract(b, Q @ Qtb, out=E[M])
     u = _nnls(E, f, active)
     s = E @ u - f
     if abs(s[M]) < 1e-13:
         raise RuntimeError("incompatible constraint set in box subproblem")
     y = -s[:M] / s[M]
-    return solve_triangular(R, y + Qtb)
+    return _solve_r(R, y + Qtb)
 
 
 def _row_min_gap(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
@@ -303,9 +320,17 @@ def _mirror(basis: BasisSpec, q_lo: np.ndarray, q_up: np.ndarray) -> None:
 
 
 @lru_cache(maxsize=16)
+def _sample_points(n_samples: int) -> np.ndarray:
+    """Read-only grid of the n_samples equispaced points of the fits."""
+    x = np.linspace(-1.0, 1.0, n_samples)
+    x.setflags(write=False)
+    return x
+
+
+@lru_cache(maxsize=16)
 def _sample_matrix(basis: BasisSpec, n_samples: int) -> np.ndarray:
-    """Read-only basis values at the n_samples equispaced points of the fits."""
-    Phi = basis_matrix(basis, np.linspace(-1.0, 1.0, n_samples))
+    """Read-only basis values at the _sample_points of the fits."""
+    Phi = basis_matrix(basis, _sample_points(n_samples))
     Phi.setflags(write=False)
     return Phi
 
@@ -328,19 +353,24 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int, active: np.nda
     ``active`` (from _active_sets) holds each subproblem's start support
     and is updated in place, so a caller solving at nearby nodes can
     pass it back in.
+
+    Every subproblem shares one column-major dual matrix E and right-hand
+    side f (see _upper_qp); only E's last row changes between them.
     """
     N, M = basis.N, eta.size
-    x = np.linspace(-1.0, 1.0, n_samples)
-    A = hat_matrix(eta, x)
-    Q, R = np.linalg.qr(A)
+    Q, R = np.linalg.qr(hat_matrix(eta, _sample_points(n_samples)))
     Phi = _sample_matrix(basis, n_samples)
+    E = np.empty((M + 1, n_samples), order="F")
+    E[:M] = Q.T
+    f = np.zeros(M + 1)
+    f[M] = 1.0
 
     def solve_upper(col, start):
         try:
-            return _upper_qp(Q, R, col, start), True
+            return _upper_qp(Q, R, col, start, E, f), True
         except RuntimeError:
             # least-squares candidate; the offset step will make it feasible
-            return solve_triangular(R, Q.T @ col), False
+            return _solve_r(R, Q.T @ col), False
 
     pairs = mirror_pairs(basis)
     q_up = np.empty((N, M))
@@ -455,7 +485,7 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     norms, with deterministic seeds (equispaced and the standard fixed
     node kinds) plus perturbed restarts. Every converged restart and
     every seed then gets the full offset-corrected table, and the final
-    pick is by the verified post-offset quality; the equispaced seed is
+    pick is by the post-offset gap norm sum (eps2); the equispaced seed is
     always in that pool, so the result is never worse than it.
     Returns the winning BoundingTable (its nodes carry the positions).
     """
@@ -525,7 +555,8 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
             table = build(eta)
         except BoxOptimizationError as err:
             table = err.table
-        eps2 = verify_table(table).eps2
+        # verify_table's eps2 alone: the pick needs no continuous margins
+        eps2 = _gap_norms(basis, table.eta(), table.q_lower, table.q_upper)
         if eps2 < best_eps2:
             best_eps2, best_table = eps2, table
 

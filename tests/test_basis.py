@@ -12,6 +12,7 @@ from polybound.basis import (
     gauss_legendre_rule,
     gauss_lobatto_nodes,
     gauss_lobatto_rule,
+    hat_matrix,
     linear_coeffs,
     make_basis,
     make_node_set,
@@ -40,6 +41,48 @@ def test_nodal_families_interpolate(family, p):
     nodes = np.asarray(b.nodes)
     Phi = basis_matrix(b, nodes)
     np.testing.assert_allclose(Phi, np.eye(p + 1), atol=1e-12)
+
+
+@pytest.mark.parametrize("family", FAMILY_LIST)
+@pytest.mark.parametrize("p", [0, -1])
+def test_make_basis_checks_order_before_nodes(family, p):
+    with pytest.raises(ValueError, match=f"order must be >= 1, got {p}$"):
+        make_basis(family, p)
+
+
+@pytest.mark.parametrize("family", ["lobatto-nodal", "legendre-nodal"])
+@pytest.mark.parametrize("p", range(1, 9))
+def test_nodal_basis_is_exactly_the_identity_at_its_nodes(family, p):
+    # a point within 1e-15 of a node takes that node's cardinal row
+    b = make_basis(family, p)
+    nodes = np.asarray(b.nodes)
+    for x in (nodes, np.nextafter(nodes, -2.0), np.nextafter(nodes, 2.0)):
+        np.testing.assert_array_equal(basis_matrix(b, x), np.eye(p + 1))
+
+
+def _hat_matrix_2d(eta, x):
+    """hat_matrix written with 2-D fancy indexing, as a reference."""
+    M = eta.size
+    idx = np.clip(np.searchsorted(eta, x, side="right") - 1, 0, M - 2)
+    t = (x - eta[idx]) / (eta[idx + 1] - eta[idx])
+    A = np.zeros((x.size, M))
+    rows = np.arange(x.size)
+    A[rows, idx] = 1.0 - t
+    A[rows, idx + 1] = t
+    return A
+
+
+@pytest.mark.parametrize("M", [2, 3, 5, 9])
+def test_hat_matrix_matches_fancy_index_construction(M):
+    rng = np.random.default_rng(M)
+    eta = np.concatenate(([-1.0], np.sort(rng.uniform(-1.0, 1.0, M - 2)), [1.0]))
+    inside = rng.uniform(-1.0, 1.0, 200)
+    outside = np.concatenate([rng.uniform(-1.5, -1.0, 20), rng.uniform(1.0, 1.5, 20)])
+    for x in (inside, eta, outside):
+        A = hat_matrix(eta, x)
+        np.testing.assert_array_equal(A, _hat_matrix_2d(eta, x))
+        np.testing.assert_allclose(A.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    np.testing.assert_array_equal(hat_matrix(eta, eta), np.eye(M))
 
 
 @pytest.mark.parametrize("p", [2, 5])

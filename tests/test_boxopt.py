@@ -13,6 +13,7 @@ from polybound.boxopt import (
     _nnls,
     _nodes_from_z,
     _raw_boxes,
+    _raw_objective,
     load_table,
     offset_correction,
     optimize_nodes,
@@ -143,6 +144,104 @@ def test_shipped_table_regenerates_byte_identically(tmp_path):
     save_table(table, tmp_path / "t.txt")
     shipped = _data_dir() / "tables" / "lobatto-nodal-p1-M4.txt"
     assert (tmp_path / "t.txt").read_bytes() == shipped.read_bytes()
+
+
+# float.hex of _raw_boxes' (q_lower, q_upper) at p=3 on equispaced M=5,
+# recorded before the box solves lost their per-call overhead
+_GOLDEN_RAW_BOXES = {
+    "lobatto-nodal": """
+        0x1.b46da26372484p-1 -0x1.ea86c031f8224p-5 -0x1.47d7a255c9f41p-3 0x1.0093197ee4a55p-6
+        -0x1.1d708ca7ea5d6p-53 0x1.bf933272b6d12p-54 0x1.fc964dcbf9406p-1 0x1.4016667721d54p-1
+        -0x1.46331f99bb540p-3 -0x1.b77e189ccc02ap-3 -0x1.b77e189ccc02ap-3 -0x1.46331f99bb540p-3
+        0x1.4016667721d54p-1 0x1.fc964dcbf9406p-1 0x1.bf933272b6d12p-54 -0x1.1d708ca7ea5d6p-53
+        0x1.0093197ee4a55p-6 -0x1.47d7a255c9f41p-3 -0x1.ea86c031f8224p-5 0x1.b46da26372484p-1
+        0x1.0000000000001p+0 0x1.7d7095fb74019p-5 -0x1.006d35cb49c46p-3 0x1.55345d6a7ed77p-5
+        0x1.2df8d4882cc79p-4 0x1.20605f85554a9p-2 0x1.2eff28b43550bp+0 0x1.51ac47e1f62a2p-1
+        -0x1.c71dbd2cc48cep-5 -0x1.2c76791c8ae90p-53 -0x1.2c76791c8ae90p-53 -0x1.c71dbd2cc48cep-5
+        0x1.51ac47e1f62a2p-1 0x1.2eff28b43550bp+0 0x1.20605f85554a9p-2 0x1.2df8d4882cc79p-4
+        0x1.55345d6a7ed77p-5 -0x1.006d35cb49c46p-3 0x1.7d7095fb74019p-5 0x1.0000000000001p+0
+    """,
+    "legendre-nodal": """
+        0x1.50c821dbdcb53p+0 0x1.3f8b50ef7eab3p-6 -0x1.18a45491b0c98p-3 0x1.717a69136b6e8p-5
+        -0x1.d29ad687bb04cp-4 -0x1.a0946eb3057f4p-1 0x1.f114c682d2517p-1 0x1.2f5ed2da86bf5p-1
+        -0x1.80c74efdf9d42p-2 0x1.9d1ce9ee36012p-6 0x1.9d1ce9ee36012p-6 -0x1.80c74efdf9d42p-2
+        0x1.2f5ed2da86bf5p-1 0x1.f114c682d2517p-1 -0x1.a0946eb3057f4p-1 -0x1.d29ad687bb04cp-4
+        0x1.717a69136b6e8p-5 -0x1.18a45491b0c98p-3 0x1.3f8b50ef7eab3p-6 0x1.50c821dbdcb53p+0
+        0x1.86db962ac2966p+0 0x1.5aaaa564450e7p-3 -0x1.7b3bbf7677b46p-4 0x1.754495a36a9ecp-4
+        0x1.00e33e3765780p-8 -0x1.6c0c1d68a8ddfp-2 0x1.4651d9d2ea2c8p+0 0x1.46336a67d2575p-1
+        -0x1.7b5c5b6fdab4ap-3 0x1.9a613a5cef609p-2 0x1.9a613a5cef609p-2 -0x1.7b5c5b6fdab4ap-3
+        0x1.46336a67d2575p-1 0x1.4651d9d2ea2c8p+0 -0x1.6c0c1d68a8ddfp-2 0x1.00e33e3765780p-8
+        0x1.754495a36a9ecp-4 -0x1.7b3bbf7677b46p-4 0x1.5aaaa564450e7p-3 0x1.86db962ac2966p+0
+    """,
+    "bernstein": """
+        0x1.e84e8eb7110bfp-1 0x1.8b41425a56889p-2 0x1.a194d5b1c7a55p-4 0x1.a2f63926e99e5p-9
+        -0x1.93160f3aada64p-11 -0x1.4fae65d6091cdp-53 0x1.b03127f38a7fdp-2 0x1.8020c35696213p-2
+        0x1.0004f1fcd35ffp-3 -0x1.6a5dcbd69c248p-5 -0x1.6a5dcbd69c248p-5 0x1.0004f1fcd35ffp-3
+        0x1.8020c35696213p-2 0x1.b03127f38a7fdp-2 -0x1.4fae65d6091cdp-53 -0x1.93160f3aada64p-11
+        0x1.a2f63926e99e5p-9 0x1.a194d5b1c7a55p-4 0x1.8b41425a56889p-2 0x1.e84e8eb7110bfp-1
+        0x1.0000000000000p+0 0x1.afdf3e8ce27bbp-2 0x1.ff5c31662669cp-4 0x1.fdf45e7287c75p-7
+        -0x1.24f382e23aa33p-56 0x1.6abe8e22a8a69p-4 0x1.f196e803bf513p-2 0x1.958d7d80230c2p-2
+        0x1.1ff4f7b015405p-3 -0x1.e0bd8e941174dp-58 -0x1.e0bd8e941174dp-58 0x1.1ff4f7b015405p-3
+        0x1.958d7d80230c2p-2 0x1.f196e803bf513p-2 0x1.6abe8e22a8a69p-4 -0x1.24f382e23aa33p-56
+        0x1.fdf45e7287c75p-7 0x1.ff5c31662669cp-4 0x1.afdf3e8ce27bbp-2 0x1.0000000000000p+0
+    """,
+    "legendre-modal": """
+        0x1.ffffffffffffep-1 0x1.0000000000001p+0 0x1.ffffffffffffdp-1 0x1.0000000000001p+0
+        0x1.ffffffffffffep-1 -0x1.ffffffffffffap-1 -0x1.0000000000002p-1 0x1.496808ac3b37fp-55
+        0x1.0000000000003p-1 0x1.ffffffffffffbp-1 0x1.d018d5bd940b8p-1 -0x1.c0630ae8c2bfcp-3
+        -0x1.2fe72aa999466p-1 -0x1.c0630ae8c2bfcp-3 0x1.d018d5bd940b8p-1 -0x1.000000000000cp+0
+        0x1.c0a6160c1264dp-2 -0x1.0dfbf2bc369c8p-7 -0x1.696e23bf0edc2p-1 0x1.1fe83b5a390c1p-1
+        0x1.ffffffffffffep-1 0x1.0000000000001p+0 0x1.ffffffffffffdp-1 0x1.0000000000001p+0
+        0x1.ffffffffffffep-1 -0x1.ffffffffffffbp-1 -0x1.0000000000003p-1 -0x1.496808ac3b37fp-55
+        0x1.0000000000002p-1 0x1.ffffffffffffap-1 0x1.0000000000000p+0 -0x1.00c4692a44524p-3
+        -0x1.00624dcc7d17cp-1 -0x1.00c4692a44524p-3 0x1.0000000000000p+0 -0x1.1fe83b5a390c1p-1
+        0x1.696e23bf0edc2p-1 0x1.0dfbf2bc369c8p-7 -0x1.c0a6160c1264dp-2 0x1.000000000000cp+0
+    """,
+}
+# float.hex of optimize_nodes(lobatto-nodal p=2, M=4, restarts=2, maxiter=20,
+# seed=3): nodes, then q_lower, then q_upper
+_GOLDEN_NODE_SEARCH = """
+    -0x1.0000000000000p+0 -0x1.5555555555555p-2 0x1.5555555555555p-2 0x1.0000000000000p+0
+    0x1.e38e17559efecp-1 0x1.5554cf1d98324p-3 -0x1.5555db8d123dcp-3 -0x1.c71e8aa610fd2p-5
+    -0x1.0c6f7a0b885a2p-20 0x1.c71c50392d304p-1 0x1.c71c50392d304p-1 -0x1.0c6f7a0b885a2p-20
+    -0x1.c71e8aa610fd2p-5 -0x1.5555db8d123dcp-3 0x1.5554cf1d98324p-3 0x1.e38e17559efecp-1
+    0x1.000010c6f7a0fp+0 0x1.c71cf7fed977ap-3 -0x1.c71b6557a2662p-4 0x1.0c6f7a0b91417p-20
+    0x1.c71d7e36967ccp-4 0x1.000010c6f7a0bp+0 0x1.000010c6f7a0bp+0 0x1.c71d7e36967ccp-4
+    0x1.0c6f7a0b91417p-20 -0x1.c71b6557a2662p-4 0x1.c71cf7fed977ap-3 0x1.000010c6f7a0fp+0
+"""
+# float.hex of _raw_objective at nodes (-1, -s, 0, s, 1), s = 0.4256, warm-started
+# from the equispaced supports above
+_GOLDEN_MOVED_OBJECTIVE = {
+    "lobatto-nodal": "0x1.0ac1bbf7564a2p+0",
+    "legendre-nodal": "0x1.a922801812817p+0",
+    "bernstein": "0x1.40a88b4cf5679p-2",
+    "legendre-modal": "0x1.9554e3690d115p-1",
+}
+
+
+def _hex(*arrays):
+    return [float(v).hex() for a in arrays for v in np.ravel(a)]
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_box_solves_keep_their_bits(family):
+    # the box solves' arithmetic is pinned to the bit, so the tables that
+    # optimize_nodes writes stay byte-identical (same machine dependence
+    # as test_shipped_table_regenerates_byte_identically)
+    basis = make_basis(family, 3)
+    eta = make_node_set("equispaced", 5).array()
+    active = _active_sets(basis, _N_SAMPLES)
+    for _ in ("cold", "warm"):
+        q_lo, q_up, failures = _raw_boxes(basis, eta, _N_SAMPLES, active)
+        assert failures == []
+        assert _hex(q_lo, q_up) == _GOLDEN_RAW_BOXES[family].split()
+    moved = _nodes_from_z(np.array([0.2, -0.1]), 5)
+    assert _raw_objective(basis, moved, active).hex() == _GOLDEN_MOVED_OBJECTIVE[family]
+
+
+def test_node_search_keeps_its_bits():
+    table = optimize_nodes(make_basis("lobatto-nodal", 2), 4, restarts=2, maxiter=20, seed=3)
+    assert _hex(table.eta(), table.q_lower, table.q_upper) == _GOLDEN_NODE_SEARCH.split()
 
 
 @settings(max_examples=60, deadline=None)

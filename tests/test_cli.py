@@ -73,6 +73,13 @@ def test_boxgen_rejects_bad_family(capsys):
     assert "unknown basis family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("family", ["lobatto", "legendre", "bernstein", "modal"])
+def test_boxgen_names_a_bad_order(family, tmp_path, capsys):
+    argv = ["boxgen", "--family", family, "--p", "0", "-o", str(tmp_path / "t.txt")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: order must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize("flags", [["--p", "0"], ["--m", "1"], ["--seed", "-1"],
                                    ["--p", "2", "--m", "3", "--seed", "-1"],
                                    ["--p", "2", "--m", "3", "--restarts", "-5"]])
