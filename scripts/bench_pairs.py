@@ -4,10 +4,12 @@ Runs `python3 perfbench/run.py --workload W --seed S --trace 0` in a base
 checkout and in a head checkout, taking turns, for PAIRS pairs per
 workload, and writes one JSON record: the machine, and for each workload
 and side the five end-to-end metrics of every run, their medians and
-quartiles; and per workload and metric the pairs each side won, with
-the better direction read from BENCHMARK.json. The run length is
-perfbench's own. Each run of a pair uses the same seed; pairs use seeds
-seed0, seed0 + 1, ...
+quartiles, and each run's minor page faults; and per workload and metric
+the pairs each side won, with the better direction read from
+BENCHMARK.json. A run's faults are the RUSAGE_CHILDREN delta over it, so
+they count its setup probes too; malloc churn shows there. The run
+length is perfbench's own. Each run of a pair uses the same seed; pairs
+use seeds seed0, seed0 + 1, ...
 
     python3 scripts/bench_pairs.py --base ../parent --out BENCH_9.json --seed0 11
 
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import resource
 import statistics
 import subprocess
 import sys
@@ -36,12 +39,15 @@ PAIRS = 10  # the fewest alternated pairs a gain is judged on
 
 
 def run_once(checkout: Path, workload: str, seed: int):
-    """(machine record, {metric: value}, attempted, failed) of one untraced
-    run in checkout. A run whose checks failed (exit 1, "correct": false)
-    is returned like any other; any other exit is an error."""
+    """(machine record, {metric: value}, attempted, failed, minor faults) of
+    one untraced run in checkout. A run whose checks failed (exit 1,
+    "correct": false) is returned like any other; any other exit is an
+    error."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--trace", "0"]
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
     out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=False)
+    faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt - faults
     lines = out.stdout.strip().splitlines()
     try:
         record, result = json.loads(lines[-2]), json.loads(lines[-1])
@@ -51,7 +57,7 @@ def run_once(checkout: Path, workload: str, seed: int):
         sys.stderr.write(out.stdout + out.stderr)
         raise RuntimeError(f"{checkout}: {workload} seed {seed} exited with {out.returncode}")
     return (record["machine"], {k: v["value"] for k, v in result["metrics"].items()},
-            result["attempted"], result["failed"])
+            result["attempted"], result["failed"], faults)
 
 
 def summarize(runs, better):
@@ -96,21 +102,22 @@ def main(argv=None) -> int:
         for k in range(PAIRS):
             order = list(sides) if k % 2 == 0 else list(sides)[::-1]
             for side in order:
-                machine, metrics, attempted, failed = run_once(sides[side], workload,
-                                                               args.seed0 + k)
-                runs[side].append((metrics, attempted, failed))
+                machine, metrics, attempted, failed, faults = run_once(
+                    sides[side], workload, args.seed0 + k)
+                runs[side].append((metrics, attempted, failed, faults))
                 failures += failed > 0
                 print(f"{workload} pair {k} {side}: "
                       + " ".join(f"{m}={v:.6g}" for m, v in metrics.items())
-                      + f" failed={failed}/{attempted}", flush=True)
-        stats, wins = summarize({side: [m for m, _, _ in rs] for side, rs in runs.items()},
+                      + f" failed={failed}/{attempted} minor_faults={faults}", flush=True)
+        stats, wins = summarize({side: [m for m, *_ in rs] for side, rs in runs.items()},
                                 better)
         report[workload] = {
             side: {
-                "runs": [m for m, _, _ in rs],
+                "runs": [m for m, *_ in rs],
                 **stats[side],
-                "attempted": [a for _, a, _ in rs],
-                "failed": [f for _, _, f in rs],
+                "attempted": [a for _, a, _, _ in rs],
+                "failed": [f for _, _, f, _ in rs],
+                "minor_faults": [n for *_, n in rs],
             }
             for side, rs in runs.items()
         }

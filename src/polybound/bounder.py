@@ -13,10 +13,7 @@ toolbox.
 
 from __future__ import annotations
 
-import math
-import threading
 import warnings
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -36,7 +33,7 @@ from .basis import (
     make_basis,
     FAMILIES,
 )
-from .boxopt import BoundingTable
+from .boxopt import BoundingTable, _Scratch
 
 __all__ = [
     "PolyCoeffs",
@@ -218,45 +215,6 @@ def _sweep_ops(table: BoundingTable):
     for a in ops:
         a.setflags(write=False)
     return ops
-
-
-class _Scratch:
-    """Grow-only buffers of the bounding kernel, kept by one owner across calls.
-
-    take(key, shape) returns a view of the key's buffer, grown to the
-    largest size asked for and never shrunk, so a warm owner allocates
-    nothing. An array taken under a key is valid until the next take of
-    that key. Capacities are powers of two: a scratch that sees many
-    sizes, as refine's generations do, then regrows rarely, and malloc
-    can reuse the few chunk sizes it frees instead of handing pages back
-    to the system and faulting them in again. borrow() lends the scratch to one user at a time; a user
-    that finds it busy gets a throwaway scratch, so results never depend
-    on sharing. Copies and pickles of an owner start with a fresh one.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-        self._lock = threading.Lock()
-
-    def __reduce__(self):
-        return _Scratch, ()
-
-    def take(self, key, shape) -> np.ndarray:
-        n = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < n:
-            buf = self._buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
-        return buf[:n].reshape(shape)
-
-    @contextmanager
-    def borrow(self):
-        if not self._lock.acquire(blocking=False):
-            yield _Scratch()
-            return
-        try:
-            yield self
-        finally:
-            self._lock.release()
 
 
 def _sweep(mid, rad, table: BoundingTable, scratch: _Scratch):
@@ -613,6 +571,18 @@ def _corners(a, reduce, dim: int):
     return a
 
 
+@lru_cache(maxsize=64)
+def _spans(table: BoundingTable) -> np.ndarray:
+    """Read-only (M-1, N, N) stack of the restrictions to the spans between
+    adjacent control nodes of table."""
+    eta = table.eta()
+    spans = np.stack([
+        _restriction(table.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
+    ])
+    spans.setflags(write=False)
+    return spans
+
+
 # sweep memory one generation may need; refine ends where the next could need more
 _GENERATION_BYTES = 1 << 30
 
@@ -637,31 +607,28 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
     where splitting every span of every cell would give a generation past
     _GENERATION_BYTES; split then settles every cell, and refine stops
     there or when nothing is picked. Returns the last level bounded. The
-    generations share one scratch, so lower and upper are valid only
-    inside split.
+    generations share ladder[0]'s scratch, so lower and upper are valid
+    only inside split.
     """
     owner = np.arange(len(U))
     level = 0
-    scratch = _Scratch()
-    while True:
-        table, following = (ladder[min(k, len(ladder) - 1)] for k in (level, level + 1))
-        children = len(U) * (table.nodes.M - 1) ** dim
-        last = level >= max_levels or _sweep_bytes(children, following, dim) > _GENERATION_BYTES
-        lower, upper = _bound_nodes(U, table, dim, scratch)
-        mask = split(level, owner, lower, upper, last)
-        if last or not mask.any():
-            return level
-        if mask.ndim == 1:
-            U, owner = U[mask], owner[mask]
-        else:
-            eta = table.eta()
-            spans = np.stack([
-                _restriction(table.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
-            ])
-            cell, *picked = np.nonzero(mask)
-            U = _restrict(U[cell], [spans[i] for i in picked])
-            owner = owner[cell]
-        level += 1
+    with ladder[0]._scratch.borrow() as scratch:
+        while True:
+            table, following = (ladder[min(k, len(ladder) - 1)] for k in (level, level + 1))
+            children = len(U) * (table.nodes.M - 1) ** dim
+            last = level >= max_levels or _sweep_bytes(children, following, dim) > _GENERATION_BYTES
+            lower, upper = _bound_nodes(U, table, dim, scratch)
+            mask = split(level, owner, lower, upper, last)
+            if last or not mask.any():
+                return level
+            if mask.ndim == 1:
+                U, owner = U[mask], owner[mask]
+            else:
+                spans = _spans(table)
+                cell, *picked = np.nonzero(mask)
+                U = _restrict(U[cell], [spans[i] for i in picked])
+                owner = owner[cell]
+            level += 1
 
 
 def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,

@@ -18,16 +18,17 @@ touch phi at nearly the same samples; a one-shot fit starts empty.
 
 from __future__ import annotations
 
+import math
 import os
-from dataclasses import dataclass
+import threading
+from contextlib import contextmanager
+from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
-from scipy.linalg.lapack import dtrtrs
-from scipy.optimize import minimize
 
 from .basis import (
     BasisSpec,
@@ -58,12 +59,68 @@ _EPSILON = 1e-6  # safety margin added after the continuous offset
 _NNLS_EPS = 10.0 * np.finfo(float).eps  # NNLS multiplier tolerance, relative
 
 
+# a buffer above this is freed when a borrow ends: glibc serves blocks above
+# its largest dynamic mmap threshold (32 MiB on 64-bit) by mmap anyway, so a
+# scratch made per call faulted them in on every call; keeping them would
+# save little and would hold them for as long as a cached table lives
+_KEPT_BYTES = 32 << 20
+
+
+class _Scratch:
+    """Grow-only buffers of the bounding kernel, kept by one owner across calls.
+
+    The owner is a BoundingTable, so every bound with a table reuses the
+    same memory: limiter passes, refine's generations and its calls from
+    bound_adaptive and check_mesh. Public bound_nodes returns views of
+    its arrays and so takes a throwaway scratch.
+
+    take(key, shape) returns a view of the key's buffer, grown to the
+    largest size asked for, so a warm owner allocates nothing. An array
+    taken under a key is valid until the next take of that key.
+    Capacities are powers of two: a scratch that sees many sizes, as
+    refine's generations do, then regrows rarely, and malloc can reuse the
+    few chunk sizes it frees instead of handing pages back to the system
+    and faulting them in again. borrow() lends the scratch to one user at
+    a time; a user that finds it busy gets a throwaway scratch, so results
+    never depend on sharing. When a borrow ends, buffers above _KEPT_BYTES
+    are dropped, so a cached table holds at most that much per key.
+    Copies and pickles of an owner start with a fresh scratch.
+    """
+
+    def __init__(self):
+        self._buffers = {}
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return _Scratch, ()
+
+    def take(self, key, shape) -> np.ndarray:
+        n = math.prod(shape)
+        buf = self._buffers.get(key)
+        if buf is None or buf.size < n:
+            buf = self._buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
+        return buf[:n].reshape(shape)
+
+    @contextmanager
+    def borrow(self):
+        if not self._lock.acquire(blocking=False):
+            yield _Scratch()
+            return
+        try:
+            yield self
+        finally:
+            for key in [k for k, buf in self._buffers.items() if buf.nbytes > _KEPT_BYTES]:
+                del self._buffers[key]
+            self._lock.release()
+
+
 @dataclass(frozen=True, eq=False)
 class BoundingTable:
     """Lower/upper control values bounding every basis function.
 
     Row i of ``q_lower``/``q_upper`` holds the M control values of the
-    piecewise-linear bounds of phi_{i+1} on ``nodes``.
+    piecewise-linear bounds of phi_{i+1} on ``nodes``. The table owns the
+    bounding kernel's scratch (see _Scratch).
     """
 
     basis: BasisSpec
@@ -72,6 +129,7 @@ class BoundingTable:
     q_upper: np.ndarray
     epsilon: float = _EPSILON
     provenance: str = "optimized-here"
+    _scratch: _Scratch = field(default_factory=_Scratch, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         ql = np.asarray(self.q_lower, dtype=float)
@@ -171,6 +229,14 @@ def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
     raise RuntimeError("NNLS iteration budget exhausted")
 
 
+@lru_cache(maxsize=None)
+def _dtrtrs():
+    """LAPACK dtrtrs from scipy, imported on first use: only the box solves
+    need scipy, so bounding with a loaded table never imports it."""
+    from scipy.linalg.lapack import dtrtrs
+    return dtrtrs
+
+
 def _solve_r(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """R x = rhs for the C-ordered upper-triangular R of np.linalg.qr.
 
@@ -178,7 +244,7 @@ def _solve_r(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     transpose is column-major lower triangular), without that wrapper's
     per-call argument checks.
     """
-    x, info = dtrtrs(R.T, rhs, lower=1, trans=1)
+    x, info = _dtrtrs()(R.T, rhs, lower=1, trans=1)
     if info:
         raise np.linalg.LinAlgError(f"singular R: zero on diagonal {info - 1}")
     return x
@@ -494,6 +560,7 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     if restarts < 0:
         raise ValueError("restarts must be >= 0")
     rng = np.random.default_rng(seed)  # rejects a bad seed even when unused
+    from scipy.optimize import minimize
 
     def build(eta_arr):
         return optimize_values(basis, NodeSet(eta_arr))

@@ -27,7 +27,6 @@ from .bounder import (
     NonFiniteBoundsError,
     PolyCoeffs,
     _bound_nodes,
-    _Scratch,
     bernstein_bounds,
     bound_tensor,
     brute_force_extrema,
@@ -68,16 +67,12 @@ class DGState:
     U has shape (Ne, Ne, N, N): element row (y), element column (x),
     node row (y), node column (x).  Coefficients are nodal values on the
     tensor GLL grid of each element.
-
-    The bounding scratch of the limiter passes to every state made from
-    this one by dataclasses.replace, so one run reuses the same buffers.
     """
 
     p: int
     U: np.ndarray
     t: float = 0.0
     basis: BasisSpec = field(init=False, repr=False, compare=False)
-    _scratch: _Scratch = field(default_factory=_Scratch, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
@@ -293,7 +288,7 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     return alpha
 
 
-def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops, scratch: _Scratch):
+def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
     if table.basis != ops["basis"]:
         raise ValueError(
             f"bounding table is for {table.basis.family} p={table.basis.p}, "
@@ -301,7 +296,7 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops, scratch: _Sc
         )
     a, b = bounds
     means = _mean_batch(U, ops)
-    with scratch.borrow() as s:
+    with table._scratch.borrow() as s:
         lower, upper = _bound_nodes(U, table, 2, s)
         u_min = lower.min(axis=(-2, -1))
         u_max = upper.max(axis=(-2, -1))
@@ -321,7 +316,7 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops, scratch: _Sc
 def apply_limiter(state: DGState, table: BoundingTable, bounds=(0.0, 1.0)) -> DGState:
     """Squeeze every element's node-bound range into the global interval."""
     ops = _operators(state.elements, state.p)
-    Unew, _, _, _, _ = _limit_arrays(state.U, table, bounds, ops, state._scratch)
+    Unew, _, _, _, _ = _limit_arrays(state.U, table, bounds, ops)
     return replace(state, U=Unew)
 
 
@@ -329,7 +324,7 @@ def limiter_decisions(state: DGState, table: BoundingTable, bounds=(0.0, 1.0)):
     """Per-element limiter diagnostics: the (Ne, Ne) arrays
     (mean, u_min, u_max, alpha) of one limiter pass over state."""
     ops = _operators(state.elements, state.p)
-    return _limit_arrays(state.U, table, bounds, ops, state._scratch)[1:]
+    return _limit_arrays(state.U, table, bounds, ops)[1:]
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +352,7 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
         if table is None:
             return U
         try:
-            return _limit_arrays(U, table, bounds, ops, state._scratch)[0]
+            return _limit_arrays(U, table, bounds, ops)[0]
         except (ValueError, NonFiniteBoundsError) as exc:
             raise type(exc)(f"RK stage {stage} of 3 at t={state.t}: {exc}") from exc
 

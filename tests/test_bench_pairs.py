@@ -21,3 +21,21 @@ def test_summarize_counts_wins_by_direction_and_gives_quartiles():
     assert sides["change"]["quartiles"]["items_per_s"] == [2.0, 4.0]
     assert sides["change"]["quartiles"]["op_ms_p50"] == [9.0, 10.0]
 
+
+
+_STUB_RUN = """
+import json
+pages = bytes(range(256)) * (1 << 16)  # writes 16 MiB, at least 4,096 fresh pages
+print(json.dumps({"machine": {"cpu": "stub"}}))
+print(json.dumps({"correct": True, "attempted": 3, "failed": 0,
+                  "metrics": {"items_per_s": {"value": 2.5}, "op_ms_p50": {"value": 4.0}}}))
+"""
+
+
+def test_run_once_counts_the_run_s_minor_page_faults(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_STUB_RUN, encoding="utf-8")
+    machine, metrics, attempted, failed, faults = bench_pairs.run_once(tmp_path, "rotation", 1)
+    assert machine == {"cpu": "stub"} and (attempted, failed) == (3, 0)
+    assert metrics == {"items_per_s": 2.5, "op_ms_p50": 4.0}
+    assert faults >= 4096

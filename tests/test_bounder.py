@@ -1,3 +1,5 @@
+import copy
+import pickle
 from functools import lru_cache
 
 import numpy as np
@@ -5,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from polybound import bounder
+from polybound import bounder, boxopt
 from polybound.basis import (FAMILIES, _bary_weights, basis_matrix, cheb_coeffs,
                              gauss_legendre_rule, linear_coeffs, make_basis, make_node_set)
 from polybound.boxopt import optimize_values, reference_table, standard_table
@@ -195,10 +197,79 @@ def test_bound_nodes_results_outlive_later_calls(t35):
     assert np.array_equal(lower, kept[0]) and np.array_equal(upper, kept[1])
 
 
+def _generations(U, ladder, dim, tol):
+    """Copies of (owner, lower, upper) of every generation refine bounds:
+    the ladder is climbed whole, then the spans wider than tol split."""
+    seen = []
+
+    def split(level, owner, lower, upper, last):
+        seen.append((owner.copy(), lower.copy(), upper.copy()))
+        if level < len(ladder) - 1:
+            return np.ones(len(owner), dtype=bool)
+        return bounder._corners(upper - lower > tol, np.logical_or, dim) & (not last)
+
+    bounder.refine(U, ladder, dim, split, 4)
+    return seen
+
+
+def test_warm_and_fresh_table_scratch_give_equal_refinements():
+    # the adaptive benchmark's ladders; the warm tables' buffers were last
+    # sized and filled by the other kinds, the fresh copies start empty
+    ladders = {p: [standard_table("lobatto-nodal", p, M) for M in range(p + 1, p + 4)]
+               for p in (2, 3, 5)}
+    for seed in (501, 502):
+        rng = np.random.default_rng(seed)
+        for dim, p, cells in [(3, 3, 6), (1, 5, 40), (2, 5, 9), (3, 2, 20), (2, 3, 30)]:
+            U = rng.uniform(-1.0, 1.0, (cells,) + (p + 1,) * dim)
+            warm = _generations(U, ladders[p], dim, 0.05)
+            fresh = _generations(U, copy.deepcopy(ladders[p]), dim, 0.05)
+            assert len(warm) == len(fresh) > len(ladders[p]), (seed, dim, p)
+            for a, b in zip(warm, fresh):
+                assert all(np.array_equal(x, y) for x, y in zip(a, b)), (seed, dim, p)
+
+
+def test_busy_table_scratch_falls_back_to_a_throwaway(t35):
+    table = copy.deepcopy(t35)
+    coeffs = PolyCoeffs(2, B3, np.random.default_rng(94).uniform(-1.0, 1.0, (4, 4)))
+    expected = bound_adaptive(coeffs, table, 1e-3)
+    with table._scratch.borrow() as held:
+        kept = dict(held._buffers)
+        got = bound_adaptive(coeffs, table, 1e-3)
+        assert held._buffers.keys() == kept.keys()
+        assert all(held._buffers[k] is buf for k, buf in kept.items())
+    assert got == expected and got.levels_used > 0
+
+
+def test_table_copies_and_pickles_with_a_fresh_scratch(t35):
+    bound_adaptive(PolyCoeffs(2, B3, np.arange(16.0).reshape(4, 4) % 5), t35, 1e-3)
+    assert t35._scratch._buffers
+    for twin in (copy.deepcopy(t35), pickle.loads(pickle.dumps(t35))):
+        assert np.array_equal(twin.q_lower, t35.q_lower) and np.array_equal(twin.eta(), t35.eta())
+        assert twin._scratch is not t35._scratch and not twin._scratch._buffers
+
+
+def test_table_scratch_drops_buffers_above_the_kept_size(t35):
+    # one 3D generation of 6,000 cells needs a ~35 MB sweep block
+    table = copy.deepcopy(t35)
+    U = np.random.default_rng(95).standard_normal((6000, 4, 4, 4))
+    sweep = []
+
+    def split(level, owner, lower, upper, last):
+        sweep.append(table._scratch._buffers["sweep"].nbytes)
+        return np.zeros(len(owner), dtype=bool)
+
+    bounder.refine(U, [table], 3, split, 0)
+    kept = table._scratch._buffers
+    assert sweep[0] > boxopt._KEPT_BYTES and "sweep" not in kept
+    assert {"x", "interval"} <= kept.keys()
+    assert all(buf.nbytes <= boxopt._KEPT_BYTES for buf in kept.values())
+
+
 def test_cached_operators_are_read_only(t35):
     U = np.random.default_rng(92).standard_normal((5, 4, 4))
     before = bound_nodes(U, t35, 2)
-    for op in (*bounder._p1_ops(t35.basis), _bary_weights(tuple(t35.basis.nodes))):
+    for op in (*bounder._p1_ops(t35.basis), _bary_weights(tuple(t35.basis.nodes)),
+               bounder._spans(t35)):
         with pytest.raises(ValueError):
             op[0] += 1.0
     after = bound_nodes(U, t35, 2)

@@ -1,9 +1,14 @@
 import dataclasses
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import polybound
 from polybound.basis import make_basis
 from polybound.boxopt import _data_dir, load_table
 from polybound.bounder import PolyCoeffs, write_coeffs
@@ -324,3 +329,27 @@ def test_tables_reproduction(capsys):
     assert "PASS" in out
     assert "FAIL" not in out
     assert "Control nodes eta" in out
+
+
+# -- imports ----------------------------------------------------------------
+
+
+def test_bounding_never_imports_scipy():
+    # scipy serves only table generation; a fresh process that loads tables
+    # and bounds with them must not pay for importing it
+    code = f"""
+import sys
+import numpy as np
+import polybound, polybound.cli, polybound.limiter, polybound.meshcheck
+from polybound.bounder import PolyCoeffs, bound_adaptive
+ladder = [polybound.standard_table("lobatto-nodal", 3, M) for M in (4, 5, 6)]
+bound_adaptive(PolyCoeffs(2, ladder[0].basis, np.arange(16.0) % 5), ladder, 1e-3)
+assert polybound.cli.main(["checkmesh", {str(FIXTURE_MESH)!r}]) == 2
+assert polybound.cli.main(["limit-demo", "--elements", "4", "--order", "2",
+                           "--tfinal", "0.02", "--samples", "8"]) == 0
+print(sorted(m for m in ("scipy.linalg", "scipy.optimize") if m in sys.modules))
+"""
+    src = str(Path(polybound.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

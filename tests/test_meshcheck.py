@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,17 @@ def test_check_mesh_blocks_match_single_elements(tables_p2):
             one.status, one.levels_used, one.policy_invalid)
         np.testing.assert_allclose(er.min_detj_interval, one.min_detj_interval,
                                    rtol=1e-12)
+
+
+def test_check_mesh_with_warm_and_fresh_table_scratch_agrees(tables_p2):
+    # the warm tables' buffers last held a larger mesh's generations
+    mesh = CurvedMesh(2, [mirror_element(e) if k % 7 == 3 else e for k, e in
+                          enumerate(perturb_mesh(uniform_mesh(9, 9, 2), 0.15, seed=1).elements)])
+    check_mesh(perturb_mesh(uniform_mesh(12, 12, 2), 0.2, seed=3), tables_p2, tol=1e-4)
+    warm = check_mesh(mesh, tables_p2, tol=1e-4)
+    fresh = check_mesh(mesh, copy.deepcopy(tables_p2), tol=1e-4)
+    assert warm == fresh
+    assert max(er.levels_used for er in warm.elements) >= 2 and warm.counts()["invalid"]
 
 
 def test_empty_mesh_gives_empty_report(tables_p2):
