@@ -21,6 +21,8 @@ go on; the script then exits 1.
 A gain is claimed on a metric when the change wins at least 9 of 10
 pairs and its median beats the parent's by more than the parent's
 interquartile range; both halves of that rule can be read off the record.
+Under "verdicts", each workload's metrics are also judged against the
+relative bounds of BENCHMARK.json (see verdict).
 """
 
 from __future__ import annotations
@@ -84,6 +86,26 @@ def summarize(runs, better):
     return sides, wins
 
 
+def verdict(parent, change, better: str, bound: float) -> str:
+    """Judge one metric's runs against its relative bound.
+
+    "worse" when the change's median is worse than the parent's by more
+    than bound, relative to the parent's median; "unresolved" when the
+    parent's interquartile range exceeds bound relative to its median and
+    not every change run beats every parent run; "ok" otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    base, head = statistics.median(parent), statistics.median(change)
+    loss = sign * (base - head)
+    if loss > bound * abs(base):
+        return "worse"
+    q1, q3 = statistics.quantiles(parent, n=4, method="inclusive")[::2]
+    dominates = min(sign * c for c in change) > max(sign * p for p in parent)
+    if q3 - q1 > bound * abs(base) and not dominates:
+        return "unresolved"
+    return "ok"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
@@ -96,7 +118,8 @@ def main(argv=None) -> int:
     sides = {"parent": args.base.resolve(), "change": args.head.resolve()}
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
-    machine, report, failures = None, {}, 0
+    bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
+    machine, report, verdicts, failures = None, {}, {}, 0
     for workload in args.workloads:
         runs = {side: [] for side in sides}
         for k in range(PAIRS):
@@ -122,12 +145,18 @@ def main(argv=None) -> int:
             for side, rs in runs.items()
         }
         report[workload]["wins"] = wins
+        verdicts[workload] = {
+            m: verdict([r[m] for r, *_ in runs["parent"]], [r[m] for r, *_ in runs["change"]],
+                       better[m], bounds[m])
+            for m in wins
+        }
     args.out.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "pairs": PAIRS,
         "seeds": list(range(args.seed0, args.seed0 + PAIRS)),
         "machine": machine,
         "workloads": report,
+        "verdicts": verdicts,
     }, indent=1) + "\n", encoding="utf-8")
     if failures:
         print(f"{failures} run(s) failed their checks", file=sys.stderr)

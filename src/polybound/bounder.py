@@ -13,6 +13,7 @@ toolbox.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -33,7 +34,7 @@ from .basis import (
     make_basis,
     FAMILIES,
 )
-from .boxopt import BoundingTable, _Scratch
+from .boxopt import BoundingTable, _take
 
 __all__ = [
     "PolyCoeffs",
@@ -217,7 +218,7 @@ def _sweep_ops(table: BoundingTable):
     return ops
 
 
-def _sweep(mid, rad, table: BoundingTable, scratch: _Scratch):
+def _sweep(mid, rad, table: BoundingTable, scratch: dict, out=None):
     """Node bounds of (B, N) coefficient rows mid +- rad; rad=None for exact rows.
 
     With f the fluctuation of mid, r the radius and [ql, qu] a box entry,
@@ -233,20 +234,22 @@ def _sweep(mid, rad, table: BoundingTable, scratch: _Scratch):
     Rows are read best as (B, N) views of (N, B) memory: the GEMM reads
     them in place and every elementwise pass runs along the B rows. A
     radius always comes in that way, from _bound_interval_rows. The
-    results are (B, M) views of (M, B) arrays.
+    results are (B, M) views of (M, B) arrays, out's two when given.
 
-    Every array is a row block of the scratch array "sweep": the GEMM
-    output [F; base], lower, upper, then the sign split of an exact sweep
-    or the spread and the third loop buffer of an interval one. One take
-    per sweep keeps small calls cheap. mid and rad must come from other
-    keys: a later sweep's rows are this block's results, which
-    _bound_interval_rows copies out before the block is taken again.
+    Every other array is a row block of the scratch array "sweep": the
+    GEMM output [F; base], lower and upper unless out holds them, then
+    the sign split of an exact sweep or the spread and the third loop
+    buffer of an interval one. One take per sweep keeps small calls
+    cheap. mid and rad must come from other keys: a later sweep's rows
+    are this block's results, which _bound_interval_rows copies out
+    before the block is taken again.
     """
     W, abs_ql, dq, dabs = _sweep_ops(table)
     (N, M), B = dq.shape, len(mid)
-    block = scratch.take("sweep", (N + 3 * M + (N if rad is None else 2 * M), B))
-    G, lower, upper, rest = (block[:N + M], block[N + M:N + 2 * M],
-                             block[N + 2 * M:N + 3 * M], block[N + 3 * M:])
+    kept = 2 * M if out is None else 0
+    block = _take(scratch, "sweep", (N + M + kept + (N if rad is None else 2 * M), B))
+    G, rest = block[:N + M], block[N + M + kept:]
+    lower, upper = (block[N + M:N + 2 * M], block[N + 2 * M:N + 3 * M]) if out is None else out
     np.matmul(W.T, mid.T, out=G)
     F, base = G[:N], G[N:]
     if rad is None:
@@ -270,25 +273,46 @@ def _sweep(mid, rad, table: BoundingTable, scratch: _Scratch):
     return lower.T, upper.T
 
 
-def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable, scratch: _Scratch):
+def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable, scratch: dict, out=None):
     """Node bounds for stacked exact-coefficient rows: (B,N) -> (B,M)."""
-    return _sweep(rows, None, table, scratch)
+    return _sweep(rows, None, table, scratch, out)
 
 
 def _bound_interval_rows(basis: BasisSpec, lo_rows, hi_rows, table: BoundingTable,
-                         scratch: _Scratch):
+                         scratch: dict, out=None):
     """Node bounds when each coefficient is only known to an interval.
 
     The midpoint carries the projection; the radius re-enters per
     coefficient through the interval product in _sweep. Both are written
     to (N, B) scratch memory, whatever the layout of the rows.
     """
-    mid, rad = scratch.take("interval", (2,) + lo_rows.shape[::-1])
+    mid, rad = _take(scratch, "interval", (2,) + lo_rows.shape[::-1])
     np.add(lo_rows.T, hi_rows.T, out=mid)
     np.subtract(hi_rows.T, lo_rows.T, out=rad)
     mid *= 0.5
     rad *= 0.5
-    return _sweep(mid.T, rad.T, table, scratch)
+    return _sweep(mid.T, rad.T, table, scratch, out)
+
+
+# bytes of kernel temporaries per block of cells, about an L2 cache
+_BLOCK_BYTES = 2 << 20
+
+
+def _bound_block(U, table: BoundingTable, dim: int, scratch: dict, out):
+    """The sweeps of bound_nodes over one block, a (..., N)^dim stack: node-major
+    (M, B) lower and upper, B = M^(dim-1) times the cells, in out when given."""
+    N = table.basis.N
+    X = _take(scratch, "x", (N,) + U.shape[:-1])
+    np.copyto(X, U.transpose(-1, *range(U.ndim - 1)))
+    lower, upper = _bound_rows(table.basis, X.reshape(N, -1).T, table, scratch,
+                               out if dim == 1 else None)
+    for d in range(1, dim):
+        # the (M, B) memory of a sweep, read N values at a time, holds the
+        # next sweep's rows
+        lower, upper = _bound_interval_rows(
+            table.basis, lower.T.reshape(-1, N), upper.T.reshape(-1, N), table, scratch,
+            out if d == dim - 1 else None)
+    return lower.T, upper.T
 
 
 def bound_nodes(U, table: BoundingTable, dim: int):
@@ -296,40 +320,37 @@ def bound_nodes(U, table: BoundingTable, dim: int):
 
     U has shape (..., N)^dim with the x axis last; returns (lower, upper),
     each of shape (..., M)^dim. The first sweep bounds every 1D slice
-    along x exactly; later sweeps carry interval coefficients. Each sweep
-    is one batched call over all rows of the stack, O(N^d M + N M^d)
-    multiply-adds per polynomial.
+    along x exactly; later sweeps carry interval coefficients, O(N^d M +
+    N M^d) multiply-adds per polynomial. Each sweep is one batched call
+    over a block of cells; balanced blocks keep the temporaries, from the
+    table's scratch, within _BLOCK_BYTES.
 
-    The stack is copied once, to memory ordered (x, cells..., z, y). Each
-    sweep then reads its rows in place and puts its node axis in front,
-    so the next sweep's axis is last, and after the last sweep the
-    memory is node-major, (M,)^dim + (cells...). The results are views
-    of it: a reduction over the nodes of each cell runs along the long
-    cells axis.
+    A block is copied once, to memory ordered (x, cells..., z, y). Each
+    sweep reads its rows in place and puts its node axis in front, so the
+    next sweep's axis is last and the memory ends node-major, (M,)^dim +
+    (cells...). The results are views of one new array in that layout,
+    which belongs to the caller: a reduction over the nodes of each cell
+    runs along the long cells axis.
     """
-    return _bound_nodes(U, table, dim, _Scratch())
-
-
-def _bound_nodes(U, table: BoundingTable, dim: int, scratch: _Scratch):
-    """bound_nodes with every array taken from scratch; the results stay
-    valid until the next call on the same scratch."""
     N, M = table.basis.N, table.nodes.M
     U = np.asarray(U, dtype=float)
     if dim < 1 or U.shape[U.ndim - dim:] != (N,) * dim:
         raise ValueError(f"need coefficients of shape (..., {N})^{dim}, got {U.shape}")
-    X = scratch.take("x", (N,) + U.shape[:-1])
-    np.copyto(X, U.transpose(-1, *range(U.ndim - 1)))
-    lower, upper = _bound_rows(table.basis, X.reshape(N, -1).T, table, scratch)
-    for _ in range(1, dim):
-        # the (M, B) memory of a sweep, read N values at a time, holds the
-        # next sweep's rows
-        lower, upper = _bound_interval_rows(
-            table.basis, lower.T.reshape(-1, N), upper.T.reshape(-1, N), table, scratch
-        )
     lead = U.shape[:U.ndim - dim]
+    out = np.empty((2,) + (M,) * dim + lead)
+    cells = math.prod(lead)
+    blocks = -(-cells // max(1, _BLOCK_BYTES // (8 * (2 * N + 5 * M) * max(N, M) ** (dim - 1))))
+    scratch = table._scratch._buffers
+    if blocks <= 1:  # the last sweep writes straight to out
+        _bound_block(U, table, dim, scratch, out.reshape(2, M, -1))
+    else:
+        U, flat = U.reshape((cells,) + (N,) * dim), out.reshape(2, -1, cells)
+        for k in range(blocks):
+            cut = slice(cells * k // blocks, cells * (k + 1) // blocks)
+            lower, upper = _bound_block(U[cut], table, dim, scratch, None)
+            flat[0, :, cut], flat[1, :, cut] = lower.reshape(M**dim, -1), upper.reshape(M**dim, -1)
     order = tuple(range(dim, dim + len(lead))) + tuple(range(dim))
-    shape = (M,) * dim + lead
-    return lower.T.reshape(shape).transpose(order), upper.T.reshape(shape).transpose(order)
+    return out[0].transpose(order), out[1].transpose(order)
 
 
 def bound_tensor(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:
@@ -583,52 +604,51 @@ def _spans(table: BoundingTable) -> np.ndarray:
     return spans
 
 
-# sweep memory one generation may need; refine ends where the next could need more
+# bytes one generation may store: its coefficients and node bounds
 _GENERATION_BYTES = 1 << 30
-
-
-def _sweep_bytes(cells: int, table: BoundingTable, dim: int) -> int:
-    """At least the bytes of the largest block _sweep takes when
-    _bound_nodes bounds cells dim-D polynomials with table."""
-    N, M = table.basis.N, table.nodes.M
-    return 8 * cells * (2 * N + 5 * M) * max(N, M) ** (dim - 1)
 
 
 def refine(U, ladder, dim: int, split, max_levels: int) -> int:
     """Bound a stack of cells generation by generation, refining where asked.
 
     Generation `level` bounds the whole (cells,) + (N,)*dim stack with
-    ladder[min(level, top)] in one _bound_nodes call. split(level, owner,
+    ladder[min(level, top)] in one bound_nodes call. split(level, owner,
     lower, upper, last) is the caller's decision: owner[i] is the input
     cell that cell i descends from. A returned (cells,) mask carries the
     picked cells whole into the next generation, to be bounded with the
     next table; a (cells,) + (M-1,)*dim mask picks the spans between
-    control nodes that make it. last is true at generation max_levels and
-    where splitting every span of every cell would give a generation past
-    _GENERATION_BYTES; split then settles every cell, and refine stops
-    there or when nothing is picked. Returns the last level bounded. The
-    generations share ladder[0]'s scratch, so lower and upper are valid
-    only inside split.
+    control nodes that make it. last is true at generation max_levels;
+    split then settles every cell, and refine stops there or when nothing
+    is picked. Where the picked cells would store more than
+    _GENERATION_BYTES, N^dim coefficients and 2 M^dim node bounds each,
+    refine calls split again with last true and stops, so a split must be
+    idempotent per level. Returns the last level bounded. lower and upper
+    belong to split.
     """
+    if max_levels < 0:
+        raise ValueError(f"max_levels must be >= 0, got {max_levels}")
     owner = np.arange(len(U))
     level = 0
-    with ladder[0]._scratch.borrow() as scratch:
-        while True:
-            table, following = (ladder[min(k, len(ladder) - 1)] for k in (level, level + 1))
-            children = len(U) * (table.nodes.M - 1) ** dim
-            last = level >= max_levels or _sweep_bytes(children, following, dim) > _GENERATION_BYTES
-            lower, upper = _bound_nodes(U, table, dim, scratch)
-            mask = split(level, owner, lower, upper, last)
-            if last or not mask.any():
-                return level
-            if mask.ndim == 1:
-                U, owner = U[mask], owner[mask]
-            else:
-                spans = _spans(table)
-                cell, *picked = np.nonzero(mask)
-                U = _restrict(U[cell], [spans[i] for i in picked])
-                owner = owner[cell]
-            level += 1
+    while True:
+        table = ladder[min(level, len(ladder) - 1)]
+        lower, upper = bound_nodes(U, table, dim)
+        last = level >= max_levels
+        mask = split(level, owner, lower, upper, last)
+        children = 0 if last else np.count_nonzero(mask)
+        if not children:
+            return level
+        M = ladder[min(level + 1, len(ladder) - 1)].nodes.M
+        if children * 8 * (U.shape[-1] ** dim + 2 * M**dim) > _GENERATION_BYTES:
+            split(level, owner, lower, upper, True)
+            return level
+        if mask.ndim == 1:
+            U, owner = U[mask], owner[mask]
+        else:
+            spans = _spans(table)
+            cell, *picked = np.nonzero(mask)
+            U = _restrict(U[cell], [spans[i] for i in picked])
+            owner = owner[cell]
+        level += 1
 
 
 def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
@@ -654,7 +674,7 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
         _require_finite(lower, upper, lambda i: (
             f"polynomial: node bounds not finite at refinement level {level}"))
         gap = upper - lower
-        history.append({"level": level, "cells": len(gap), "worst_gap": float(gap.max())})
+        history[level:] = [{"level": level, "cells": len(gap), "worst_gap": float(gap.max())}]
         if not last and level < len(ladder) - 1 and history[-1]["worst_gap"] > tol:
             return np.ones(1, dtype=bool)
         keep = (gap <= tol) | last

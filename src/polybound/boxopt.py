@@ -21,7 +21,6 @@ from __future__ import annotations
 import math
 import os
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -59,59 +58,32 @@ _EPSILON = 1e-6  # safety margin added after the continuous offset
 _NNLS_EPS = 10.0 * np.finfo(float).eps  # NNLS multiplier tolerance, relative
 
 
-# a buffer above this is freed when a borrow ends: glibc serves blocks above
-# its largest dynamic mmap threshold (32 MiB on 64-bit) by mmap anyway, so a
-# scratch made per call faulted them in on every call; keeping them would
-# save little and would hold them for as long as a cached table lives
-_KEPT_BYTES = 32 << 20
-
-
-class _Scratch:
-    """Grow-only buffers of the bounding kernel, kept by one owner across calls.
+class _Scratch(threading.local):
+    """Grow-only temporaries of the bounding kernel, one set per thread.
 
     The owner is a BoundingTable, so every bound with a table reuses the
-    same memory: limiter passes, refine's generations and its calls from
-    bound_adaptive and check_mesh. Public bound_nodes returns views of
-    its arrays and so takes a throwaway scratch.
-
-    take(key, shape) returns a view of the key's buffer, grown to the
-    largest size asked for, so a warm owner allocates nothing. An array
-    taken under a key is valid until the next take of that key.
-    Capacities are powers of two: a scratch that sees many sizes, as
-    refine's generations do, then regrows rarely, and malloc can reuse the
-    few chunk sizes it frees instead of handing pages back to the system
-    and faulting them in again. borrow() lends the scratch to one user at
-    a time; a user that finds it busy gets a throwaway scratch, so results
-    never depend on sharing. When a borrow ends, buffers above _KEPT_BYTES
-    are dropped, so a cached table holds at most that much per key.
-    Copies and pickles of an owner start with a fresh scratch.
+    same memory, and threads that share a table never share an array.
+    bound_nodes reads _buffers, the dict _take draws on, once per call:
+    each read of a thread-local looks up the thread. Copies and pickles
+    of an owner start with a fresh scratch.
     """
 
     def __init__(self):
         self._buffers = {}
-        self._lock = threading.Lock()
 
     def __reduce__(self):
         return _Scratch, ()
 
-    def take(self, key, shape) -> np.ndarray:
-        n = math.prod(shape)
-        buf = self._buffers.get(key)
-        if buf is None or buf.size < n:
-            buf = self._buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
-        return buf[:n].reshape(shape)
 
-    @contextmanager
-    def borrow(self):
-        if not self._lock.acquire(blocking=False):
-            yield _Scratch()
-            return
-        try:
-            yield self
-        finally:
-            for key in [k for k, buf in self._buffers.items() if buf.nbytes > _KEPT_BYTES]:
-                del self._buffers[key]
-            self._lock.release()
+def _take(buffers: dict, key, shape) -> np.ndarray:
+    """A view of buffers[key], valid until the next take of that key. The buffer
+    grows to the largest size asked for, in powers of two, so refine's many
+    sizes rarely regrow it and malloc sees few chunk sizes."""
+    n = math.prod(shape)
+    buf = buffers.get(key)
+    if buf is None or buf.size < n:
+        buf = buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
+    return buf[:n].reshape(shape)
 
 
 @dataclass(frozen=True, eq=False)

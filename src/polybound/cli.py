@@ -141,7 +141,7 @@ def cmd_bound(args) -> int:
         return 1
     coeffs = read_coeffs(args.coeffs)
     p = coeffs.basis.p
-    M = args.m if args.m else p + 1
+    M = args.m if args.m is not None else p + 1
     table = standard_table(coeffs.basis.family, p, M, kind=_node_kind(args.nodes))
 
     if args.subdivide:
@@ -196,7 +196,9 @@ def cmd_checkmesh(args) -> int:
 
 def _mesh_tables(p: int, m: int | None):
     q = 2 * p - 1  # order of det J for a degree-p quad
-    M = m if m else q + 3
+    M = m if m is not None else q + 3
+    if M <= q:
+        raise ValueError(f"--m {M} is below the {q + 1} nodes of det J of order {q}")
     out = []
     for mm in range(q + 1, M + 1):
         try:

@@ -26,8 +26,8 @@ from .bounder import (
     BoundingTable,
     NonFiniteBoundsError,
     PolyCoeffs,
-    _bound_nodes,
     bernstein_bounds,
+    bound_nodes,
     bound_tensor,
     brute_force_extrema,
     sampled_extrema,
@@ -175,6 +175,8 @@ def _operators(elements: int, p: int):
     The rows of Eb lift it onto the element after the face and the one
     before it, a rank-one update each.
     """
+    if elements < 1:
+        raise ValueError(f"need at least one element per direction, got elements={elements}")
     basis = make_basis("lobatto-nodal", p)
     N = p + 1
     h = 1.0 / elements
@@ -296,10 +298,9 @@ def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
         )
     a, b = bounds
     means = _mean_batch(U, ops)
-    with table._scratch.borrow() as s:
-        lower, upper = _bound_nodes(U, table, 2, s)
-        u_min = lower.min(axis=(-2, -1))
-        u_max = upper.max(axis=(-2, -1))
+    lower, upper = bound_nodes(U, table, 2)
+    u_min, u_max = lower.min(axis=(-2, -1)), upper.max(axis=(-2, -1))
+    del lower, upper  # freed before the blend allocates
     # min/max propagate NaN, and the sweeps keep lower <= upper node by
     # node, so any bound at +-inf or NaN shows in u_min or u_max
     finite = np.isfinite(means) & np.isfinite(u_min) & np.isfinite(u_max)

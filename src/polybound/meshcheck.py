@@ -151,19 +151,22 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes, p)[0])
 
 
-def _detj_ladder(tables, tol: float, p: int) -> list:
-    """The table ladder for det J of geometric order p, after checking tol."""
+def _detj_ladder(tables, tol: float, max_levels: int, p: int) -> list:
+    """The table ladder for det J of geometric order p, after checking tol and max_levels."""
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if max_levels < 0:
+        raise ValueError(f"max_levels must be >= 0, got {max_levels}")
     return _as_ladder(tables, _detj_ops(p)[0])
 
 
 def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
     """classify_element for a stack of det J polynomials of shape (E, N, N).
 
-    ladder and tol come checked from _detj_ladder. One refine() call
-    serves the whole stack; split keeps each element's bookkeeping in
-    arrays indexed by owner. Reports are indexed from start.
+    ladder, tol and max_levels come checked from _detj_ladder. One refine()
+    call serves the whole stack; split keeps each element's bookkeeping in
+    arrays indexed by owner, by minima, ORs and assignments only, so it is
+    idempotent per level. Reports are indexed from start.
     """
     E = len(det)
     certified_lo, up_min = np.full((2, E), np.inf)
@@ -213,7 +216,7 @@ def classify_element(element, tables, tol: float, max_levels: int = 10) -> Eleme
     supplied ladder serve the deeper generations. The report's index is 0.
     """
     nodes, p = _element_nodes(element)
-    ladder = _detj_ladder(tables, tol, p)
+    ladder = _detj_ladder(tables, tol, max_levels, p)
     return _classify(detj_coeffs(nodes, p).u[None], ladder, tol, max_levels, 0)[0]
 
 
@@ -224,7 +227,7 @@ _BLOCK_ELEMENTS = 64
 def check_mesh(mesh: CurvedMesh, tables, tol: float,
                max_levels: int = 10) -> ValidityReport:
     """Classify every element independently, a block of elements at a time."""
-    ladder = _detj_ladder(tables, tol, mesh.p)
+    ladder = _detj_ladder(tables, tol, max_levels, mesh.p)
     reports = []
     for start in range(0, mesh.n_elements, _BLOCK_ELEMENTS):
         det = _detj_stack(mesh.elements[start:start + _BLOCK_ELEMENTS], mesh.p)

@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 _PATH = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
@@ -23,6 +24,27 @@ def test_summarize_counts_wins_by_direction_and_gives_quartiles():
 
 
 
+def test_verdict_reads_the_bound_relative_to_the_parent_median():
+    parent = [100.0, 101.0, 99.0, 100.0, 102.0]
+    # 30% lower throughput is past a 25% bound; 10% lower is inside it
+    assert bench_pairs.verdict(parent, [70.0] * 5, "higher", 0.25) == "worse"
+    assert bench_pairs.verdict(parent, [90.0] * 5, "higher", 0.25) == "ok"
+    # a lower-is-better metric turns the direction round
+    assert bench_pairs.verdict(parent, [130.0] * 5, "lower", 0.25) == "worse"
+    assert bench_pairs.verdict(parent, [70.0] * 5, "lower", 0.25) == "ok"
+    # bit-equal runs are ok, whatever the bound
+    assert bench_pairs.verdict([0.0] * 5, [0.0] * 5, "lower", 0.2) == "ok"
+
+
+def test_verdict_is_unresolved_when_the_parent_spreads_past_the_bound():
+    parent = [60.0, 80.0, 100.0, 120.0, 140.0]  # IQR 40 of a median 100
+    assert bench_pairs.verdict(parent, [95.0, 100.0, 105.0, 90.0, 110.0], "higher", 0.25) \
+        == "unresolved"
+    # unless every change run beats every parent run
+    assert bench_pairs.verdict(parent, [150.0, 160.0, 170.0, 155.0, 165.0], "higher", 0.25) == "ok"
+
+
+
 _STUB_RUN = """
 import json
 pages = bytes(range(256)) * (1 << 16)  # writes 16 MiB, at least 4,096 fresh pages
@@ -39,3 +61,21 @@ def test_run_once_counts_the_run_s_minor_page_faults(tmp_path):
     assert machine == {"cpu": "stub"} and (attempted, failed) == (3, 0)
     assert metrics == {"items_per_s": 2.5, "op_ms_p50": 4.0}
     assert faults >= 4096
+
+
+_STUB_METRICS = """
+import json
+print(json.dumps({"machine": {"cpu": "stub"}}))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0,
+                  "metrics": {"items_per_s": {"value": 2.5}, "op_ms_p50": {"value": 4.0}}}))
+"""
+
+
+def test_main_writes_a_verdict_per_workload_and_metric(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(_STUB_METRICS, encoding="utf-8")
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--base", str(tmp_path), "--head", str(tmp_path),
+                             "--out", str(out), "--workloads", "rotation"]) == 0
+    record = json.loads(out.read_text(encoding="utf-8"))
+    assert record["verdicts"] == {"rotation": {"items_per_s": "ok", "op_ms_p50": "ok"}}

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 from functools import lru_cache
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from polybound import bounder, boxopt
+from polybound import bounder
 from polybound.basis import (FAMILIES, _bary_weights, basis_matrix, cheb_coeffs,
                              gauss_legendre_rule, linear_coeffs, make_basis, make_node_set)
 from polybound.boxopt import optimize_values, reference_table, standard_table
@@ -177,14 +178,59 @@ def test_bound_nodes_layout_contract(dim, t35):
 
 
 def test_reused_scratch_matches_fresh_scratch(t35):
-    # one scratch over dims 1-3 and over stacks that grow, then shrink
+    # one warm table over dims 1-3 and over stacks that grow, then shrink,
+    # against a copy whose scratch starts empty
     rng = np.random.default_rng(90)
-    scratch = bounder._Scratch()
     for dim, cells in [(2, 3), (2, 60), (1, 500), (3, 40), (3, 2), (2, 0), (1, 7), (2, 60)]:
         U = 3.0 * rng.standard_normal((cells,) + (4,) * dim)
-        lower, upper = bounder._bound_nodes(U, t35, dim, scratch)
-        fresh = bounder._bound_nodes(U, t35, dim, bounder._Scratch())
+        lower, upper = bound_nodes(U, t35, dim)
+        fresh = bound_nodes(U, copy.deepcopy(t35), dim)
         assert np.array_equal(lower, fresh[0]) and np.array_equal(upper, fresh[1]), (dim, cells)
+
+
+def _blocks_of(table, dim, cells, monkeypatch):
+    """Shrink _BLOCK_BYTES to `cells` cells a block of table in dim-D and
+    return the list that the cell count of each block bounded goes to."""
+    N, M = table.basis.N, table.nodes.M
+    cell_bytes = 8 * (2 * N + 5 * M) * max(N, M) ** (dim - 1)
+    monkeypatch.setattr(bounder, "_BLOCK_BYTES", cells * cell_bytes)
+    sizes, block = [], bounder._bound_block
+
+    def counted(U, *rest):
+        sizes.append(len(U))
+        return block(U, *rest)
+
+    monkeypatch.setattr(bounder, "_bound_block", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_blocked_stacks_match_one_block(dim, t35, monkeypatch):
+    rng = np.random.default_rng(80 + dim)
+    stacks = {
+        "cells": 3.0 * rng.standard_normal((37,) + (4,) * dim),
+        "lead": 3.0 * rng.standard_normal((2, 3, 4) + (4,) * dim),
+        "strided lead": 3.0 * rng.standard_normal((6, 5) + (4,) * dim)[::2, ::-1],
+        "empty": np.zeros((0,) + (4,) * dim),
+    }
+    whole = {name: bound_nodes(U, t35, dim) for name, U in stacks.items()}
+    sizes = _blocks_of(t35, dim, 5, monkeypatch)
+    for name, U in stacks.items():
+        sizes.clear()
+        lower, upper = bound_nodes(U, t35, dim)
+        assert np.array_equal(lower, whole[name][0]) and np.array_equal(upper, whole[name][1]), name
+        assert sum(sizes) == math.prod(U.shape[:U.ndim - dim]), name
+        assert max(sizes) <= 5 and max(sizes) - min(sizes) <= 1, name
+
+
+def test_blocks_split_a_stack_evenly(t35, monkeypatch):
+    # 21 cells at 10 a block: 7 + 7 + 7, not a 1-cell tail after 10 + 10
+    U = 3.0 * np.random.default_rng(84).standard_normal((21, 4))
+    whole = bound_nodes(U, t35, 1)
+    sizes = _blocks_of(t35, 1, 10, monkeypatch)
+    lower, upper = bound_nodes(U, t35, 1)
+    assert sizes == [7, 7, 7]
+    assert np.array_equal(lower, whole[0]) and np.array_equal(upper, whole[1])
 
 
 def test_bound_nodes_results_outlive_later_calls(t35):
@@ -228,18 +274,6 @@ def test_warm_and_fresh_table_scratch_give_equal_refinements():
                 assert all(np.array_equal(x, y) for x, y in zip(a, b)), (seed, dim, p)
 
 
-def test_busy_table_scratch_falls_back_to_a_throwaway(t35):
-    table = copy.deepcopy(t35)
-    coeffs = PolyCoeffs(2, B3, np.random.default_rng(94).uniform(-1.0, 1.0, (4, 4)))
-    expected = bound_adaptive(coeffs, table, 1e-3)
-    with table._scratch.borrow() as held:
-        kept = dict(held._buffers)
-        got = bound_adaptive(coeffs, table, 1e-3)
-        assert held._buffers.keys() == kept.keys()
-        assert all(held._buffers[k] is buf for k, buf in kept.items())
-    assert got == expected and got.levels_used > 0
-
-
 def test_table_copies_and_pickles_with_a_fresh_scratch(t35):
     bound_adaptive(PolyCoeffs(2, B3, np.arange(16.0).reshape(4, 4) % 5), t35, 1e-3)
     assert t35._scratch._buffers
@@ -248,21 +282,30 @@ def test_table_copies_and_pickles_with_a_fresh_scratch(t35):
         assert twin._scratch is not t35._scratch and not twin._scratch._buffers
 
 
-def test_table_scratch_drops_buffers_above_the_kept_size(t35):
-    # one 3D generation of 6,000 cells needs a ~35 MB sweep block
+def test_table_scratch_stays_within_two_blocks(t35):
+    # the stacks alone take 8 MB and 3 MB; the temporaries stay per block
     table = copy.deepcopy(t35)
-    U = np.random.default_rng(95).standard_normal((6000, 4, 4, 4))
-    sweep = []
+    rng = np.random.default_rng(95)
+    bound_nodes(rng.standard_normal((65536, 4, 4)), table, 2)
+    bound_nodes(rng.standard_normal((6000, 4, 4, 4)), table, 3)
+    kept = table._scratch._buffers
+    assert {"x", "interval", "sweep"} <= kept.keys()
+    assert all(buf.nbytes <= 2 * bounder._BLOCK_BYTES for buf in kept.values())
+
+
+def test_refine_leaves_every_generation_s_bounds_to_split(t35):
+    # one cell fewer per generation, so every generation fits the last one's memory
+    U = np.random.default_rng(96).standard_normal((7, 4, 4))
+    kept, copies = [], []
 
     def split(level, owner, lower, upper, last):
-        sweep.append(table._scratch._buffers["sweep"].nbytes)
-        return np.zeros(len(owner), dtype=bool)
+        kept.append((lower, upper))
+        copies.append((lower.copy(), upper.copy()))
+        return np.arange(len(owner)) > 0
 
-    bounder.refine(U, [table], 3, split, 0)
-    kept = table._scratch._buffers
-    assert sweep[0] > boxopt._KEPT_BYTES and "sweep" not in kept
-    assert {"x", "interval"} <= kept.keys()
-    assert all(buf.nbytes <= boxopt._KEPT_BYTES for buf in kept.values())
+    assert bounder.refine(U, [t35], 2, split, 3) == 3
+    for (lower, upper), (lo, up) in zip(kept, copies):
+        assert np.array_equal(lower, lo) and np.array_equal(upper, up)
 
 
 def test_cached_operators_are_read_only(t35):
@@ -319,11 +362,11 @@ def test_interval_sweep_matches_four_corner_reference(family, p, extra, rows, ex
     lo, hi = f - r, f + r
     ref_lo, ref_hi, scale = _four_corner_rows(table, lo, hi)
     tol = 8 * np.finfo(float).eps * scale
-    lower, upper = bounder._bound_interval_rows(table.basis, lo, hi, table, bounder._Scratch())
+    lower, upper = bounder._bound_interval_rows(table.basis, lo, hi, table, {})
     assert np.all(np.abs(lower - ref_lo) <= tol) and np.all(np.abs(upper - ref_hi) <= tol)
     # a zero-width interval is an exact row
-    exact = bounder._bound_rows(table.basis, f, table, bounder._Scratch())
-    point = bounder._bound_interval_rows(table.basis, f, f, table, bounder._Scratch())
+    exact = bounder._bound_rows(table.basis, f, table, {})
+    point = bounder._bound_interval_rows(table.basis, f, f, table, {})
     ref_lo, ref_hi, scale = _four_corner_rows(table, f, f)
     tol = 8 * np.finfo(float).eps * scale
     for got in (exact, point):
@@ -502,19 +545,28 @@ def test_bound_adaptive_budget_ends_on_the_ladder(t34, t35):
     assert [h["cells"] for h in s.level_history] == [1, 1]
 
 
-def test_bound_adaptive_stops_before_a_generation_past_the_memory_budget():
-    # splitting generation 4 would give 262,144 cells and a ~1.5 GB sweep
-    # block, so refinement ends there unconverged instead of allocating it
+def test_bound_adaptive_stops_before_a_generation_past_the_memory_budget(monkeypatch):
+    # the 4,096 cells of level 4 would store ~9 MB of coefficients and node
+    # bounds against a 1 MiB budget, so refinement ends at level 3,
+    # unconverged, with what max_levels=3 gives
     ladder = [standard_table("lobatto-nodal", 2, m) for m in (3, 4, 5)]
     c = _rand_coeffs(3, 0, p=2)
+    capped = bound_adaptive(c, ladder, tol=1e-9, max_levels=3)
+    monkeypatch.setattr(bounder, "_GENERATION_BYTES", 1 << 20)
     s = bound_adaptive(c, ladder, tol=1e-9)
-    cells = [h["cells"] for h in s.level_history]
-    assert (s.converged, s.levels_used, cells) == (False, 4, [1, 1, 1, 64, 4096])
-    for level, n in enumerate(cells):
-        assert bounder._sweep_bytes(n, ladder[min(level, 2)], 3) <= bounder._GENERATION_BYTES
-    assert bounder._sweep_bytes(64 * cells[-1], ladder[2], 3) > bounder._GENERATION_BYTES
+    assert (s.converged, s.levels_used) == (False, 3)
+    assert [(h["level"], h["cells"]) for h in s.level_history] == [(0, 1), (1, 1), (2, 1), (3, 64)]
+    assert s == capped
     lo, hi = brute_force_extrema(c, 40)
     assert s.global_min <= lo and s.global_max >= hi
+
+
+@pytest.mark.parametrize("max_levels", [-1, -5])
+def test_negative_level_budget_raises(max_levels, t34):
+    with pytest.raises(ValueError, match=f"max_levels must be >= 0, got {max_levels}"):
+        bound_adaptive(_rand_coeffs(2, 3), t34, tol=1e-3, max_levels=max_levels)
+    with pytest.raises(ValueError, match="max_levels"):
+        bounder.refine(np.zeros((0, 4)), [t34], 1, None, max_levels)
 
 
 def test_bound_adaptive_converges_on_tame_input(t34):

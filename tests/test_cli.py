@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import polybound
+from polybound import bounder
 from polybound.basis import make_basis
 from polybound.boxopt import _data_dir, load_table
 from polybound.bounder import PolyCoeffs, write_coeffs
@@ -127,14 +128,39 @@ def test_bound_2d_subdivide(tmp_path, capsys):
     assert "global bounds" in out
 
 
-def test_bound_3d_subdivide_past_the_memory_budget(tmp_path, capsys):
-    # a third level would bound 262,144 cells; refinement ends one level early
+def test_bound_3d_subdivide_past_the_memory_budget(tmp_path, capsys, monkeypatch):
+    # a third level would store 262,144 cells, ~580 MB, past a 64 MiB budget;
+    # refinement ends one level early
+    monkeypatch.setattr(bounder, "_GENERATION_BYTES", 64 << 20)
     path = tmp_path / "c3.txt"
     u = np.random.default_rng(0).standard_normal((3, 3, 3))
     write_coeffs(PolyCoeffs(3, make_basis("lobatto-nodal", 2), u), path)
     assert main(["bound", str(path), "--m", "5", "--subdivide", "3", "--tol", "1e-12"]) == 0
     out = capsys.readouterr().out
     assert "adaptive bounds after 2 level(s), converged=False" in out
+
+
+def _coeffs_and_mesh(tmp_path):
+    coeffs, mesh = tmp_path / "c.txt", tmp_path / "m.txt"
+    write_coeffs(PolyCoeffs(2, make_basis("lobatto-nodal", 3), np.ones((4, 4))), coeffs)
+    write_mesh(uniform_mesh(2, 2, 2), mesh)
+    return {"COEFFS": str(coeffs), "MESH": str(mesh)}
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["bound", "COEFFS", "--m", "0"], "p3-M0"),
+    (["checkmesh", "MESH", "--m", "0"], "--m 0"),
+    (["bound", "COEFFS", "--subdivide", "-3"], "max_levels must be >= 0, got -3"),
+    (["checkmesh", "MESH", "--max-levels", "-1"], "max_levels must be >= 0, got -1"),
+    (["limit-demo", "--elements", "0"], "elements=0"),
+    (["limit-demo", "--elements", "-2"], "elements=-2"),
+], ids=["bound-m0", "checkmesh-m0", "bound-negative-subdivide", "checkmesh-negative-levels",
+        "limit-demo-no-elements", "limit-demo-negative-elements"])
+def test_bad_numeric_arguments_exit_one_naming_the_value(argv, named, tmp_path, capsys):
+    files = _coeffs_and_mesh(tmp_path)
+    assert main([files.get(a, a) for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
 def test_bound_missing_file():

@@ -3,6 +3,8 @@ import copy
 import numpy as np
 import pytest
 
+from polybound import bounder
+from polybound.basis import gauss_lobatto_nodes
 from polybound.boxopt import standard_table
 from polybound.bounder import bound_adaptive, brute_force_extrema, eval_on_grid
 from polybound.meshcheck import (
@@ -128,9 +130,32 @@ def test_check_mesh_with_warm_and_fresh_table_scratch_agrees(tables_p2):
     assert max(er.levels_used for er in warm.elements) >= 2 and warm.counts()["invalid"]
 
 
+def test_check_mesh_stops_before_a_generation_past_the_memory_budget(monkeypatch):
+    # det J = 3 xi^2 grazes zero along xi = 0, so the straddling spans
+    # multiply: 2, 30 and 240 cells, then 1,680 storing ~2.2 MB against a
+    # 1 MiB budget; both elements end at level 2 as max_levels=2 ends them
+    s = gauss_lobatto_nodes(4)
+    element = np.stack(np.meshgrid(s**3, s), axis=-1).reshape(-1, 2)
+    mesh, tables = CurvedMesh(3, [element, 2.0 * element]), _tables(3)
+    full = check_mesh(mesh, tables, tol=1e-4)
+    capped = check_mesh(mesh, tables, tol=1e-4, max_levels=2)
+    monkeypatch.setattr(bounder, "_GENERATION_BYTES", 1 << 20)
+    report = check_mesh(mesh, tables, tol=1e-4)
+    assert max(er.levels_used for er in full.elements) > 2
+    assert report == capped
+    assert [(er.status, er.levels_used) for er in report.elements] == [("indeterminate", 2)] * 2
+
+
 def test_empty_mesh_gives_empty_report(tables_p2):
     report = check_mesh(CurvedMesh(2, ()), tables_p2, tol=1e-4)
     assert report.elements == () and report.all_valid
+
+
+@pytest.mark.parametrize("elements", [0, 1])
+def test_negative_level_budget_raises_whatever_the_mesh_size(tables_p2, elements):
+    mesh = CurvedMesh(2, uniform_mesh(1, 1, 2).elements[:elements])
+    with pytest.raises(ValueError, match="max_levels must be >= 0, got -1"):
+        check_mesh(mesh, tables_p2, tol=1e-4, max_levels=-1)
 
 
 @pytest.mark.parametrize("elements", [0, 1])
