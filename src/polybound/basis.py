@@ -157,14 +157,6 @@ def gauss_lobatto_nodes(n: int) -> np.ndarray:
     return np.concatenate(([-1.0], x, [1.0]))
 
 
-def gauss_lobatto_rule(n: int):
-    """Gauss-Lobatto quadrature on [-1, 1]; exact through order 2n - 3."""
-    x = gauss_lobatto_nodes(n)
-    pm = _legendre_matrix(n - 1, x)[:, -1]
-    w = 2.0 / (n * (n - 1) * pm * pm)
-    return x, w
-
-
 def _chebyshev_lobatto(m: int) -> np.ndarray:
     j = np.arange(m)
     x = -np.cos(np.pi * j / (m - 1))

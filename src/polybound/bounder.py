@@ -38,12 +38,10 @@ from .boxopt import BoundingTable, _take
 
 __all__ = [
     "PolyCoeffs",
-    "LinearPart",
     "NodeBounds",
     "BoundSummary",
     "CoeffsFormatError",
     "NonFiniteBoundsError",
-    "project_p1",
     "bound_nodes",
     "bound_tensor",
     "bernstein_bounds",
@@ -87,19 +85,11 @@ class PolyCoeffs:
 
 
 @dataclass(frozen=True)
-class LinearPart:
-    """Linear L2 projection a0 + a1*x of a 1D polynomial."""
-
-    a0: float
-    a1: float
-
-    def __call__(self, x):
-        return self.a0 + self.a1 * np.asarray(x)
-
-
-@dataclass(frozen=True)
 class NodeBounds:
-    """Lower/upper bound values on the tensor grid of control nodes."""
+    """Lower/upper bound values on the tensor grid of control nodes.
+
+    The arrays are kept, not copied, and marked read-only in place.
+    """
 
     eta: np.ndarray
     lower: np.ndarray
@@ -113,16 +103,12 @@ class NodeBounds:
         if np.any(lo > up):
             raise ValueError("lower exceeds upper")
         for name, arr in (("eta", np.asarray(self.eta)), ("lower", lo), ("upper", up)):
-            arr = arr.copy()
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
     @property
     def dim(self) -> int:
         return self.lower.ndim
-
-    def gap(self) -> np.ndarray:
-        return self.upper - self.lower
 
     def global_min(self) -> float:
         return float(self.lower.min())
@@ -162,7 +148,8 @@ def _require_finite(lower, upper, message) -> None:
 @lru_cache(maxsize=64)
 def _p1_ops(basis: BasisSpec):
     """Read-only projection operators: coefficient rows times w0, w1 and P
-    give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T."""
+    give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T. Quadrature
+    with p+2 points is exact for the degree 2p+1 integrands involved."""
     xg, wg = gauss_legendre_rule(basis.p + 2)
     Phi = basis_matrix(basis, xg)
     w0 = Phi.T @ (0.5 * wg)
@@ -173,31 +160,6 @@ def _p1_ops(basis: BasisSpec):
     for a in (w0, w1, P):
         a.setflags(write=False)
     return w0, w1, P
-
-
-def _p1_batch(basis: BasisSpec, rows: np.ndarray):
-    """Vectorized linear projection of stacked 1D coefficient rows.
-
-    Returns (a0, a1, fluctuation rows). Quadrature with p+2 points is
-    exact for the degree 2p+1 integrands involved.
-    """
-    w0, w1, P = _p1_ops(basis)
-    return rows @ w0, rows @ w1, rows @ P
-
-
-def project_p1(coeffs: PolyCoeffs):
-    """Split a 1D polynomial into its linear projection and fluctuation.
-
-    The residual is L2-orthogonal to {1, x}; higher-dimensional use goes
-    through bound_tensor which projects row-wise internally.
-    """
-    if coeffs.dim != 1:
-        raise ValueError("project_p1 expects a 1D polynomial")
-    a0, a1, fluct = _p1_batch(coeffs.basis, coeffs.u[None, :])
-    return (
-        LinearPart(float(a0[0]), float(a1[0])),
-        PolyCoeffs(1, coeffs.basis, fluct[0]),
-    )
 
 
 @lru_cache(maxsize=64)
@@ -362,8 +324,13 @@ def bound_tensor(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:
     return NodeBounds(table.eta(), lower, upper)
 
 
-# perfbench/layers.py traces these two names and its smoke test requires
+# perfbench/layers.py traces these three names and its smoke test requires
 # every traced name to exist; nothing in the package calls them
+def _p1_batch(basis: BasisSpec, rows: np.ndarray):
+    w0, w1, P = _p1_ops(basis)
+    return rows @ w0, rows @ w1, rows @ P
+
+
 def bound_1d(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:
     return bound_tensor(coeffs, table)
 
@@ -662,8 +629,8 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
     at the last level, every leaf cell, so they stay sound even when
     unconverged.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     ladder = _as_ladder(tables, coeffs.basis)
     d = coeffs.dim
     history = []

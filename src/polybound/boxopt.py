@@ -676,14 +676,6 @@ def _data_dir() -> Path:
     return Path(__file__).resolve().parent / "data"
 
 
-def reference_table(p: int, M: int) -> BoundingTable:
-    """A shipped reference table (lobatto-nodal family)."""
-    path = _data_dir() / "tables" / f"lobatto-nodal-p{p}-M{M}.txt"
-    if path not in reference_table_paths():
-        raise FileNotFoundError(f"no reference table for p={p}, M={M}")
-    return load_table(path)
-
-
 def reference_table_paths():
     """The shipped tables whose header records provenance=reference, by name."""
     return [path for path in sorted((_data_dir() / "tables").glob("*.txt"))
@@ -701,6 +693,8 @@ def standard_table(family: str = "lobatto-nodal", p: int = 3, M: Optional[int] =
     """
     if M is None:
         M = p + 1
+    if M < 2:  # before any file lookup: no table has fewer nodes
+        raise ValueError(f"need M >= 2 control nodes, got M={M}")
     table_dir = os.environ.get("POLYBOUND_TABLE_DIR") if kind == "optimized" else None
     return _cached_table(family, p, M, kind, table_dir)
 

@@ -36,7 +36,6 @@ from .boxopt import standard_table
 
 __all__ = [
     "DGState",
-    "element_mean",
     "squeeze_alpha",
     "apply_limiter",
     "limiter_decisions",
@@ -53,7 +52,6 @@ __all__ = [
 ]
 
 _MEAN_TOL = 1e-12
-_DENOM_GUARD = 1e-14
 
 
 # ---------------------------------------------------------------------------
@@ -93,10 +91,6 @@ class DGState:
     @property
     def h(self) -> float:
         return 1.0 / self.elements
-
-    def element(self, ey: int, ex: int) -> PolyCoeffs:
-        """Coefficients of one element as a 2D PolyCoeffs."""
-        return PolyCoeffs(2, self.basis, self.U[ey, ex])
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +244,6 @@ def _mean_batch(U: np.ndarray, ops) -> np.ndarray:
     return U.reshape(U.shape[:2] + (-1,)) @ ops["mean"]
 
 
-def element_mean(coeffs: PolyCoeffs) -> float:
-    """Average of the polynomial over its reference cell, by exact quadrature."""
-    xq, wq = gauss_legendre_rule(coeffs.basis.p + 2)
-    g = wq @ basis_matrix(coeffs.basis, xq)
-    u = coeffs.u
-    for _ in range(coeffs.dim):
-        u = u @ g
-    return float(u) / 2.0**coeffs.dim
-
-
 def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     """Blend factor toward the mean that brings [u_min, u_max] inside [a, b].
 
@@ -278,13 +262,12 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
         raise ValueError(f"{label} mean {float(mean[worst])} lies outside [{a}, {b}]")
     m = np.clip(mean, a, b)
 
+    # a ratio only where a bound crosses: there u_min < a <= m (or
+    # u_max > b >= m), so its denominator is never zero
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        d_lo = u_min - m
-        d_hi = u_max - m
-        r_lo = np.where(np.abs(d_lo) > _DENOM_GUARD, (a - m) / d_lo, 1.0)
-        r_hi = np.where(np.abs(d_hi) > _DENOM_GUARD, (b - m) / d_hi, 1.0)
-    alpha = np.minimum(1.0, np.minimum(r_lo, r_hi))
-    alpha = np.clip(alpha, 0.0, 1.0)
+        r_lo = np.where(u_min < a, (a - m) / (u_min - m), 1.0)
+        r_hi = np.where(u_max > b, (b - m) / (u_max - m), 1.0)
+    alpha = np.clip(np.minimum(r_lo, r_hi), 0.0, 1.0)
     if alpha.ndim == 0:
         return float(alpha)
     return alpha
@@ -367,6 +350,8 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
 def advance(state: DGState, tfinal: float, table: BoundingTable | None = None,
             bounds=(0.0, 1.0)) -> DGState:
     """March to state.t + tfinal with uniform steps at the CFL limit."""
+    if not np.isfinite(tfinal):
+        raise ValueError(f"need a finite end time, got tfinal={tfinal}")
     if tfinal <= 0:
         return state
     n = max(1, int(np.ceil(tfinal / cfl_dt(state) - 1e-12)))

@@ -153,8 +153,8 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
 
 def _detj_ladder(tables, tol: float, max_levels: int, p: int) -> list:
     """The table ladder for det J of geometric order p, after checking tol and max_levels."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
     if max_levels < 0:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
     return _as_ladder(tables, _detj_ops(p)[0])

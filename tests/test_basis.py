@@ -11,7 +11,6 @@ from polybound.basis import (
     cheb_coeffs,
     gauss_legendre_rule,
     gauss_lobatto_nodes,
-    gauss_lobatto_rule,
     hat_matrix,
     linear_coeffs,
     make_basis,
@@ -103,13 +102,13 @@ def test_gauss_legendre_rule_exactness():
             assert abs(w @ x**k - exact) < 1e-13
 
 
-def test_gauss_lobatto_rule_exactness_and_endpoints():
+def test_gauss_lobatto_nodes_endpoints_and_interior_roots():
+    # the interior nodes are the roots of P'_{n-1}
     for n in range(2, 9):
-        x, w = gauss_lobatto_rule(n)
+        x = gauss_lobatto_nodes(n)
         assert x[0] == -1.0 and x[-1] == 1.0
-        for k in range(2 * n - 3):
-            exact = 2.0 / (k + 1) if k % 2 == 0 else 0.0
-            assert abs(w @ x**k - exact) < 1e-13
+        roots = np.sort(np.polynomial.Legendre.basis(n - 1).deriv().roots().real)
+        np.testing.assert_allclose(x[1:-1], roots, rtol=0, atol=1e-14)
 
 
 def test_gll_nodes_against_known_values():

@@ -11,7 +11,7 @@ from numpy.polynomial import chebyshev as cheb
 from polybound import bounder
 from polybound.basis import (FAMILIES, _bary_weights, basis_matrix, cheb_coeffs,
                              gauss_legendre_rule, linear_coeffs, make_basis, make_node_set)
-from polybound.boxopt import optimize_values, reference_table, standard_table
+from polybound.boxopt import optimize_values, standard_table
 from polybound.bounder import (
     CoeffsFormatError,
     PolyCoeffs,
@@ -21,7 +21,6 @@ from polybound.bounder import (
     bound_tensor,
     brute_force_extrema,
     eval_on_grid,
-    project_p1,
     read_coeffs,
     sampled_extrema,
     subdivide,
@@ -33,12 +32,12 @@ B3 = make_basis("lobatto-nodal", 3)
 
 @pytest.fixture(scope="module")
 def t34():
-    return reference_table(3, 4)
+    return standard_table("lobatto-nodal", 3, 4)
 
 
 @pytest.fixture(scope="module")
 def t35():
-    return reference_table(3, 5)
+    return standard_table("lobatto-nodal", 3, 5)
 
 
 def _rand_coeffs(dim, seed, p=3, family="lobatto-nodal"):
@@ -48,26 +47,27 @@ def _rand_coeffs(dim, seed, p=3, family="lobatto-nodal"):
 
 
 def test_project_p1_orthogonality():
+    # the fluctuation operator P that _sweep_ops builds W from
+    _, _, P = bounder._p1_ops(B3)
+    xg, wg = gauss_legendre_rule(6)
     for seed in range(30):
-        c = _rand_coeffs(1, seed)
-        lin, fluct = project_p1(c)
-        xg, wg = gauss_legendre_rule(6)
+        fluct = PolyCoeffs(1, B3, _rand_coeffs(1, seed).u @ P)
         vals = eval_on_grid(fluct, [xg])
         assert abs(wg @ vals) < 1e-12
         assert abs(wg @ (xg * vals)) < 1e-12
 
 
 def test_project_p1_exact_on_linears():
+    w0, w1, P = bounder._p1_ops(B3)
     u = np.asarray(B3.nodes) * 2.0 - 0.5
-    lin, fluct = project_p1(PolyCoeffs(1, B3, u))
-    assert abs(lin.a0 + 0.5) < 1e-13 and abs(lin.a1 - 2.0) < 1e-13
-    assert np.abs(fluct.u).max() < 1e-13
+    assert abs(u @ w0 + 0.5) < 1e-13 and abs(u @ w1 - 2.0) < 1e-13
+    assert np.abs(u @ P).max() < 1e-13
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=60, deadline=None)
 def test_bound_1d_sound_and_shift_scale_invariant(seed):
-    table = reference_table(3, 4)
+    table = standard_table("lobatto-nodal", 3, 4)
     c = _rand_coeffs(1, seed)
     nb = bound_tensor(c, table)
     x = np.linspace(-1, 1, 2000)
@@ -80,8 +80,7 @@ def test_bound_1d_sound_and_shift_scale_invariant(seed):
     nb2 = bound_tensor(PolyCoeffs(1, c.basis, alpha * c.u + beta), table)
     np.testing.assert_allclose(nb2.lower, alpha * nb.lower + beta, atol=1e-10)
     np.testing.assert_allclose(nb2.upper, alpha * nb.upper + beta, atol=1e-10)
-    gap = nb.gap()
-    np.testing.assert_allclose(nb2.gap(), alpha * gap, atol=1e-10)
+    np.testing.assert_allclose(nb2.upper - nb2.lower, alpha * (nb.upper - nb.lower), atol=1e-10)
 
 
 def test_negative_scale_swaps_roles(t34):
@@ -97,13 +96,13 @@ def test_linear_polynomials_get_tight_bounds(t34):
     # epsilon floor, at most 2 N epsilon
     u = 0.75 - 0.4 * np.asarray(B3.nodes)
     nb = bound_tensor(PolyCoeffs(1, B3, u), t34)
-    assert nb.gap().max() <= 2 * B3.N * t34.epsilon + 1e-12
+    assert (nb.upper - nb.lower).max() <= 2 * B3.N * t34.epsilon + 1e-12
 
 
 @given(st.integers(0, 10_000))
 @settings(max_examples=25, deadline=None)
 def test_bound_tensor_2d_sound(seed):
-    table = reference_table(3, 5)
+    table = standard_table("lobatto-nodal", 3, 5)
     c = _rand_coeffs(2, seed)
     nb = bound_tensor(c, table)
     x = np.linspace(-1, 1, 120)
@@ -241,6 +240,16 @@ def test_bound_nodes_results_outlive_later_calls(t35):
     bound_nodes(-2.0 * U, t35, 2)
     bound_nodes(rng.standard_normal((50, 4, 4, 4)), t35, 3)
     assert np.array_equal(lower, kept[0]) and np.array_equal(upper, kept[1])
+
+
+def test_bound_tensor_arrays_are_read_only_and_outlive_later_calls(t35):
+    nb = bound_tensor(_rand_coeffs(2, 92), t35)
+    kept = [a.copy() for a in (nb.eta, nb.lower, nb.upper)]
+    bound_tensor(_rand_coeffs(2, 93), t35)
+    for a, b in zip((nb.eta, nb.lower, nb.upper), kept):
+        assert not a.flags.writeable and np.array_equal(a, b)
+        with pytest.raises(ValueError):
+            a[0] = 0.0
 
 
 def _generations(U, ladder, dim, tol):
@@ -489,7 +498,7 @@ def test_subdivide_full_cell_is_identity():
 
 def test_refine_carries_picked_cells_up_the_ladder(t34, t35):
     # (cells,) masks carry picked cells whole; past the top the last table repeats
-    ladder = [t34, t35, reference_table(3, 6)]
+    ladder = [t34, t35, standard_table("lobatto-nodal", 3, 6)]
     rng = np.random.default_rng(17)
     U = rng.standard_normal((5, 4, 4))
     # the last mask is returned at max_levels, where refine stops anyway
@@ -536,7 +545,7 @@ def test_bound_adaptive_increase_m_strategy(t34, t35):
 def test_bound_adaptive_budget_ends_on_the_ladder(t34, t35):
     # the level budget runs out before the top table: the bounds are the
     # whole polynomial's with the table reached, not an empty envelope
-    ladder = [t34, t35, reference_table(3, 6)]
+    ladder = [t34, t35, standard_table("lobatto-nodal", 3, 6)]
     c = _rand_coeffs(2, 19)
     s = bound_adaptive(c, ladder, tol=1e-12, max_levels=1)
     nb = bound_tensor(c, t35)

@@ -18,7 +18,6 @@ from polybound.boxopt import (
     offset_correction,
     optimize_nodes,
     optimize_values,
-    reference_table,
     reference_table_paths,
     save_table,
     standard_table,
@@ -100,7 +99,7 @@ def test_upper_qp_against_slsqp():
 
 
 def test_published_p2_values_reproduced():
-    ref = reference_table(2, 3)
+    ref = standard_table("lobatto-nodal", 2, 3)
     basis = ref.basis
     recomputed = optimize_values(basis, NodeSet(ref.eta()))
     assert np.max(np.abs(recomputed.q_lower - ref.q_lower)) < 2e-3
@@ -115,11 +114,13 @@ def test_all_reference_fixtures_verify():
         assert rep.max_violation >= -1e-12, path.name
 
 
-def test_reference_table_refuses_shipped_optimized_and_missing_tables():
-    assert reference_table(3, 4).provenance == "reference"
-    for p, M in [(3, 7), (1, 2), (9, 9)]:
+def test_standard_table_keeps_reference_provenance_and_refuses_missing_tables():
+    assert standard_table("lobatto-nodal", 3, 4).provenance == "reference"
+    for p, M in [(3, 7), (1, 2)]:
+        assert standard_table("lobatto-nodal", p, M).provenance == "loaded-from-file"
+    for p, M in [(1, 5), (9, 9)]:
         with pytest.raises(FileNotFoundError):
-            reference_table(p, M)
+            standard_table("lobatto-nodal", p, M)
 
 
 def test_optimized_beats_equispaced():

@@ -148,14 +148,19 @@ def _coeffs_and_mesh(tmp_path):
 
 
 @pytest.mark.parametrize("argv, named", [
-    (["bound", "COEFFS", "--m", "0"], "p3-M0"),
+    (["bound", "COEFFS", "--m", "0"], "need M >= 2 control nodes, got M=0"),
     (["checkmesh", "MESH", "--m", "0"], "--m 0"),
     (["bound", "COEFFS", "--subdivide", "-3"], "max_levels must be >= 0, got -3"),
     (["checkmesh", "MESH", "--max-levels", "-1"], "max_levels must be >= 0, got -1"),
     (["limit-demo", "--elements", "0"], "elements=0"),
     (["limit-demo", "--elements", "-2"], "elements=-2"),
+    (["bound", "COEFFS", "--subdivide", "3", "--tol", "nan"], "tol must be positive, got nan"),
+    (["checkmesh", "MESH", "--tol", "nan"], "tol must be positive, got nan"),
+    (["limit-demo", "--elements", "2", "--tfinal", "inf"], "tfinal=inf"),
+    (["limit-demo", "--elements", "2", "--tfinal", "nan"], "tfinal=nan"),
 ], ids=["bound-m0", "checkmesh-m0", "bound-negative-subdivide", "checkmesh-negative-levels",
-        "limit-demo-no-elements", "limit-demo-negative-elements"])
+        "limit-demo-no-elements", "limit-demo-negative-elements", "bound-nan-tol",
+        "checkmesh-nan-tol", "limit-demo-infinite-tfinal", "limit-demo-nan-tfinal"])
 def test_bad_numeric_arguments_exit_one_naming_the_value(argv, named, tmp_path, capsys):
     files = _coeffs_and_mesh(tmp_path)
     assert main([files.get(a, a) for a in argv]) == 1

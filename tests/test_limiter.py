@@ -10,14 +10,13 @@ from hypothesis import strategies as st
 
 from polybound.basis import basis_deriv_matrix, basis_matrix, gauss_legendre_rule, make_basis
 from polybound.boxopt import standard_table
-from polybound.bounder import NonFiniteBoundsError, PolyCoeffs
+from polybound.bounder import NonFiniteBoundsError
 from polybound.limiter import (
     DGState,
     advance,
     apply_limiter,
     cfl_dt,
     dg_step,
-    element_mean,
     l2_error,
     limiter_decisions,
     rotating_shapes,
@@ -108,28 +107,47 @@ def test_alpha_array_input():
     np.testing.assert_allclose(out, [0.5, 1.0 / 3.0, 1.0], atol=1e-14)
 
 
-# -- element_mean -----------------------------------------------------------
+def test_alpha_is_bit_identical_under_power_of_two_scaling():
+    # scaling by 2^k is exact, so the squeeze must not see the units: the
+    # mean 0.5, range [-0.1, 0.9] in [0, 1] case squeezes at every scale
+    rng = np.random.default_rng(12)
+    mean = rng.uniform(0.0, 1.0, 200)
+    u_min, u_max = mean - rng.uniform(0.0, 1.0, 200), mean + rng.uniform(0.0, 1.0, 200)
+    mean[0], u_min[0], u_max[0] = 0.5, -0.1, 0.9
+    ref = squeeze_alpha(mean, u_min, u_max, 0.0, 1.0)
+    assert ref[0] == pytest.approx(5.0 / 6.0, rel=1e-15) and (ref < 1.0).sum() > 100
+    for k in range(-60, 61):
+        s = 2.0**k
+        alpha = squeeze_alpha(s * mean, s * u_min, s * u_max, 0.0, s)
+        assert np.array_equal(alpha, ref), k
+
+
+# -- element means ----------------------------------------------------------
+
+
+def _element_mean(u):
+    """The limiter's mean of one element, from a one-element DG state."""
+    state = DGState(p=len(u) - 1, U=np.reshape(u, (1, 1) + np.shape(u)))
+    return float(_mean_batch(state.U, _operators(1, state.p))[0, 0])
 
 
 def test_element_mean_constant_and_linear():
-    b = make_basis("lobatto-nodal", 3)
-    nodes = np.asarray(b.nodes)
-    const = PolyCoeffs(1, b, np.full(4, 0.7))
-    assert element_mean(const) == pytest.approx(0.7, abs=1e-14)
-    lin = PolyCoeffs(1, b, nodes.copy())
-    assert element_mean(lin) == pytest.approx(0.0, abs=1e-14)
+    nodes = np.asarray(make_basis("lobatto-nodal", 3).nodes)
+    assert _element_mean(np.full((4, 4), 0.7)) == pytest.approx(0.7, abs=1e-14)
+    for lin in (np.tile(nodes, (4, 1)), np.tile(nodes[:, None], (1, 4))):
+        assert _element_mean(lin) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_element_mean_monte_carlo():
     rng = np.random.default_rng(11)
     b = make_basis("lobatto-nodal", 3)
-    c = PolyCoeffs(1, b, rng.normal(size=4))
+    u = rng.normal(size=(4, 4))
     n = 1_000_000
-    x = rng.uniform(-1.0, 1.0, size=n)
-    vals = basis_matrix(b, x) @ c.u
+    x, y = rng.uniform(-1.0, 1.0, size=(2, n))
+    vals = np.einsum("ni,ij,nj->n", basis_matrix(b, y), u, basis_matrix(b, x))
     mc = vals.mean()
     sigma = vals.std() / np.sqrt(n)
-    assert abs(element_mean(c) - mc) < 3 * sigma
+    assert abs(_element_mean(u) - mc) < 3 * sigma
 
 
 # -- DG residual ------------------------------------------------------------
@@ -426,8 +444,6 @@ def test_dgstate_validation():
         DGState(p=2, U=np.zeros((2, 2, 4, 4)))  # wrong N for p=2
     state = transport_state(4, 2)
     assert state.h == 0.25
-    el = state.element(1, 2)
-    assert el.dim == 2 and el.u.shape == (3, 3)
     twin = pickle.loads(pickle.dumps(state))
     assert (twin.p, twin.t) == (state.p, state.t) and np.array_equal(twin.U, state.U)
 
