@@ -51,6 +51,7 @@ __all__ = [
     "step_interpolation_table",
 ]
 
+# a mean up to this fraction of b - a outside [a, b] is accepted and clipped
 _MEAN_TOL = 1e-12
 
 
@@ -255,7 +256,8 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     u_min = np.asarray(u_min, dtype=float)
     u_max = np.asarray(u_max, dtype=float)
     # a NaN mean fails both comparisons, so it counts as outside
-    if not np.all((mean >= a - _MEAN_TOL) & (mean <= b + _MEAN_TOL)):
+    slack = _MEAN_TOL * (b - a)
+    if not np.all((mean >= a - slack) & (mean <= b + slack)):
         outside = np.maximum(a - mean, mean - b)
         worst = np.unravel_index(np.argmax(outside), outside.shape)
         label = f"element {tuple(int(i) for i in worst)}" if worst else "element"
@@ -350,9 +352,9 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
 def advance(state: DGState, tfinal: float, table: BoundingTable | None = None,
             bounds=(0.0, 1.0)) -> DGState:
     """March to state.t + tfinal with uniform steps at the CFL limit."""
-    if not np.isfinite(tfinal):
-        raise ValueError(f"need a finite end time, got tfinal={tfinal}")
-    if tfinal <= 0:
+    if not (np.isfinite(tfinal) and tfinal >= 0):
+        raise ValueError(f"need a finite, non-negative end time, got tfinal={tfinal}")
+    if tfinal == 0:
         return state
     n = max(1, int(np.ceil(tfinal / cfl_dt(state) - 1e-12)))
     dt = tfinal / n

@@ -197,11 +197,9 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
 
     refine(det, ladder, 2, split, max_levels)
     status = np.where(invalid, "invalid", np.where(exhausted, "indeterminate", "valid")).tolist()
-    return [
-        ElementReport(start + k, s, (float(lo), float(up)), int(lv),
-                      policy_invalid=s == "indeterminate")
-        for k, (s, lo, up, lv) in enumerate(zip(status, certified_lo, up_min, levels))
-    ]
+    return [ElementReport(k, s, (lo, up), lv, s == "indeterminate")
+            for k, s, lo, up, lv in zip(range(start, start + E), status, certified_lo.tolist(),
+                                        up_min.tolist(), levels.tolist())]
 
 
 def classify_element(element, tables, tol: float, max_levels: int = 10) -> ElementReport:
@@ -221,7 +219,7 @@ def classify_element(element, tables, tol: float, max_levels: int = 10) -> Eleme
 
 
 # elements per _classify call: larger blocks raise peak memory, smaller ones pay more call overhead
-_BLOCK_ELEMENTS = 64
+_BLOCK_ELEMENTS = 256
 
 
 def check_mesh(mesh: CurvedMesh, tables, tol: float,
@@ -323,6 +321,25 @@ def read_mesh(path) -> CurvedMesh:
     meta, records = _read_text(path, "polybound-mesh v1", MeshFormatError, _mesh_count,
                                dim=int, p=int, elements=int)
     want = 2 * (meta["p"] + 1) ** 2
-    values = [_floats(line, want, MeshFormatError, f"{path}: element {k}")
-              for k, line in enumerate(records)]
-    return CurvedMesh(meta["p"], np.reshape(values, (-1, want // 2, 2)))
+    return CurvedMesh(meta["p"], np.reshape(_element_values(records, want, path),
+                                            (-1, want // 2, 2)))
+
+
+def _element_values(records, want: int, path):
+    """The want coordinates of each element record, one row per element.
+
+    One loadtxt call parses a well-formed file. When it refuses the text
+    or returns another shape (a blank or ragged record), the records are
+    parsed one by one, so a fault names its element, and tokens only
+    float() reads (1_0, non-ASCII digits) parse as they always have.
+    """
+    values = None
+    if records and records[0].strip():  # else loadtxt may find no data, and warns
+        try:
+            values = np.loadtxt(records, ndmin=2, comments=None)
+        except ValueError:
+            pass
+    if values is None or values.shape != (len(records), want):
+        values = [_floats(line, want, MeshFormatError, f"{path}: element {k}")
+                  for k, line in enumerate(records)]
+    return values

@@ -158,9 +158,11 @@ def _coeffs_and_mesh(tmp_path):
     (["checkmesh", "MESH", "--tol", "nan"], "tol must be positive, got nan"),
     (["limit-demo", "--elements", "2", "--tfinal", "inf"], "tfinal=inf"),
     (["limit-demo", "--elements", "2", "--tfinal", "nan"], "tfinal=nan"),
+    (["limit-demo", "--elements", "2", "--tfinal", "-1"], "tfinal=-1.0"),
 ], ids=["bound-m0", "checkmesh-m0", "bound-negative-subdivide", "checkmesh-negative-levels",
         "limit-demo-no-elements", "limit-demo-negative-elements", "bound-nan-tol",
-        "checkmesh-nan-tol", "limit-demo-infinite-tfinal", "limit-demo-nan-tfinal"])
+        "checkmesh-nan-tol", "limit-demo-infinite-tfinal", "limit-demo-nan-tfinal",
+        "limit-demo-negative-tfinal"])
 def test_bad_numeric_arguments_exit_one_naming_the_value(argv, named, tmp_path, capsys):
     files = _coeffs_and_mesh(tmp_path)
     assert main([files.get(a, a) for a in argv]) == 1

@@ -122,6 +122,23 @@ def test_alpha_is_bit_identical_under_power_of_two_scaling():
         assert np.array_equal(alpha, ref), k
 
 
+def test_mean_slack_scales_with_the_bounds():
+    # a mean may lie up to 1e-12 (b - a) outside [a, b]; scaling by 2^k is
+    # exact, so acceptance and alphas must not see the units
+    a, b = 1.0, 3.0
+    slack = 1e-12 * (b - a)
+    mean = np.array([a - 0.5 * slack, b + 0.9 * slack, 2.0, 2.5])
+    u_min, u_max = mean - np.array([0.5, 0.0, 1.5, 0.1]), mean + np.array([0.0, 0.5, 1.5, 0.1])
+    ref = squeeze_alpha(mean, u_min, u_max, a, b)
+    assert ref[0] == ref[1] == 0.0 and 0.0 < ref[2] < 1.0 and ref[3] == 1.0
+    for k in range(-60, 61):
+        s = 2.0**k
+        assert np.array_equal(squeeze_alpha(s * mean, s * u_min, s * u_max, s * a, s * b), ref), k
+        for m in (a - 2 * slack, b + 1.5 * slack):
+            with pytest.raises(ValueError, match="lies outside"):
+                squeeze_alpha(s * m, s * (m - 1), s * (m + 1), s * a, s * b)
+
+
 # -- element means ----------------------------------------------------------
 
 
@@ -405,6 +422,13 @@ def test_unlimited_run_violates_bounds():
     out = advance(state, 15 * cfl_dt(state), table=None)
     smin, smax = sample_extrema(out, 15)
     assert smin < -1e-12 or smax > 1.0 + 1e-12
+
+
+def test_advance_zero_time_is_a_no_op_and_negative_time_raises():
+    state = transport_state(2, 2)
+    assert advance(state, 0.0) is state
+    with pytest.raises(ValueError, match=r"non-negative end time, got tfinal=-0\.001"):
+        advance(state, -1e-3)
 
 
 def test_smooth_self_convergence():

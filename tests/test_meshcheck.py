@@ -1,9 +1,10 @@
 import copy
+import math
 
 import numpy as np
 import pytest
 
-from polybound import bounder
+from polybound import bounder, meshcheck
 from polybound.basis import gauss_lobatto_nodes
 from polybound.boxopt import standard_table
 from polybound.bounder import bound_adaptive, brute_force_extrema, eval_on_grid
@@ -102,12 +103,16 @@ def test_flipped_element_invalid(tables_p2):
 
 
 def test_check_mesh_blocks_match_single_elements(tables_p2):
-    # 81 elements cross a block boundary; mirrored elements add inversions
-    mesh = perturb_mesh(uniform_mesh(9, 9, 2), 0.15, seed=1)
+    # side^2 elements fill more than one block, so they cross a block
+    # boundary; mirrored elements add inversions, and elements of a 9x9
+    # mesh's size refine past level 1 at this tol
+    side = math.isqrt(meshcheck._BLOCK_ELEMENTS) + 1
+    assert side * side > meshcheck._BLOCK_ELEMENTS
+    mesh = perturb_mesh(uniform_mesh(side, side, 2), 0.15, seed=1)
     els = [mirror_element(e) if k % 7 == 3 else e for k, e in enumerate(mesh.elements)]
-    mesh = CurvedMesh(2, els)
+    mesh = CurvedMesh(2, np.multiply(els, side / 9))
     report = check_mesh(mesh, tables_p2, tol=1e-4)
-    assert [er.index for er in report.elements] == list(range(81))
+    assert [er.index for er in report.elements] == list(range(side * side))
     assert all(report.counts().values())
     assert max(er.levels_used for er in report.elements) >= 2
     for er in report.elements:

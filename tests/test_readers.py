@@ -13,12 +13,13 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from polybound import bounder, boxopt
-from polybound.basis import make_basis
+from polybound import bounder, boxopt, meshcheck
+from polybound.basis import _floats, _read_text, make_basis
 from polybound.boxopt import BoxOptimizationError, TableFormatError, load_table
 from polybound.bounder import CoeffsFormatError, PolyCoeffs, read_coeffs, write_coeffs
 from polybound.cli import main
-from polybound.meshcheck import perturb_mesh, read_mesh, uniform_mesh, write_mesh
+from polybound.meshcheck import (MeshFormatError, perturb_mesh, read_mesh, uniform_mesh,
+                                 write_mesh)
 
 TABLE_NAME = "lobatto-nodal-p2-M3.txt"
 TABLE_LINES = (boxopt._data_dir() / "tables" / TABLE_NAME).read_text().splitlines()
@@ -72,6 +73,66 @@ def test_readers_check_counts_before_building_the_basis(tmp_path, monkeypatch):
     path.write_text("\n".join(short_row) + "\n")
     with pytest.raises(TableFormatError, match="U 3:: expected 3 values, got 2"):
         load_table(path)
+
+
+# tokens float() reads, tokens it refuses, and record shapes one loadtxt
+# call refuses; each replaces one record value or a whole record
+FLOAT_TOKENS = ["nan", "-nan", "inf", "-inf", "1e999", "-0", "1e-320", "1_0", "\u0661\u0662"]
+BAD_TOKENS = ["#", "1__0", "0x10"]
+
+
+def _parse_or_message(parse):
+    try:
+        return np.asarray(parse(), dtype=float)
+    except MeshFormatError as err:
+        return str(err)
+
+
+@pytest.mark.parametrize("record", [
+    *[[t] for t in FLOAT_TOKENS + BAD_TOKENS], FLOAT_TOKENS, ["ragged"], ["blank"],
+    ["blank-first"], ["extra"],
+], ids=lambda r: "+".join(r))
+@pytest.mark.filterwarnings("error")
+def test_bulk_mesh_parse_matches_record_by_record(record, mesh_lines, tmp_path):
+    lines = list(mesh_lines)
+    values = lines[3].split()
+    if record == ["ragged"]:
+        lines[3] = " ".join(values[:-1])
+    elif record == ["blank"]:
+        lines[3] = "   "
+    elif record == ["blank-first"]:
+        lines[2] = lines[3] = ""
+    elif record == ["extra"]:
+        lines[2] += " 1.5"
+        lines[3] += " 1.5"
+    else:
+        values[1:1 + len(record)] = record
+        lines[3] = " ".join(values)
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _, records = _read_text(path, "polybound-mesh v1", MeshFormatError, meshcheck._mesh_count,
+                            dim=int, p=int, elements=int)
+    want = len(mesh_lines[2].split())
+    bulk = _parse_or_message(lambda: meshcheck._element_values(records, want, path))
+    one_by_one = _parse_or_message(lambda: [
+        _floats(line, want, MeshFormatError, f"{path}: element {k}")
+        for k, line in enumerate(records)])
+    if isinstance(one_by_one, str):
+        assert bulk == one_by_one and f"{path}: element " in bulk
+    else:
+        assert bulk.shape == one_by_one.shape and bulk.tobytes() == one_by_one.tobytes()
+
+
+def test_well_formed_mesh_parses_in_one_pass(mesh_lines, tmp_path, monkeypatch):
+    path = tmp_path / "m.txt"
+    path.write_text("\n".join(mesh_lines) + "\n")
+    ref = read_mesh(path).elements
+
+    def refuse(*args):
+        raise AssertionError("record-by-record parse on a well-formed file")
+
+    monkeypatch.setattr(meshcheck, "_floats", refuse)
+    assert read_mesh(path).elements.tobytes() == ref.tobytes()
 
 
 # -- fuzzing -----------------------------------------------------------------
