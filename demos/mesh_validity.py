@@ -13,11 +13,11 @@ import numpy as np
 
 from polybound.bounder import brute_force_extrema
 from polybound.boxopt import _data_dir
-from polybound.cli import _mesh_tables
 from polybound.meshcheck import (
     CurvedMesh,
     check_mesh,
     detj_coeffs,
+    detj_tables,
     mirror_element,
     perturb_mesh,
     read_mesh,
@@ -37,7 +37,7 @@ def show(report, label):
 
 
 def main():
-    tables = _mesh_tables(2, None)
+    tables = detj_tables(2)
 
     mesh = perturb_mesh(uniform_mesh(3, 3, 2), 0.15, seed=7)
     show(check_mesh(mesh, tables, tol=1e-4), "randomly perturbed 3x3 mesh")

@@ -24,10 +24,10 @@ from polybound.meshcheck import (  # noqa: E402
     CurvedMesh,
     classify_element,
     detj_coeffs,
+    detj_tables,
     refinement_ladder,
     write_mesh,
 )
-from polybound.cli import _mesh_tables  # noqa: E402
 
 OUT = Path(__file__).resolve().parent.parent / "src" / "polybound" / "data" / "meshes"
 P = 2
@@ -71,7 +71,7 @@ def main() -> int:
         print("oracle minimum missed the target window", file=sys.stderr)
         return 1
 
-    tables = _mesh_tables(P, None)
+    tables = detj_tables(P)
     report = classify_element(element_with_pull(s), tables, tol=1e-4,
                               max_levels=8)
     print(f"classification: {report.status} after {report.levels_used} levels, "

@@ -14,9 +14,10 @@ toolbox.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +25,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     BasisSpec,
+    NodeSet,
     _floats,
     _read_text,
     _transform_matrix,
@@ -34,7 +36,6 @@ from .basis import (
     make_basis,
     FAMILIES,
 )
-from .boxopt import BoundingTable, _take
 
 __all__ = [
     "PolyCoeffs",
@@ -162,22 +163,108 @@ def _p1_ops(basis: BasisSpec):
     return w0, w1, P
 
 
-@lru_cache(maxsize=64)
-def _sweep_ops(table: BoundingTable):
-    """Read-only operands of _sweep for one table.
+PROVENANCE_VALUES = (
+    "optimized-here",
+    "optimized-here-padded",
+    "loaded-from-file",
+    "reference",
+)
 
-    W = [P | L + P q_lower] takes a coefficient row to its fluctuation and
-    to the linear part at the nodes, L = w0 1^T + w1 eta^T, plus the
-    fluctuation priced at q_lower. Then |q_lower|, q_upper - q_lower and
-    |q_upper| - |q_lower|.
+
+class _Scratch(threading.local):
+    """Grow-only temporaries of the bounding kernel, one set per thread.
+
+    The owner is a BoundingTable, so every bound with a table reuses the
+    same memory, and threads that share a table never share an array.
+    bound_nodes reads _buffers, the dict _take draws on, once per call:
+    each read of a thread-local looks up the thread.
     """
-    w0, w1, P = _p1_ops(table.basis)
-    ql, qu = table.q_lower, table.q_upper
-    L = w0[:, None] + np.outer(w1, table.eta())
-    ops = np.hstack([P, L + P @ ql]), np.abs(ql), qu - ql, np.abs(qu) - np.abs(ql)
-    for a in ops:
-        a.setflags(write=False)
-    return ops
+
+    def __init__(self):
+        self._buffers = {}
+
+
+def _take(buffers: dict, key, shape) -> np.ndarray:
+    """A view of buffers[key], valid until the next take of that key. The buffer
+    grows to the largest size asked for, in powers of two, so refine's many
+    sizes rarely regrow it and malloc sees few chunk sizes."""
+    n = math.prod(shape)
+    buf = buffers.get(key)
+    if buf is None or buf.size < n:
+        buf = buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
+    return buf[:n].reshape(shape)
+
+
+@dataclass(frozen=True, eq=False)
+class BoundingTable:
+    """Lower/upper control values bounding every basis function.
+
+    Row i of ``q_lower``/``q_upper`` holds the M control values of the
+    piecewise-linear bounds of phi_{i+1} on ``nodes``. The table owns the
+    bounding kernel's state, which lives and dies with it: the scratch
+    (see _Scratch) and the read-only operands of _sweep and refine, built
+    on first use. Copies and pickles go through the constructor, so they
+    get read-only arrays and none of that state.
+    """
+
+    basis: BasisSpec
+    nodes: NodeSet
+    q_lower: np.ndarray
+    q_upper: np.ndarray
+    epsilon: float
+    provenance: str
+    _scratch: _Scratch = field(default_factory=_Scratch, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        ql = np.asarray(self.q_lower, dtype=float)
+        qu = np.asarray(self.q_upper, dtype=float)
+        if ql.shape != (self.basis.N, self.nodes.M) or qu.shape != ql.shape:
+            raise ValueError(
+                f"table shape {ql.shape} does not match N={self.basis.N}, M={self.nodes.M}"
+            )
+        if not (np.isfinite(ql).all() and np.isfinite(qu).all() and np.isfinite(self.epsilon)):
+            raise ValueError("table values and epsilon must be finite")
+        if self.provenance not in PROVENANCE_VALUES:
+            raise ValueError(f"unknown provenance {self.provenance!r}")
+        ql.setflags(write=False)
+        qu.setflags(write=False)
+        object.__setattr__(self, "q_lower", ql)
+        object.__setattr__(self, "q_upper", qu)
+
+    def __reduce__(self):
+        return type(self), (self.basis, self.nodes, self.q_lower, self.q_upper,
+                            self.epsilon, self.provenance)
+
+    def eta(self) -> np.ndarray:
+        return self.nodes.array()
+
+    @cached_property
+    def _sweep_ops(self):
+        """Read-only operands of _sweep.
+
+        W = [P | L + P q_lower] takes a coefficient row to its fluctuation
+        and to the linear part at the nodes, L = w0 1^T + w1 eta^T, plus the
+        fluctuation priced at q_lower. Then |q_lower|, q_upper - q_lower and
+        |q_upper| - |q_lower|.
+        """
+        w0, w1, P = _p1_ops(self.basis)
+        ql, qu = self.q_lower, self.q_upper
+        L = w0[:, None] + np.outer(w1, self.eta())
+        ops = np.hstack([P, L + P @ ql]), np.abs(ql), qu - ql, np.abs(qu) - np.abs(ql)
+        for a in ops:
+            a.setflags(write=False)
+        return ops
+
+    @cached_property
+    def _spans(self) -> np.ndarray:
+        """Read-only (M-1, N, N) stack of the restrictions to the spans
+        between adjacent control nodes."""
+        eta = self.eta()
+        spans = np.stack([
+            _restriction(self.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
+        ])
+        spans.setflags(write=False)
+        return spans
 
 
 def _sweep(mid, rad, table: BoundingTable, scratch: dict, out=None):
@@ -206,7 +293,7 @@ def _sweep(mid, rad, table: BoundingTable, scratch: dict, out=None):
     are this block's results, which _bound_interval_rows copies out
     before the block is taken again.
     """
-    W, abs_ql, dq, dabs = _sweep_ops(table)
+    W, abs_ql, dq, dabs = table._sweep_ops
     (N, M), B = dq.shape, len(mid)
     kept = 2 * M if out is None else 0
     block = _take(scratch, "sweep", (N + M + kept + (N if rad is None else 2 * M), B))
@@ -559,18 +646,6 @@ def _corners(a, reduce, dim: int):
     return a
 
 
-@lru_cache(maxsize=64)
-def _spans(table: BoundingTable) -> np.ndarray:
-    """Read-only (M-1, N, N) stack of the restrictions to the spans between
-    adjacent control nodes of table."""
-    eta = table.eta()
-    spans = np.stack([
-        _restriction(table.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
-    ])
-    spans.setflags(write=False)
-    return spans
-
-
 # bytes one generation may store: its coefficients and node bounds
 _GENERATION_BYTES = 1 << 30
 
@@ -611,7 +686,7 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
         if mask.ndim == 1:
             U, owner = U[mask], owner[mask]
         else:
-            spans = _spans(table)
+            spans = table._spans
             cell, *picked = np.nonzero(mask)
             U = _restrict(U[cell], [spans[i] for i in picked])
             owner = owner[cell]
@@ -672,4 +747,7 @@ def read_coeffs(path) -> PolyCoeffs:
     if d not in (1, 2, 3):
         raise CoeffsFormatError(f"{path}: dim must be 1, 2, or 3")
     u = _floats(line, (p + 1) ** d, CoeffsFormatError, f"{path}: coefficient line")
-    return PolyCoeffs(d, make_basis(family, p), u)
+    try:
+        return PolyCoeffs(d, make_basis(family, p), u)
+    except ValueError as err:
+        raise CoeffsFormatError(f"{path}: {err}") from None

@@ -18,10 +18,8 @@ touch phi at nearly the same samples; a one-shot fit starts empty.
 
 from __future__ import annotations
 
-import math
 import os
-import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
 from typing import Optional
@@ -44,83 +42,12 @@ from .basis import (
     make_node_set,
     mirror_pairs,
 )
-
-PROVENANCE_VALUES = (
-    "optimized-here",
-    "optimized-here-padded",
-    "loaded-from-file",
-    "reference",
-)
+from .bounder import BoundingTable
 
 _ROOT_TOL = 1e-12  # window slack when assigning roots to a subinterval
 _N_SAMPLES = 1000  # equispaced samples of the discrete one-sided fits
 _EPSILON = 1e-6  # safety margin added after the continuous offset
 _NNLS_EPS = 10.0 * np.finfo(float).eps  # NNLS multiplier tolerance, relative
-
-
-class _Scratch(threading.local):
-    """Grow-only temporaries of the bounding kernel, one set per thread.
-
-    The owner is a BoundingTable, so every bound with a table reuses the
-    same memory, and threads that share a table never share an array.
-    bound_nodes reads _buffers, the dict _take draws on, once per call:
-    each read of a thread-local looks up the thread. Copies and pickles
-    of an owner start with a fresh scratch.
-    """
-
-    def __init__(self):
-        self._buffers = {}
-
-    def __reduce__(self):
-        return _Scratch, ()
-
-
-def _take(buffers: dict, key, shape) -> np.ndarray:
-    """A view of buffers[key], valid until the next take of that key. The buffer
-    grows to the largest size asked for, in powers of two, so refine's many
-    sizes rarely regrow it and malloc sees few chunk sizes."""
-    n = math.prod(shape)
-    buf = buffers.get(key)
-    if buf is None or buf.size < n:
-        buf = buffers[key] = np.empty(1 << max(n - 1, 0).bit_length())
-    return buf[:n].reshape(shape)
-
-
-@dataclass(frozen=True, eq=False)
-class BoundingTable:
-    """Lower/upper control values bounding every basis function.
-
-    Row i of ``q_lower``/``q_upper`` holds the M control values of the
-    piecewise-linear bounds of phi_{i+1} on ``nodes``. The table owns the
-    bounding kernel's scratch (see _Scratch).
-    """
-
-    basis: BasisSpec
-    nodes: NodeSet
-    q_lower: np.ndarray
-    q_upper: np.ndarray
-    epsilon: float = _EPSILON
-    provenance: str = "optimized-here"
-    _scratch: _Scratch = field(default_factory=_Scratch, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        ql = np.asarray(self.q_lower, dtype=float)
-        qu = np.asarray(self.q_upper, dtype=float)
-        if ql.shape != (self.basis.N, self.nodes.M) or qu.shape != ql.shape:
-            raise ValueError(
-                f"table shape {ql.shape} does not match N={self.basis.N}, M={self.nodes.M}"
-            )
-        if not (np.isfinite(ql).all() and np.isfinite(qu).all() and np.isfinite(self.epsilon)):
-            raise ValueError("table values and epsilon must be finite")
-        if self.provenance not in PROVENANCE_VALUES:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
-        ql.setflags(write=False)
-        qu.setflags(write=False)
-        object.__setattr__(self, "q_lower", ql)
-        object.__setattr__(self, "q_upper", qu)
-
-    def eta(self) -> np.ndarray:
-        return self.nodes.array()
 
 
 @dataclass(frozen=True)

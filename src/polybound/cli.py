@@ -38,7 +38,7 @@ from .bounder import (
     read_coeffs,
     sampled_extrema,
 )
-from .meshcheck import _detj_ops, _detj_stack, check_mesh, read_mesh
+from .meshcheck import _detj_ops, _detj_stack, check_mesh, detj_tables, read_mesh
 from . import limiter as _lim
 
 _FAMILY_ALIASES = {
@@ -172,7 +172,7 @@ def cmd_bound(args) -> int:
 
 def cmd_checkmesh(args) -> int:
     mesh = read_mesh(args.mesh)
-    tables = _mesh_tables(mesh.p, args.m)
+    tables = detj_tables(mesh.p, args.m)
     report = check_mesh(mesh, tables, tol=args.tol, max_levels=args.max_levels)
     counts = report.counts()
     for er in report.elements:
@@ -192,20 +192,6 @@ def cmd_checkmesh(args) -> int:
         if bad:
             return 2
     return 0 if report.all_valid else 2
-
-
-def _mesh_tables(p: int, m: int | None):
-    q = 2 * p - 1  # order of det J for a degree-p quad
-    M = m if m is not None else q + 3
-    if M <= q:
-        raise ValueError(f"--m {M} is below the {q + 1} nodes of det J of order {q}")
-    out = []
-    for mm in range(q + 1, M + 1):
-        try:
-            out.append(standard_table("lobatto-nodal", q, mm, kind="optimized"))
-        except FileNotFoundError:
-            out.append(standard_table("lobatto-nodal", q, mm, kind="gauss-lobatto"))
-    return out
 
 
 def _mesh_oracle_violations(mesh, report, samples: int) -> int:

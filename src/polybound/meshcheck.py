@@ -22,6 +22,7 @@ from .basis import (_floats, _read_text, basis_deriv_matrix, basis_matrix,
                     gauss_lobatto_nodes, make_basis)
 from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _require_finite,
                       _restrict, _restriction, bound_nodes, refine)
+from .boxopt import standard_table
 
 __all__ = [
     "CurvedMesh",
@@ -29,6 +30,7 @@ __all__ = [
     "ValidityReport",
     "MeshFormatError",
     "detj_coeffs",
+    "detj_tables",
     "classify_element",
     "check_mesh",
     "read_mesh",
@@ -81,7 +83,11 @@ class ElementReport:
     status: str  # valid | invalid | indeterminate
     min_detj_interval: tuple
     levels_used: int
-    policy_invalid: bool = False  # indeterminate counted invalid by policy
+
+    @property
+    def policy_invalid(self) -> bool:
+        """Indeterminate elements are counted invalid by policy."""
+        return self.status == "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -151,19 +157,27 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes, p)[0])
 
 
-def _detj_ladder(tables, tol: float, max_levels: int, p: int) -> list:
-    """The table ladder for det J of geometric order p, after checking tol and max_levels."""
-    if not tol > 0:  # NaN fails too
-        raise ValueError(f"tol must be positive, got {tol}")
-    if max_levels < 0:
-        raise ValueError(f"max_levels must be >= 0, got {max_levels}")
-    return _as_ladder(tables, _detj_ops(p)[0])
+def detj_tables(p: int, m: int | None = None) -> list:
+    """The checkmesh ladder for det J of geometric order p: lobatto-nodal tables
+    of order q = 2p - 1 with M = q + 1 .. m (default q + 3) nodes, the shipped
+    optimized table where there is one and Gauss-Lobatto nodes otherwise."""
+    q = 2 * p - 1  # order of det J for a degree-p quad
+    M = m if m is not None else q + 3
+    if M <= q:
+        raise ValueError(f"--m {M} is below the {q + 1} nodes of det J of order {q}")
+    out = []
+    for mm in range(q + 1, M + 1):
+        try:
+            out.append(standard_table("lobatto-nodal", q, mm, kind="optimized"))
+        except FileNotFoundError:
+            out.append(standard_table("lobatto-nodal", q, mm, kind="gauss-lobatto"))
+    return out
 
 
 def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
     """classify_element for a stack of det J polynomials of shape (E, N, N).
 
-    ladder, tol and max_levels come checked from _detj_ladder. One refine()
+    ladder, tol and max_levels come checked from check_mesh. One refine()
     call serves the whole stack; split keeps each element's bookkeeping in
     arrays indexed by owner, by minima, ORs and assignments only, so it is
     idempotent per level. Reports are indexed from start.
@@ -197,7 +211,7 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
 
     refine(det, ladder, 2, split, max_levels)
     status = np.where(invalid, "invalid", np.where(exhausted, "indeterminate", "valid")).tolist()
-    return [ElementReport(k, s, (lo, up), lv, s == "indeterminate")
+    return [ElementReport(k, s, (lo, up), lv)
             for k, s, lo, up, lv in zip(range(start, start + E), status, certified_lo.tolist(),
                                         up_min.tolist(), levels.tolist())]
 
@@ -214,8 +228,7 @@ def classify_element(element, tables, tol: float, max_levels: int = 10) -> Eleme
     supplied ladder serve the deeper generations. The report's index is 0.
     """
     nodes, p = _element_nodes(element)
-    ladder = _detj_ladder(tables, tol, max_levels, p)
-    return _classify(detj_coeffs(nodes, p).u[None], ladder, tol, max_levels, 0)[0]
+    return check_mesh(CurvedMesh(p, [nodes]), tables, tol, max_levels).elements[0]
 
 
 # elements per _classify call: larger blocks raise peak memory, smaller ones pay more call overhead
@@ -225,7 +238,11 @@ _BLOCK_ELEMENTS = 256
 def check_mesh(mesh: CurvedMesh, tables, tol: float,
                max_levels: int = 10) -> ValidityReport:
     """Classify every element independently, a block of elements at a time."""
-    ladder = _detj_ladder(tables, tol, max_levels, mesh.p)
+    if not tol > 0:  # NaN fails too
+        raise ValueError(f"tol must be positive, got {tol}")
+    if max_levels < 0:
+        raise ValueError(f"max_levels must be >= 0, got {max_levels}")
+    ladder = _as_ladder(tables, _detj_ops(mesh.p)[0])
     reports = []
     for start in range(0, mesh.n_elements, _BLOCK_ELEMENTS):
         det = _detj_stack(mesh.elements[start:start + _BLOCK_ELEMENTS], mesh.p)
@@ -321,8 +338,11 @@ def read_mesh(path) -> CurvedMesh:
     meta, records = _read_text(path, "polybound-mesh v1", MeshFormatError, _mesh_count,
                                dim=int, p=int, elements=int)
     want = 2 * (meta["p"] + 1) ** 2
-    return CurvedMesh(meta["p"], np.reshape(_element_values(records, want, path),
-                                            (-1, want // 2, 2)))
+    values = np.reshape(_element_values(records, want, path), (-1, want // 2, 2))
+    try:
+        return CurvedMesh(meta["p"], values)
+    except ValueError as err:
+        raise MeshFormatError(f"{path}: {err}") from None
 
 
 def _element_values(records, want: int, path):

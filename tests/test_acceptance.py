@@ -44,13 +44,13 @@ from polybound.meshcheck import (
     check_mesh,
     classify_element,
     detj_coeffs,
+    detj_tables,
     mirror_element,
     perturb_mesh,
     read_mesh,
     refinement_ladder,
     uniform_mesh,
 )
-from polybound.cli import _mesh_tables
 
 
 def test_1_soundness_suite():
@@ -158,7 +158,7 @@ def test_5_mesh_validity():
     oracle_min, _ = brute_force_extrema(coeffs, 400)
     assert -2.2e-4 <= oracle_min <= -1.8e-4
 
-    tables = _mesh_tables(2, None)
+    tables = detj_tables(2)
     report = classify_element(mesh.elements[0], tables, tol=1e-4, max_levels=8)
     assert report.status == "invalid"
     assert report.levels_used <= 6

@@ -1,6 +1,8 @@
 import copy
+import gc
 import math
 import pickle
+import weakref
 from functools import lru_cache
 
 import numpy as np
@@ -284,11 +286,32 @@ def test_warm_and_fresh_table_scratch_give_equal_refinements():
 
 
 def test_table_copies_and_pickles_with_a_fresh_scratch(t35):
+    # a twin is rebuilt by the constructor: read-only arrays, no kernel state
+    U = np.random.default_rng(94).standard_normal((40, 4, 4))
     bound_adaptive(PolyCoeffs(2, B3, np.arange(16.0).reshape(4, 4) % 5), t35, 1e-3)
+    before = bound_nodes(U, t35, 2)
     assert t35._scratch._buffers
     for twin in (copy.deepcopy(t35), pickle.loads(pickle.dumps(t35))):
         assert np.array_equal(twin.q_lower, t35.q_lower) and np.array_equal(twin.eta(), t35.eta())
         assert twin._scratch is not t35._scratch and not twin._scratch._buffers
+        assert not {"_sweep_ops", "_spans"} & vars(twin).keys()
+        for q in (twin.q_lower, twin.q_upper):
+            with pytest.raises(ValueError):
+                q[0, 0] += 1.0
+        lower, upper = bound_nodes(U, twin, 2)
+        assert np.array_equal(lower, before[0]) and np.array_equal(upper, before[1])
+
+
+def test_bounded_table_copy_is_collected():
+    # no cache outside the table keeps it, its scratch or its operands alive
+    twin = copy.deepcopy(standard_table("lobatto-nodal", 3, 4))
+    bound_nodes(np.random.default_rng(97).standard_normal((60000, 4, 4)), twin, 2)
+    bound_adaptive(PolyCoeffs(2, B3, np.arange(16.0).reshape(4, 4) % 5), twin, 1e-3)
+    assert twin._scratch._buffers
+    ref = weakref.ref(twin)
+    del twin
+    gc.collect()
+    assert ref() is None
 
 
 def test_table_scratch_stays_within_two_blocks(t35):
@@ -321,7 +344,7 @@ def test_cached_operators_are_read_only(t35):
     U = np.random.default_rng(92).standard_normal((5, 4, 4))
     before = bound_nodes(U, t35, 2)
     for op in (*bounder._p1_ops(t35.basis), _bary_weights(tuple(t35.basis.nodes)),
-               bounder._spans(t35)):
+               t35._spans):
         with pytest.raises(ValueError):
             op[0] += 1.0
     after = bound_nodes(U, t35, 2)

@@ -13,9 +13,9 @@ from polybound import bounder
 from polybound.basis import make_basis
 from polybound.boxopt import _data_dir, load_table
 from polybound.bounder import PolyCoeffs, write_coeffs
-from polybound.cli import _mesh_oracle_violations, _mesh_tables, main
-from polybound.meshcheck import (CurvedMesh, ValidityReport, check_mesh, mirror_element, perturb_mesh,
-                                 uniform_mesh, write_mesh)
+from polybound.cli import _mesh_oracle_violations, main
+from polybound.meshcheck import (CurvedMesh, ValidityReport, check_mesh, detj_tables, mirror_element,
+                                 perturb_mesh, uniform_mesh, write_mesh)
 
 FIXTURE_MESH = _data_dir() / "meshes" / "near-degenerate-p2.txt"
 
@@ -258,7 +258,7 @@ def test_checkmesh_oracle_ignores_samples_above_the_certified_upper_end(tmp_path
 
 def test_checkmesh_oracle_counts_a_lower_end_above_the_sampled_minimum():
     mesh = uniform_mesh(2, 2, 2)
-    report = check_mesh(mesh, _mesh_tables(mesh.p, None), tol=1e-4)
+    report = check_mesh(mesh, detj_tables(mesh.p), tol=1e-4)
     assert _mesh_oracle_violations(mesh, report, 12) == 0
     er = report.elements[1]
     lo, hi = er.min_detj_interval

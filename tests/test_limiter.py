@@ -304,7 +304,7 @@ def test_limiter_decisions_fields():
 # -- time stepping ----------------------------------------------------------
 
 def test_steps_in_two_threads_match_sequential_steps():
-    # both threads step with one table, so they contend for its bounding scratch
+    # both threads step with one table: they share its operands, each with its own scratch
     table = table_for(3)
     state = apply_limiter(transport_state(32, 3), table)
     dt = cfl_dt(state)
@@ -320,7 +320,7 @@ def test_steps_in_two_threads_match_sequential_steps():
     got = {0: [], 1: []}
     threads = [threading.Thread(target=run, args=(got, k)) for k in (0, 1)]
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)  # switch threads often, inside a scratch borrow too
+    sys.setswitchinterval(1e-5)  # switch threads often, in the middle of a sweep too
     try:
         for t in threads:
             t.start()

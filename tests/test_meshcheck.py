@@ -14,6 +14,7 @@ from polybound.meshcheck import (
     check_mesh,
     classify_element,
     detj_coeffs,
+    detj_tables,
     mirror_element,
     perturb_mesh,
     read_mesh,
@@ -23,14 +24,9 @@ from polybound.meshcheck import (
 )
 
 
-def _tables(p):
-    q = 2 * p - 1
-    return [standard_table("lobatto-nodal", q, M) for M in (q + 1, q + 2, q + 3)]
-
-
 @pytest.fixture(scope="module")
 def tables_p2():
-    return _tables(2)
+    return detj_tables(2)
 
 
 def test_unit_square_detj_constant():
@@ -141,7 +137,7 @@ def test_check_mesh_stops_before_a_generation_past_the_memory_budget(monkeypatch
     # 1 MiB budget; both elements end at level 2 as max_levels=2 ends them
     s = gauss_lobatto_nodes(4)
     element = np.stack(np.meshgrid(s**3, s), axis=-1).reshape(-1, 2)
-    mesh, tables = CurvedMesh(3, [element, 2.0 * element]), _tables(3)
+    mesh, tables = CurvedMesh(3, [element, 2.0 * element]), detj_tables(3)
     full = check_mesh(mesh, tables, tol=1e-4)
     capped = check_mesh(mesh, tables, tol=1e-4, max_levels=2)
     monkeypatch.setattr(bounder, "_GENERATION_BYTES", 1 << 20)
@@ -173,7 +169,7 @@ def test_bad_tol_and_tables_raise_whatever_the_mesh_size(tables_p2, elements):
     with pytest.raises(ValueError, match="at least one table"):
         check_mesh(mesh, [], tol=1e-4)
     with pytest.raises(ValueError, match="does not match"):
-        check_mesh(mesh, _tables(3), tol=1e-4)
+        check_mesh(mesh, detj_tables(3), tol=1e-4)
 
 
 def test_ladder_tables_must_match_the_basis(tables_p2):

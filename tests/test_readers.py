@@ -6,6 +6,7 @@ ValueError (its *FormatError among them) and that the CLI command
 reading that file ends with exit 1 or 2 and an ``error:`` line.
 """
 
+import re
 import tempfile
 from pathlib import Path
 
@@ -133,6 +134,23 @@ def test_well_formed_mesh_parses_in_one_pass(mesh_lines, tmp_path, monkeypatch):
 
     monkeypatch.setattr(meshcheck, "_floats", refuse)
     assert read_mesh(path).elements.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
+def test_non_finite_values_are_format_errors_naming_the_file(token, coeffs_lines, mesh_lines,
+                                                            tmp_path, capsys):
+    cases = [(coeffs_lines, read_coeffs, CoeffsFormatError, "bound", "coefficients must be finite"),
+             (mesh_lines, read_mesh, MeshFormatError, "checkmesh",
+              "element 0: non-finite coordinates")]
+    for lines, reader, error, command, message in cases:
+        values = lines[2].split()
+        values[1] = token
+        path = tmp_path / f"{command}.txt"
+        path.write_text("\n".join(lines[:2] + [" ".join(values)] + lines[3:]) + "\n")
+        with pytest.raises(error, match=re.escape(f"{path}: {message}")):
+            reader(path)
+        assert main([command, str(path)]) == 1
+        assert f"error: {path}: {message}" in capsys.readouterr().err
 
 
 # -- fuzzing -----------------------------------------------------------------
