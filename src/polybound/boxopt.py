@@ -176,41 +176,6 @@ def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray, active: np.ndarray,
     return _solve_r(R, y + Qtb)
 
 
-def _row_min_gap(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
-                 row: np.ndarray) -> float:
-    """Continuous minimum of U(x) - phi(x) for a PL row U.
-
-    Per subinterval the gap is a polynomial; its interior critical points
-    come from the colleague-matrix roots of the derivative, polished by a
-    Newton step.
-    """
-    d2phi = _cheb.chebder(dphi) if dphi.size > 1 else np.zeros(1)
-    best = np.inf
-    for j in range(eta.size - 1):
-        a, b = eta[j], eta[j + 1]
-        slope = (row[j + 1] - row[j]) / (b - a)
-        crit = [a, b]
-        # derivative of the gap in Chebyshev form
-        dg = -dphi.copy()
-        dg[0] += slope
-        dgt = np.trim_zeros(np.where(np.abs(dg) < 1e-14 * max(1.0, np.abs(dg).max()), 0.0, dg), "b")
-        if dgt.size > 1:
-            roots = _cheb.chebroots(dgt)
-            roots = roots[np.abs(roots.imag) < 1e-10].real
-            roots = roots[(roots > a - _ROOT_TOL) & (roots < b + _ROOT_TOL)]
-            if roots.size:
-                # one Newton polish on the gap derivative
-                dgv = _cheb.chebval(roots, dgt)
-                d2v = _cheb.chebval(roots, -d2phi)
-                ok = np.abs(d2v) > 1e-14
-                roots = np.where(ok, roots - dgv / np.where(ok, d2v, 1.0), roots)
-                crit.extend(np.clip(roots, a, b))
-        xs = np.asarray(crit)
-        gap = row[j] + slope * (xs - a) - _cheb.chebval(xs, phi_c)
-        best = min(best, float(gap.min()))
-    return best
-
-
 def _row_min_gap_sampled(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
                          row: np.ndarray) -> float:
     """Sampling fallback for min(U - phi) with a Lipschitz safety deduction."""
@@ -222,6 +187,48 @@ def _row_min_gap_sampled(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
     return float(gap.min()) - 0.5 * lip * h
 
 
+def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """chebval(x[k], c[k]) for every row k of c (P, L) and x (P, K).
+
+    Each step repeats chebval's c0/c1 recursion in its order, so every
+    row comes out bit for bit as chebval would give it.
+    """
+    if c.shape[1] == 1:
+        return c[:, :1] + 0 * x
+    x2 = 2 * x
+    c0, c1 = c[:, -2, None], c[:, -1, None]
+    for i in range(3, c.shape[1] + 1):
+        c0, c1 = c[:, -i, None] - c1, c0 + c1 * x2
+    return c0 + c1 * x
+
+
+def _colleague_eigvals(c: np.ndarray):
+    """(eigenvalues, solved) of chebroots' rotated colleague matrix for
+    every row of c (P, L >= 3), whose last entry must be nonzero.
+
+    One eigvals call serves all rows. If it raises LinAlgError the rows
+    are solved one by one, and a row that still fails is marked unsolved.
+    """
+    n = c.shape[1] - 1
+    mat = np.zeros((len(c), n, n))
+    i = np.arange(n - 1)
+    mat[:, i, i + 1] = mat[:, i + 1, i] = np.r_[np.sqrt(.5), np.full(n - 2, .5)]
+    scl = np.array([1.] + [np.sqrt(.5)] * (n - 1))
+    mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * .5
+    mat = mat[:, ::-1, ::-1]
+    solved = np.ones(len(c), dtype=bool)
+    try:
+        return np.linalg.eigvals(mat), solved
+    except np.linalg.LinAlgError:
+        vals = np.zeros((len(c), n), dtype=complex)
+        for k, m in enumerate(mat):
+            try:
+                vals[k] = np.linalg.eigvals(m)
+            except np.linalg.LinAlgError:
+                solved[k] = False
+        return vals, solved
+
+
 def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
                          q_upper: np.ndarray):
     """Per-row continuous min gaps for both sides, plus a pad flag.
@@ -230,20 +237,61 @@ def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
     during symmetric optimization); row k always belongs to phi_{k+1}.
     The lower side is the upper search on the negated problem, since
     phi - L = (-L) - (-phi) and negation is exact.
+
+    Every (side, row, span) is one problem: the gap U - phi is a
+    polynomial on the span, so its minimum lies at a span end or at a
+    real root of its derivative, found as an eigenvalue of the
+    colleague matrix (as chebroots does) and polished by a Newton step.
+    All problems are solved at once; those whose derivative trims to the
+    same length share one eigvals call. A row whose eigen solve fails
+    takes the sampled bound on both sides and sets the pad flag.
     """
-    C = cheb_coeffs(basis)
-    lo, up = np.empty((2, len(q_upper)))
-    padded = False
-    for i in range(len(q_upper)):
-        phi_c = C[:, i]
-        dphi = _cheb.chebder(phi_c) if phi_c.size > 1 else np.zeros(1)
-        sides = ((dphi, phi_c, q_upper[i]), (-dphi, -phi_c, -q_lower[i]))
-        try:
-            up[i], lo[i] = [_row_min_gap(d, c, eta, q) for d, c, q in sides]
-        except np.linalg.LinAlgError:
-            up[i], lo[i] = [_row_min_gap_sampled(d, c, eta, q) for d, c, q in sides]
-            padded = True
-    return lo, up, padded
+    n, S = len(q_upper), eta.size - 1
+    C = cheb_coeffs(basis)[:, :n].T
+    D = _cheb.chebder(C, axis=1)
+    phi, dphi = np.concatenate([C, -C]), np.concatenate([D, -D])
+    q = np.concatenate([q_upper, -q_lower])
+    neg_d2 = -_cheb.chebder(dphi, axis=1)
+    owner = np.arange(2 * n * S) // S  # row of phi/dphi/q each problem belongs to
+    a, b = np.tile(eta[:-1], 2 * n)[:, None], np.tile(eta[1:], 2 * n)[:, None]
+    slope = (np.diff(q, axis=1) / np.diff(eta)).reshape(-1, 1)
+    # derivative of the gap in Chebyshev form, small terms zeroed, then trimmed
+    dg = -dphi[owner]
+    dg[:, :1] += slope
+    dg[np.abs(dg) < 1e-14 * np.fmax(1.0, np.abs(dg).max(axis=1, keepdims=True))] = 0.0
+    length = ((dg != 0) * np.arange(1, dg.shape[1] + 1)).max(axis=1)
+
+    # masked root slots sit on the left end until their gaps are dropped
+    roots = np.repeat(a, dg.shape[1] - 1, axis=1)
+    keep = np.zeros(roots.shape, dtype=bool)
+    failed = np.zeros(len(dg), dtype=bool)
+    for L in sorted(set(length.tolist()) - {0, 1}):  # np.unique would import numpy.ma
+        k = np.flatnonzero(length == L)
+        c, ak, bk = dg[k, :L], a[k], b[k]
+        if L == 2:
+            r = -c[:, :1] / c[:, 1:]
+        else:
+            r, solved = _colleague_eigvals(c)
+            failed[k] = ~solved
+        ok = (np.abs(r.imag) < 1e-10) & (r.real > ak - _ROOT_TOL) & (r.real < bk + _ROOT_TOL)
+        r = np.where(ok, r.real, ak)
+        # one Newton polish on the gap derivative
+        dgv = _clenshaw(c, r)
+        d2v = _clenshaw(neg_d2[owner[k]], r)
+        good = np.abs(d2v) > 1e-14
+        r = np.where(good, r - dgv / np.where(good, d2v, 1.0), r)
+        roots[k, :L - 1] = np.clip(r, ak, bk)
+        keep[k, :L - 1] = ok
+
+    xs = np.concatenate([a, b, roots], axis=1)
+    gap = q[:, :-1].reshape(-1, 1) + slope * (xs - a) - _clenshaw(phi[owner], xs)
+    gap[:, 2:][~keep] = np.inf
+    # a span whose gaps include a NaN is skipped, as Python's min skips it
+    best = np.fmin.reduce(gap.min(axis=1).reshape(2 * n, S), axis=1, initial=np.inf)
+    up, lo = best[:n], best[n:]
+    for i in set((owner[failed] % n).tolist()):
+        up[i], lo[i] = [_row_min_gap_sampled(dphi[s], phi[s], eta, q[s]) for s in (i, n + i)]
+    return lo, up, bool(failed.any())
 
 
 def offset_correction(basis: BasisSpec, nodes: NodeSet, q_lower: np.ndarray,

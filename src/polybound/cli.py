@@ -172,7 +172,10 @@ def cmd_bound(args) -> int:
 
 def cmd_checkmesh(args) -> int:
     mesh = read_mesh(args.mesh)
-    tables = detj_tables(mesh.p, args.m)
+    try:
+        tables = detj_tables(mesh.p, args.m)
+    except ValueError as err:
+        raise ValueError(f"--m {args.m}: {err}") from None
     report = check_mesh(mesh, tables, tol=args.tol, max_levels=args.max_levels)
     counts = report.counts()
     for er in report.elements:

@@ -164,7 +164,7 @@ def detj_tables(p: int, m: int | None = None) -> list:
     q = 2 * p - 1  # order of det J for a degree-p quad
     M = m if m is not None else q + 3
     if M <= q:
-        raise ValueError(f"--m {M} is below the {q + 1} nodes of det J of order {q}")
+        raise ValueError(f"m={M} is below the {q + 1} nodes of det J of order {q}")
     out = []
     for mm in range(q + 1, M + 1):
         try:

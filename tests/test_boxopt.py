@@ -1,14 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
+from numpy.polynomial import chebyshev as cheb
 
-from polybound.basis import (FAMILIES, NodeSet, basis_matrix, hat_matrix, make_basis,
+import polybound
+from polybound.basis import (FAMILIES, NodeSet, basis_matrix, cheb_coeffs, hat_matrix, make_basis,
                              make_node_set, mirror_pairs)
 from polybound.boxopt import (
     _N_SAMPLES,
+    _ROOT_TOL,
     BoxOptimizationError,
     TableFormatError,
     _active_sets,
+    _continuous_min_gaps,
     _data_dir,
     _nnls,
     _nodes_from_z,
@@ -392,11 +401,13 @@ def test_offset_correction_raises_all_rows_feasible():
 def test_sampled_fallback_encloses_and_is_conservative(monkeypatch):
     from polybound import boxopt
 
-    def no_roots(c):
-        raise np.linalg.LinAlgError("root finder unavailable")
+    def no_eigvals(a):
+        raise np.linalg.LinAlgError("eigen solver unavailable")
 
     basis = make_basis("lobatto-nodal", 3)
-    monkeypatch.setattr(boxopt._cheb, "chebroots", no_roots)
+    # the colleague-matrix eigen solve is the one step of the exact
+    # margin that can raise LinAlgError
+    monkeypatch.setattr(boxopt.np.linalg, "eigvals", no_eigvals)
     t = optimize_values(basis, make_node_set("equispaced", 5))
     assert t.provenance == "optimized-here-padded"
     x = np.linspace(-1, 1, 4003)
@@ -414,3 +425,117 @@ def test_sampled_fallback_encloses_and_is_conservative(monkeypatch):
     # exact ones, and costs under 1e-3 on the 10,000-point grid
     assert (lo_sampled <= lo).all() and (up_sampled <= up).all()
     assert (lo - lo_sampled < 1e-3).all() and (up - up_sampled < 1e-3).all()
+
+
+def test_failed_batched_eigen_solve_pads_only_the_rows_that_fail(monkeypatch):
+    from polybound import boxopt
+
+    eigvals = np.linalg.eigvals
+    single_calls = []
+
+    def flaky_eigvals(a):
+        # the batched solve fails, and then the first matrix solved alone:
+        # row 0's upper side on span 0, as problems are side-major
+        if a.ndim == 3:
+            raise np.linalg.LinAlgError("no convergence")
+        single_calls.append(a)
+        if len(single_calls) == 1:
+            raise np.linalg.LinAlgError("no convergence")
+        return eigvals(a)
+
+    t = standard_table("lobatto-nodal", 3, 5)
+    eta = t.eta()
+    lo, up, padded = _continuous_min_gaps(t.basis, eta, t.q_lower, t.q_upper)
+    monkeypatch.setattr(boxopt.np.linalg, "eigvals", flaky_eigvals)
+    lo_f, up_f, padded_f = _continuous_min_gaps(t.basis, eta, t.q_lower, t.q_upper)
+    assert padded_f and not padded
+    np.testing.assert_array_equal(lo_f[1:], lo[1:])
+    np.testing.assert_array_equal(up_f[1:], up[1:])
+    phi_c = cheb_coeffs(t.basis)[:, 0]
+    dphi = cheb.chebder(phi_c)
+    assert up_f[0] == boxopt._row_min_gap_sampled(dphi, phi_c, eta, t.q_upper[0])
+    assert lo_f[0] == boxopt._row_min_gap_sampled(-dphi, -phi_c, eta, -t.q_lower[0])
+
+
+def _row_min_gap(dphi, phi_c, eta, row):
+    """Continuous minimum of U(x) - phi(x) for a PL row U, one span and one
+    chebroots call at a time: the reference for the batched
+    _continuous_min_gaps, which must reproduce it bit for bit."""
+    d2phi = cheb.chebder(dphi) if dphi.size > 1 else np.zeros(1)
+    best = np.inf
+    for j in range(eta.size - 1):
+        a, b = eta[j], eta[j + 1]
+        slope = (row[j + 1] - row[j]) / (b - a)
+        crit = [a, b]
+        dg = -dphi.copy()
+        dg[0] += slope
+        dgt = np.trim_zeros(np.where(np.abs(dg) < 1e-14 * max(1.0, np.abs(dg).max()), 0.0, dg), "b")
+        if dgt.size > 1:
+            roots = cheb.chebroots(dgt)
+            roots = roots[np.abs(roots.imag) < 1e-10].real
+            roots = roots[(roots > a - _ROOT_TOL) & (roots < b + _ROOT_TOL)]
+            if roots.size:
+                dgv = cheb.chebval(roots, dgt)
+                d2v = cheb.chebval(roots, -d2phi)
+                ok = np.abs(d2v) > 1e-14
+                roots = np.where(ok, roots - dgv / np.where(ok, d2v, 1.0), roots)
+                crit.extend(np.clip(roots, a, b))
+        xs = np.asarray(crit)
+        gap = row[j] + slope * (xs - a) - cheb.chebval(xs, phi_c)
+        best = min(best, float(gap.min()))
+    return best
+
+
+def _assert_min_gaps_match_reference(basis, eta, q_lower, q_upper):
+    C = cheb_coeffs(basis)
+    ref_lo, ref_up = np.empty((2, len(q_upper)))
+    for i in range(len(q_upper)):
+        phi_c = C[:, i]
+        dphi = cheb.chebder(phi_c)
+        ref_up[i] = _row_min_gap(dphi, phi_c, eta, q_upper[i])
+        ref_lo[i] = _row_min_gap(-dphi, -phi_c, eta, -q_lower[i])
+    lo, up, padded = _continuous_min_gaps(basis, eta, q_lower, q_upper)
+    assert not padded
+    np.testing.assert_array_equal(lo, ref_lo)
+    np.testing.assert_array_equal(up, ref_up)
+
+
+@pytest.mark.parametrize("path", sorted((_data_dir() / "tables").glob("*.txt")),
+                         ids=lambda path: path.stem)
+def test_min_gaps_match_the_per_span_loop_on_shipped_tables(path):
+    t = load_table(path)
+    _assert_min_gaps_match_reference(t.basis, t.eta(), t.q_lower, t.q_upper)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(FAMILIES), p=st.integers(1, 7), extra=st.integers(0, 6),
+       noise=st.sampled_from([0.0, 1e-3, 0.1]), seed=st.integers(0, 2**32 - 1))
+# one pass whose problems trim to different lengths: the gap derivatives of
+# the modes run from all-zero (the constant and linear modes, interpolated
+# exactly) through length 2 (closed-form root) to lengths 3 and 4 (two
+# eigen solves)
+@example(family="legendre-modal", p=4, extra=2, noise=0.0, seed=0)
+def test_min_gaps_match_the_per_span_loop(family, p, extra, noise, seed):
+    M = p + 1 + extra
+    basis = make_basis(family, p)
+    rng = np.random.default_rng(seed)
+    eta = _nodes_from_z(rng.normal(0.0, 0.5, M // 2), M)
+    q = basis_matrix(basis, eta).T
+    q_lower = q - noise * rng.uniform(size=q.shape)
+    q_upper = q + noise * rng.uniform(size=q.shape)
+    _assert_min_gaps_match_reference(basis, eta, q_lower, q_upper)
+
+
+def test_table_load_imports_neither_numpy_ma_nor_scipy():
+    # both cost tens of milliseconds in a fresh process, paid by every
+    # program that only loads a table
+    code = """
+import sys
+import polybound
+polybound.standard_table("lobatto-nodal", 3, 4)
+print(sorted(m for m in ("numpy.ma", "scipy") if m in sys.modules))
+"""
+    src = str(Path(polybound.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120, check=True)
+    assert out.stdout.splitlines()[-1] == "[]"

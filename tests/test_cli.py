@@ -170,6 +170,12 @@ def test_bad_numeric_arguments_exit_one_naming_the_value(argv, named, tmp_path, 
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
+def test_checkmesh_short_ladder_names_the_option(tmp_path, capsys):
+    files = _coeffs_and_mesh(tmp_path)
+    assert main(["checkmesh", files["MESH"], "--m", "2"]) == 1
+    assert capsys.readouterr().err == "error: --m 2: m=2 is below the 4 nodes of det J of order 3\n"
+
+
 def test_bound_missing_file():
     assert main(["bound", "/nonexistent/coeffs.txt"]) == 1
 

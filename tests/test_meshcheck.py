@@ -172,6 +172,13 @@ def test_bad_tol_and_tables_raise_whatever_the_mesh_size(tables_p2, elements):
         check_mesh(mesh, detj_tables(3), tol=1e-4)
 
 
+def test_short_ladder_names_the_argument():
+    # a library caller passed m, not the CLI's --m
+    with pytest.raises(ValueError) as err:
+        detj_tables(2, 2)
+    assert str(err.value) == "m=2 is below the 4 nodes of det J of order 3"
+
+
 def test_ladder_tables_must_match_the_basis(tables_p2):
     # another family with the same N is rejected even where the ladder
     # would never reach it: the element and the polynomial settle at once
