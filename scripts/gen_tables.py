@@ -5,8 +5,15 @@ provenance=reference) ship in the same directory and are not
 regenerated; every other configuration is optimized here. The order
 puts the acceptance-critical tables first so a truncated run still
 leaves a usable set. Rerunning is deterministic.
+
+    python3 scripts/gen_tables.py [--out DIR]
+
+Tables already in DIR (default: the package's table directory) are
+kept. Into an empty DIR it writes all 20 optimized tables, taking the
+p=3 ladder's M=6 warm start from the package's reference table.
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -24,12 +31,12 @@ from polybound.boxopt import (  # noqa: E402
     verify_table,
 )
 
-OUT = ROOT / "src" / "polybound" / "data" / "tables"
+TABLES = ROOT / "src" / "polybound" / "data" / "tables"
 FAMILY = "lobatto-nodal"
 
 
-def generate(p, M, restarts, maxiter, warm=()):
-    dst = OUT / f"{FAMILY}-p{p}-M{M}.txt"
+def generate(out, p, M, restarts, maxiter, warm=()):
+    dst = out / f"{FAMILY}-p{p}-M{M}.txt"
     if dst.exists():
         t = load_table(dst)
         print(f"kept {dst.name}: eps2 {verify_table(t).eps2:.6f}", flush=True)
@@ -58,22 +65,27 @@ def insert_node(eta):
 
 
 def main():
-    OUT.mkdir(parents=True, exist_ok=True)
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=TABLES,
+                    help="directory to write the tables to (default: the package's)")
+    out = ap.parse_args().out
+    out.mkdir(parents=True, exist_ok=True)
 
     # small orders not covered by the published set
     for M in (2, 3, 4):
-        generate(1, M, restarts=8, maxiter=60)
+        generate(out, 1, M, restarts=8, maxiter=60)
 
     # the M=N table for the highest supported interpolation order
-    generate(7, 8, restarts=36, maxiter=80)
+    generate(out, 7, 8, restarts=36, maxiter=80)
 
     # M ladder for p=3 (convergence study); warm start from the previous M
-    prev = load_table(OUT / f"{FAMILY}-p3-M6.txt").eta()
+    name = f"{FAMILY}-p3-M6.txt"
+    prev = load_table(out / name if (out / name).exists() else TABLES / name).eta()
     for M in range(7, 21):
-        prev = generate(3, M, restarts=6, maxiter=50, warm=(insert_node(prev),))
+        prev = generate(out, 3, M, restarts=6, maxiter=50, warm=(insert_node(prev),))
 
     for M in (9, 10):
-        generate(7, M, restarts=12, maxiter=60)
+        generate(out, 7, M, restarts=12, maxiter=60)
 
     print("all tables done", flush=True)
 

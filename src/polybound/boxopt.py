@@ -286,8 +286,10 @@ def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
     xs = np.concatenate([a, b, roots], axis=1)
     gap = q[:, :-1].reshape(-1, 1) + slope * (xs - a) - _clenshaw(phi[owner], xs)
     gap[:, 2:][~keep] = np.inf
-    # a span whose gaps include a NaN is skipped, as Python's min skips it
-    best = np.fmin.reduce(gap.min(axis=1).reshape(2 * n, S), axis=1, initial=np.inf)
+    # a span whose gaps include a NaN (an overflowing row) fails its margin
+    span = gap.min(axis=1)
+    span[np.isnan(span)] = -np.inf
+    best = span.reshape(2 * n, S).min(axis=1)
     up, lo = best[:n], best[n:]
     for i in set((owner[failed] % n).tolist()):
         up[i], lo[i] = [_row_min_gap_sampled(dphi[s], phi[s], eta, q[s]) for s in (i, n + i)]
@@ -499,7 +501,8 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     node kinds) plus perturbed restarts. Every converged restart and
     every seed then gets the full offset-corrected table, and the final
     pick is by the post-offset gap norm sum (eps2); the equispaced seed is
-    always in that pool, so the result is never worse than it.
+    always in that pool, so the result is never worse than it. A node set
+    the search revisits is not solved again: it keeps its first value.
     Returns the winning BoundingTable (its nodes carry the positions).
     """
     if M < 2:
@@ -520,12 +523,17 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     # consecutive evaluations differ by a quasi-Newton step or a
     # finite-difference probe: each one's supports start the next one's
     active = _active_sets(basis, _N_SAMPLES)
+    # line searches and probes revisit node sets: solve each one once
+    solved = {}
 
     def objective(z_free):
         eta = _nodes_from_z(np.asarray(z_free, dtype=float), M)
         if np.min(np.diff(eta)) < 1e-6:
             return 1e6 - np.min(np.diff(eta))
-        value = _raw_objective(basis, eta, active)
+        key = eta.tobytes()
+        if key not in solved:
+            solved[key] = _raw_objective(basis, eta, active)
+        value = solved[key]
         if value < best_raw["value"]:
             best_raw.update(value=value, z=np.array(z_free, dtype=float))
         return value

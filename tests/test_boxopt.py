@@ -249,6 +249,21 @@ def test_box_solves_keep_their_bits(family):
     assert _raw_objective(basis, moved, active).hex() == _GOLDEN_MOVED_OBJECTIVE[family]
 
 
+def test_node_search_solves_each_node_set_once(monkeypatch):
+    # BFGS's line searches and finite-difference probes come back to node
+    # sets it has evaluated; those must not be solved again
+    from polybound import boxopt
+    seen = []
+
+    def counting(basis, eta, active):
+        seen.append(eta.tobytes())
+        return _raw_objective(basis, eta, active)
+
+    monkeypatch.setattr(boxopt, "_raw_objective", counting)
+    optimize_nodes(make_basis("lobatto-nodal", 2), 4, restarts=8, seed=0)
+    assert seen and len(set(seen)) == len(seen)
+
+
 def test_node_search_keeps_its_bits():
     table = optimize_nodes(make_basis("lobatto-nodal", 2), 4, restarts=2, maxiter=20, seed=3)
     assert _hex(table.eta(), table.q_lower, table.q_upper) == _GOLDEN_NODE_SEARCH.split()
@@ -482,7 +497,8 @@ def _row_min_gap(dphi, phi_c, eta, row):
                 crit.extend(np.clip(roots, a, b))
         xs = np.asarray(crit)
         gap = row[j] + slope * (xs - a) - cheb.chebval(xs, phi_c)
-        best = min(best, float(gap.min()))
+        span = float(gap.min())
+        best = min(best, -np.inf if np.isnan(span) else span)  # NaN fails the span
     return best
 
 

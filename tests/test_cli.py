@@ -218,6 +218,19 @@ def test_bound_with_non_finite_table(tmp_path, monkeypatch, capsys):
     assert "error:" in err and "finite" in err
 
 
+def test_bound_with_overflowing_table_row(tmp_path, monkeypatch, capsys):
+    # U 1 lies 1e308 below phi_1 at x = -1, but its slope overflows, so its
+    # gap there is inf * 0: a NaN gap fails the margin, and load_table refuses
+    lines = (_data_dir() / "tables" / "lobatto-nodal-p1-M2.txt").read_text().splitlines()
+    lines[3], lines[5] = "L 1: -1.7e308 -1e308", "U 1: -1e308 1e308"
+    (tmp_path / "lobatto-nodal-p1-M2.txt").write_text("\n".join(lines) + "\n")
+    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
+    path = tmp_path / "c.txt"
+    write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 1), np.ones(2)), path)
+    assert main(["bound", str(path)]) == 2
+    assert "violates its bounding property (margin -inf)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("dim, p, big", [(2, 2, 1e308), (1, 3, 1.7e308)])
 def test_bound_overflowing_coefficients_exit_two(dim, p, big, tmp_path, capsys):
     # finite coefficients whose node bounds overflow certify nothing
