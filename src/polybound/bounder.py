@@ -586,13 +586,17 @@ def _restrict(U, mats):
     U has shape (cells,) + (N,)*dim; mats[k] acts along array axis 1 + k
     and has shape (A, N), shared by every cell, or (cells, A, N), one per
     cell. Restriction to subcells takes N x N matrices; evaluation at A
-    points takes A x N ones.
+    points takes A x N ones. A per-cell matrix contracts its own axis in one
+    einsum, "cxyz,cay->cxaz" for the middle of three, with no axis moved;
+    optimize=True would route it through BLAS and change bits.
     """
+    idx = "xyzuvw"[:U.ndim - 1]
     for axis, R in enumerate(mats, start=1):
         if R.ndim == 2:
             U = np.moveaxis(np.tensordot(U, R, axes=([axis], [1])), -1, axis)
         else:
-            U = np.moveaxis(np.einsum("c...b,cab->c...a", np.moveaxis(U, axis, -1), R), -1, axis)
+            out = idx[:axis - 1] + "a" + idx[axis:]
+            U = np.einsum(f"c{idx},ca{idx[axis - 1]}->c{out}", U, R)
     return U
 
 
@@ -713,16 +717,25 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
 
     def split(level, owner, lower, upper, last):
         nonlocal gmin, gmax
-        _require_finite(lower, upper, lambda i: (
-            f"polynomial: node bounds not finite at refinement level {level}"))
-        gap = upper - lower
-        history[level:] = [{"level": level, "cells": len(gap), "worst_gap": float(gap.max())}]
-        if not last and level < len(ladder) - 1 and history[-1]["worst_gap"] > tol:
+        with np.errstate(invalid="ignore"):  # inf - inf is reported below
+            gap = upper - lower
+        worst = float(gap.max())
+        # the kernel keeps lower <= upper, so a bound that is not finite
+        # makes its gap inf or NaN, and so the worst gap
+        if not np.isfinite(worst):
+            _require_finite(lower, upper, lambda i: (
+                f"polynomial: node bounds not finite at refinement level {level}"))
+        history[level:] = [{"level": level, "cells": len(gap), "worst_gap": worst}]
+        if not last and level < len(ladder) - 1 and worst > tol:
             return np.ones(1, dtype=bool)
-        keep = (gap <= tol) | last
-        if keep.any():
-            gmin = min(gmin, float(lower[keep].min()))
-            gmax = max(gmax, float(upper[keep].max()))
+        # no gathers; a plain reduction where every node counts, which on
+        # small generations costs less than a where=True one
+        if last or worst <= tol:
+            gmin, gmax = min(gmin, float(lower.min())), max(gmax, float(upper.max()))
+        else:
+            keep = gap <= tol
+            gmin = min(gmin, float(np.min(lower, where=keep, initial=np.inf)))
+            gmax = max(gmax, float(np.max(upper, where=keep, initial=-np.inf)))
         return _corners(gap > tol, np.logical_or, d)
 
     level = refine(coeffs.u[None], ladder, d, split, max_levels)

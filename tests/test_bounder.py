@@ -513,6 +513,34 @@ def test_subdivide_is_restriction():
             )
 
 
+def _restrict_reference(U, mats):
+    """_restrict as it was: a per-cell matrix contracted the last axis, with
+    its own axis moved there and back."""
+    for axis, R in enumerate(mats, start=1):
+        if R.ndim == 2:
+            U = np.moveaxis(np.tensordot(U, R, axes=([axis], [1])), -1, axis)
+        else:
+            U = np.moveaxis(np.einsum("c...b,cab->c...a", np.moveaxis(U, axis, -1), R), -1, axis)
+    return U
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("rows", ["N", "3", "shared"])
+def test_restrict_keeps_its_bits(dim, rows):
+    # per-cell (cells, A, N) matrices with A = N (subcells) or A = 3 (the
+    # derivatives of _derivatives), and shared (A, N) ones
+    rng = np.random.default_rng([dim, len(rows)])
+    for _ in range(20):
+        N, cells = int(rng.integers(2, 9)), int(rng.integers(1, 200))
+        U = rng.standard_normal((cells,) + (N,) * dim) * 10.0 ** rng.integers(-8, 9)
+        A = {"N": N, "3": 3, "shared": int(rng.integers(1, 12))}[rows]
+        shape = (A, N) if rows == "shared" else (cells, A, N)
+        mats = [rng.standard_normal(shape) for _ in range(dim)]
+        out = bounder._restrict(U, mats)
+        assert out.shape == (cells,) + (A,) * dim
+        assert np.array_equal(out, _restrict_reference(U, mats))
+
+
 def test_subdivide_full_cell_is_identity():
     c = _rand_coeffs(1, 3)
     sub = subdivide(c, [(-1.0, 1.0)])
@@ -591,6 +619,77 @@ def test_bound_adaptive_stops_before_a_generation_past_the_memory_budget(monkeyp
     assert s == capped
     lo, hi = brute_force_extrema(c, 40)
     assert s.global_min <= lo and s.global_max >= hi
+
+
+def _adaptive_reference(coeffs, tables, tol, max_levels=10, seen=None):
+    """bound_adaptive with its split as it was: a full finiteness check,
+    then boolean gathers of the kept node bounds. seen collects which ways
+    each split ended."""
+    ladder = bounder._as_ladder(tables, coeffs.basis)
+    d = coeffs.dim
+    history = []
+    gmin, gmax = np.inf, -np.inf
+    seen = set() if seen is None else seen
+
+    def split(level, owner, lower, upper, last):
+        nonlocal gmin, gmax
+        bounder._require_finite(lower, upper, lambda i: (
+            f"polynomial: node bounds not finite at refinement level {level}"))
+        gap = upper - lower
+        if history[level:]:
+            seen.add("budget")  # refine settles an over-budget generation
+        history[level:] = [{"level": level, "cells": len(gap), "worst_gap": float(gap.max())}]
+        if not last and level < len(ladder) - 1 and history[-1]["worst_gap"] > tol:
+            return np.ones(1, dtype=bool)
+        keep = (gap <= tol) | last
+        seen.add("last" if last else "partial" if 0 < keep.sum() < keep.size else "all or none")
+        if keep.any():
+            gmin = min(gmin, float(lower[keep].min()))
+            gmax = max(gmax, float(upper[keep].max()))
+        return bounder._corners(gap > tol, np.logical_or, d)
+
+    level = bounder.refine(coeffs.u[None], ladder, d, split, max_levels)
+    return bounder.BoundSummary(gmin, gmax, level, history[-1]["worst_gap"] <= tol,
+                                tuple(history))
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_bound_adaptive_matches_the_gathering_split(dim, monkeypatch):
+    # tolerances relative to the coefficient range; the small budget stops
+    # refinement early, and 1D p=2 node gaps all fail or meet tol together
+    seen = set()
+    for p in (2, 3, 4, 5):
+        ladder = [standard_table("lobatto-nodal", p, m) for m in range(p + 1, p + 4)]
+        for budget in (1 << 22, 1 << 10):
+            monkeypatch.setattr(bounder, "_GENERATION_BYTES", budget)
+            for seed, rel_tol, max_levels in [(0, 0.3, 4), (1, 0.05, 4), (2, 0.05, 3),
+                                              (3, 1e-3, 2), (4, 1e-3, 10), (5, 1e-2, 10)]:
+                c = _rand_coeffs(dim, seed, p=p)
+                tol = rel_tol * float(np.ptp(c.u))
+                s = bound_adaptive(c, ladder, tol, max_levels)
+                ref = _adaptive_reference(c, ladder, tol, max_levels, seen)
+                assert s == ref, (p, budget, seed)
+                assert (s.global_min.hex(), s.global_max.hex()) == (
+                    ref.global_min.hex(), ref.global_max.hex())
+    assert {"partial", "last", "budget"} <= seen
+
+
+def test_bound_adaptive_accepts_finite_bounds_whose_gap_overflows(t34, monkeypatch):
+    # +-1e308 are finite bounds, so the full check passes them, as before;
+    # only their gap overflows to inf
+    def huge(U, table, dim):
+        shape = (len(U),) + (table.nodes.M,) * dim
+        return np.full(shape, -1e308), np.full(shape, 1e308)
+
+    monkeypatch.setattr(bounder, "bound_nodes", huge)
+    c = _rand_coeffs(2, 7)
+    for max_levels in (0, 1):
+        with np.errstate(over="ignore"):
+            s = bound_adaptive(c, t34, 1e-3, max_levels)
+            ref = _adaptive_reference(c, t34, 1e-3, max_levels)
+        assert s == ref
+        assert (s.global_min, s.global_max, s.converged) == (-1e308, 1e308, False)
+        assert s.level_history[-1]["worst_gap"] == np.inf
 
 
 @pytest.mark.parametrize("max_levels", [-1, -5])

@@ -231,8 +231,13 @@ def test_bound_with_overflowing_table_row(tmp_path, monkeypatch, capsys):
     assert "violates its bounding property (margin -inf)" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("dim, p, big", [(2, 2, 1e308), (1, 3, 1.7e308)])
-def test_bound_overflowing_coefficients_exit_two(dim, p, big, tmp_path, capsys):
+@pytest.mark.parametrize("dim, p, big, extra, stage", [
+    pytest.param(2, 2, 1e308, [], "with the M=3 table", id="2-2-1e+308"),
+    pytest.param(1, 3, 1.7e308, [], "with the M=4 table", id="1-3-1.7e+308"),
+    pytest.param(2, 2, 1e308, ["--subdivide", "2"], "at refinement level 0",
+                 id="2-2-1e+308-subdivide"),
+])
+def test_bound_overflowing_coefficients_exit_two(dim, p, big, extra, stage, tmp_path, capsys):
     # finite coefficients whose node bounds overflow certify nothing
     u = np.linspace(-1.0, 1.0, (p + 1) ** dim)
     u[1] = big
@@ -240,10 +245,10 @@ def test_bound_overflowing_coefficients_exit_two(dim, p, big, tmp_path, capsys):
     write_coeffs(PolyCoeffs(dim, make_basis("lobatto-nodal", p), u), path)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        assert main(["bound", str(path)]) == 2
+        assert main(["bound", str(path)] + extra) == 2
     assert not caught  # overflow is reported by the error line alone
     captured = capsys.readouterr()
-    assert f"error: polynomial: node bounds not finite with the M={p + 1} table" in captured.err
+    assert f"error: polynomial: node bounds not finite {stage}" in captured.err
     assert "global bounds" not in captured.out
 
 
