@@ -722,7 +722,7 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
         worst = float(gap.max())
         # the kernel keeps lower <= upper, so a bound that is not finite
         # makes its gap inf or NaN, and so the worst gap
-        if not np.isfinite(worst):
+        if not math.isfinite(worst):
             _require_finite(lower, upper, lambda i: (
                 f"polynomial: node bounds not finite at refinement level {level}"))
         history[level:] = [{"level": level, "cells": len(gap), "worst_gap": worst}]
