@@ -11,6 +11,12 @@ Each discrete subproblem is a convex QP with linear inequality
 constraints. It is solved exactly by the least-squares-with-inequalities
 reduction: QR factor the hat-function matrix, reduce to a least-distance
 problem, and solve that through NNLS. Deterministic, no tuning knobs.
+The QR factorization and the NNLS's least-squares solves call scipy's
+LAPACK directly (_qr, _lstsq): the routines np.linalg.qr and
+np.linalg.lstsq call, with the same arguments and workspace, so their
+bits match numpy's wherever the two libraries' LAPACK code agrees (the
+tests check it), without numpy's per-call wrapping on the tens of
+thousands of tiny solves of a node search.
 Within one node search, each NNLS starts from the support it ended with
 at the previous objective evaluation, since nearby nodes make the boxes
 touch phi at nearly the same samples; a one-shot fit starts empty.
@@ -82,15 +88,18 @@ def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
     multiplier test over every column then decides optimality, so the
     result is the NNLS optimum from any start, and an all-False mask is
     the textbook cold start. The support subproblems are tiny here (E has
-    at most a couple dozen rows) and are solved by SVD least squares.
+    at most a couple dozen rows) and are solved by SVD least squares
+    (_lstsq), tens of thousands per node search. ``f`` is the last unit
+    vector, the right-hand side of _upper_qp's dual, so E.T @ f, which
+    scales the multiplier tolerance, is E's last row.
     """
     m, n = E.shape
     max_outer = 3 * (m + n)
     u = np.zeros(n)
-    tol = _NNLS_EPS * max(1.0, float(np.abs(E.T @ f).max()))
+    tol = _NNLS_EPS * max(1.0, float(np.abs(E[-1]).max()))  # |E.T @ f|
     while passive.any():
         cols = passive.nonzero()[0]
-        z = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+        z = _lstsq(E[:, cols], f)
         if z.min() > 0.0:
             u[cols] = z
             break
@@ -106,7 +115,7 @@ def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
             cols = passive.nonzero()[0]
             if cols.size == 0:
                 break  # every column dropped, so u = 0: pick again from w
-            z = np.linalg.lstsq(E[:, cols], f, rcond=None)[0]
+            z = _lstsq(E[:, cols], f)
             if z.min() > 0.0:
                 u[:] = 0.0
                 u[cols] = z
@@ -129,21 +138,80 @@ def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _dtrtrs():
-    """LAPACK dtrtrs from scipy, imported on first use: only the box solves
+def _lapack():
+    """scipy's LAPACK wrappers, imported on first use: only the box solves
     need scipy, so bounding with a loaded table never imports it."""
-    from scipy.linalg.lapack import dtrtrs
-    return dtrtrs
+    from scipy.linalg import lapack
+    return lapack
+
+
+def _checked(info: int, routine: str) -> None:
+    if info:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info={info}")
+
+
+@lru_cache(maxsize=None)
+def _gelsd_work(m: int, n: int):
+    """(cond, lwork, liwork) of dgelsd for an m x n system with one
+    right-hand side: numpy's default cutoff and workspace query."""
+    cond = np.finfo(float).eps * max(m, n)
+    work, iwork, info = _lapack().dgelsd_lwork(m, n, 1, cond)
+    _checked(info, "dgelsd workspace query")
+    return cond, int(work), int(iwork)
+
+
+def _lstsq(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.linalg.lstsq(A, b, rcond=None)[0] for a vector b, bit for bit.
+
+    The same LAPACK dgelsd call with the same cutoff and workspace, without
+    numpy's per-call wrapping. ``A`` may be overwritten.
+    """
+    m, n = A.shape
+    cond, lwork, liwork = _gelsd_work(m, n)
+    if n > m:
+        b = np.concatenate([b, np.zeros(n - m)])  # dgelsd returns x in b
+    x, _, _, info = _lapack().dgelsd(A, b[:, None], lwork, liwork, cond, overwrite_a=1)
+    _checked(info, "dgelsd")
+    return x[:n, 0]
+
+
+@lru_cache(maxsize=None)
+def _qr_work(m: int, n: int):
+    """(dgeqrf lwork, dorgqr lwork) as np.linalg.qr sizes them."""
+    lapack = _lapack()
+    work, info = lapack.dgeqrf_lwork(m, n)
+    _checked(info, "dgeqrf workspace query")
+    _, gq_work, info = lapack.dorgqr(np.zeros((m, n)), np.zeros(min(m, n)), lwork=-1)
+    _checked(info, "dorgqr workspace query")
+    return max(1, n, int(work)), max(1, n, int(gq_work[0]))
+
+
+def _qr(A: np.ndarray):
+    """np.linalg.qr(A) for A with at least as many rows as columns, bit for
+    bit and in its layouts: C-ordered Q (m, n) and upper-triangular R (n, n).
+
+    The same LAPACK dgeqrf and dorgqr calls with the same workspace,
+    without numpy's per-call wrapping.
+    """
+    m, n = A.shape
+    geqrf_lwork, orgqr_lwork = _qr_work(m, n)
+    lapack = _lapack()
+    factor, tau, _, info = lapack.dgeqrf(A, lwork=geqrf_lwork)
+    _checked(info, "dgeqrf")
+    R = np.triu(factor[:n])
+    Q, _, info = lapack.dorgqr(factor, tau, lwork=orgqr_lwork, overwrite_a=1)
+    _checked(info, "dorgqr")
+    return np.ascontiguousarray(Q), R
 
 
 def _solve_r(R: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """R x = rhs for the C-ordered upper-triangular R of np.linalg.qr.
+    """R x = rhs for the C-ordered upper-triangular R of _qr.
 
     The LAPACK call scipy's solve_triangular makes for such an R (its
     transpose is column-major lower triangular), without that wrapper's
     per-call argument checks.
     """
-    x, info = _dtrtrs()(R.T, rhs, lower=1, trans=1)
+    x, info = _lapack().dtrtrs(R.T, rhs, lower=1, trans=1)
     if info:
         raise np.linalg.LinAlgError(f"singular R: zero on diagonal {info - 1}")
     return x
@@ -373,7 +441,7 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int, active: np.nda
     side f (see _upper_qp); only E's last row changes between them.
     """
     N, M = basis.N, eta.size
-    Q, R = np.linalg.qr(hat_matrix(eta, _sample_points(n_samples)))
+    Q, R = _qr(hat_matrix(eta, _sample_points(n_samples)))
     Phi = _sample_matrix(basis, n_samples)
     E = np.empty((M + 1, n_samples), order="F")
     E[:M] = Q.T

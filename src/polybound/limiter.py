@@ -257,19 +257,22 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
     u_max = np.asarray(u_max, dtype=float)
     # a NaN mean fails both comparisons, so it counts as outside
     slack = _MEAN_TOL * (b - a)
-    if not np.all((mean >= a - slack) & (mean <= b + slack)):
+    if not ((mean >= a - slack) & (mean <= b + slack)).all():
         outside = np.maximum(a - mean, mean - b)
         worst = np.unravel_index(np.argmax(outside), outside.shape)
         label = f"element {tuple(int(i) for i in worst)}" if worst else "element"
         raise ValueError(f"{label} mean {float(mean[worst])} lies outside [{a}, {b}]")
-    m = np.clip(mean, a, b)
+    # the ndarray methods, not np.clip and np.all: same ufuncs, less
+    # per-call dispatch on the three calls of every RK step
+    m = mean.clip(a, b)
 
-    # a ratio only where a bound crosses: there u_min < a <= m (or
-    # u_max > b >= m), so its denominator is never zero
+    # a ratio counts only where a bound crosses: there u_min < a <= m (or
+    # u_max > b >= m), so its denominator is never zero. Dividing
+    # everywhere and picking with where is cheaper than a masked divide.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         r_lo = np.where(u_min < a, (a - m) / (u_min - m), 1.0)
         r_hi = np.where(u_max > b, (b - m) / (u_max - m), 1.0)
-    alpha = np.clip(np.minimum(r_lo, r_hi), 0.0, 1.0)
+    alpha = np.minimum(r_lo, r_hi, out=r_lo).clip(0.0, 1.0)
     if alpha.ndim == 0:
         return float(alpha)
     return alpha

@@ -19,10 +19,13 @@ from polybound.boxopt import (
     _active_sets,
     _continuous_min_gaps,
     _data_dir,
+    _lstsq,
     _nnls,
     _nodes_from_z,
+    _qr,
     _raw_boxes,
     _raw_objective,
+    _sample_points,
     load_table,
     offset_correction,
     optimize_nodes,
@@ -219,6 +222,22 @@ _GOLDEN_NODE_SEARCH = """
     0x1.c71d7e36967ccp-4 0x1.000010c6f7a0bp+0 0x1.000010c6f7a0bp+0 0x1.c71d7e36967ccp-4
     0x1.0c6f7a0b91417p-20 -0x1.c71b6557a2662p-4 0x1.c71cf7fed977ap-3 0x1.000010c6f7a0fp+0
 """
+# float.hex of optimize_nodes(lobatto-nodal p=3, M=5, restarts=2, maxiter=20,
+# seed=0), one of the table generator's tasks: nodes, q_lower, q_upper
+_GOLDEN_NODE_SEARCH_P3 = """
+    -0x1.0000000000000p+0 -0x1.1f1222996b3eap-1 0x0.0p+0 0x1.1f1222996b3eap-1
+    0x1.0000000000000p+0 0x1.d39e5cc9639edp-1 -0x1.8a7002589c905p-8 -0x1.84318e04a9134p-3
+    0x1.013d176a4ad3bp-5 -0x1.75238bece71e3p-13 -0x1.6aa990e3dc51cp-10 0x1.ee79175887936p-1
+    0x1.3f53fbc7ecbf1p-1 -0x1.99b37bbb0b6d6p-3 -0x1.5a697608a1a29p-3 -0x1.5a697608a1a29p-3
+    -0x1.99b37bbb0b6d6p-3 0x1.3f53fbc7ecbf1p-1 0x1.ee79175887936p-1 -0x1.6aa990e3dc51cp-10
+    -0x1.75238bece71e3p-13 0x1.013d176a4ad3bp-5 -0x1.84318e04a9134p-3 -0x1.8a7002589c905p-8
+    0x1.d39e5cc9639edp-1 0x1.00314cc9f650fp+0 0x1.c8f1ca9b3e286p-4 -0x1.fdb3bfca0835bp-4
+    0x1.b333ee51295a8p-5 0x1.02dd0170be3eap-4 0x1.60d6d7ff6d46ep-3 0x1.2c80e716b7d7cp+0
+    0x1.692880537be4cp-1 -0x1.bd591114a02b4p-4 0x1.8bc253f19d5f5p-11 0x1.8bc253f19d5f5p-11
+    -0x1.bd591114a02b4p-4 0x1.692880537be4cp-1 0x1.2c80e716b7d7cp+0 0x1.60d6d7ff6d46ep-3
+    0x1.02dd0170be3eap-4 0x1.b333ee51295a8p-5 -0x1.fdb3bfca0835bp-4 0x1.c8f1ca9b3e286p-4
+    0x1.00314cc9f650fp+0
+"""
 # float.hex of _raw_objective at nodes (-1, -s, 0, s, 1), s = 0.4256, warm-started
 # from the equispaced supports above
 _GOLDEN_MOVED_OBJECTIVE = {
@@ -267,6 +286,12 @@ def test_node_search_solves_each_node_set_once(monkeypatch):
 def test_node_search_keeps_its_bits():
     table = optimize_nodes(make_basis("lobatto-nodal", 2), 4, restarts=2, maxiter=20, seed=3)
     assert _hex(table.eta(), table.q_lower, table.q_upper) == _GOLDEN_NODE_SEARCH.split()
+
+
+def test_tablegen_node_search_keeps_its_bits():
+    # a p=3 search reaches supports and node sets the p=2 pin above does not
+    table = optimize_nodes(make_basis("lobatto-nodal", 3), 5, restarts=2, maxiter=20, seed=0)
+    assert _hex(table.eta(), table.q_lower, table.q_upper) == _GOLDEN_NODE_SEARCH_P3.split()
 
 
 @settings(max_examples=60, deadline=None)
@@ -325,6 +350,67 @@ def test_nnls_reaches_cold_optimum_from_any_start(family):
             np.testing.assert_allclose(E @ u - f, E @ cold - f, rtol=0.0, atol=1e-12)
             w = E.T @ (f - E @ u)
             assert w.max() <= 1e-12 and np.abs(w[start]).max() <= 1e-12
+
+
+def _same_array(x, y):
+    return (x.shape == y.shape and x.flags.c_contiguous == y.flags.c_contiguous
+            and x.flags.f_contiguous == y.flags.f_contiguous and x.tobytes() == y.tobytes())
+
+
+def test_lstsq_matches_numpy_bit_for_bit():
+    # NNLS supports as _upper_qp makes them: m = M + 1 rows of [Q^T; resid],
+    # 1..m+2 sample columns, so also more columns than rows
+    rng = np.random.default_rng(5)
+    x = _sample_points(_N_SAMPLES)
+    Phi = basis_matrix(make_basis("lobatto-nodal", 7), x)
+    for M in range(2, 22):
+        eta = _nodes_from_z(rng.normal(0.0, 0.3, M // 2), M)
+        Q = np.linalg.qr(hat_matrix(eta, x))[0]
+        b = Phi[:, M % 8]
+        E = np.vstack([Q.T, (b - Q @ (Q.T @ b))[None, :]])
+        e_last = np.zeros(M + 1)
+        e_last[-1] = 1.0
+        for k in range(1, M + 4):
+            A = E[:, np.sort(rng.choice(_N_SAMPLES, k, replace=False))]
+            repeated = A.copy()
+            repeated[:, -1] = A[:, 0]  # rank deficient (k = 1: A itself)
+            # a singular value between the cutoffs eps min(m, k) and
+            # eps max(m, k) relative to the largest: numpy's choice decides
+            U, sv, Vt = np.linalg.svd(A, full_matrices=False)
+            sv[-1] = sv[0] * np.finfo(float).eps * np.sqrt((M + 1) * k)
+            for a in (A, repeated, (U * sv) @ Vt):
+                for f in (e_last, rng.normal(size=M + 1)):
+                    want = np.linalg.lstsq(a, f, rcond=None)[0]
+                    assert _same_array(_lstsq(a.copy(), f), want), (M, k)
+
+
+def test_qr_matches_numpy_bit_for_bit_and_in_layout():
+    x = _sample_points(_N_SAMPLES)
+    for M in [*range(2, 22), 160]:  # past 128 columns LAPACK's QR runs blocked
+        H = hat_matrix(make_node_set("equispaced", M).array(), x)
+        Q, R = _qr(H)
+        want_Q, want_R = np.linalg.qr(H)
+        assert _same_array(Q, want_Q) and _same_array(R, want_R), M
+
+
+def test_lapack_failures_raise(monkeypatch):
+    from types import SimpleNamespace
+    from polybound import boxopt
+    # a NaN stops dgelsd (info != 0), as it stops np.linalg.lstsq
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.lstsq(np.full((4, 2), np.nan), np.ones(4), rcond=None)
+    with pytest.raises(np.linalg.LinAlgError, match="dgelsd failed"):
+        _lstsq(np.full((4, 2), np.nan), np.ones(4))
+    H = hat_matrix(make_node_set("equispaced", 5).array(), _sample_points(_N_SAMPLES))
+    _qr(H)  # caches the workspace sizes
+    lapack = boxopt._lapack()
+    for routine in ("dgeqrf", "dorgqr"):
+        def failing(*args, _routine=routine, **kwargs):
+            return (*getattr(lapack, _routine)(*args, **kwargs)[:-1], -1)
+        fake = SimpleNamespace(**{"dgeqrf": lapack.dgeqrf, "dorgqr": lapack.dorgqr, routine: failing})
+        monkeypatch.setattr(boxopt, "_lapack", lambda fake=fake: fake)
+        with pytest.raises(np.linalg.LinAlgError, match=f"{routine} failed with info=-1"):
+            _qr(H)
 
 
 def test_trivial_p1_box_is_tight():

@@ -122,6 +122,45 @@ def test_alpha_is_bit_identical_under_power_of_two_scaling():
         assert np.array_equal(alpha, ref), k
 
 
+def _squeeze_alpha_reference(mean, u_min, u_max, a, b):
+    """squeeze_alpha's ratios as np.where over np.clip, without its
+    mean check: the formula the faster path must reproduce bit for bit."""
+    mean, u_min, u_max = (np.asarray(v, dtype=float) for v in (mean, u_min, u_max))
+    m = np.clip(mean, a, b)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        r_lo = np.where(u_min < a, (a - m) / (u_min - m), 1.0)
+        r_hi = np.where(u_max > b, (b - m) / (u_max - m), 1.0)
+    alpha = np.clip(np.minimum(r_lo, r_hi), 0.0, 1.0)
+    return float(alpha) if alpha.ndim == 0 else alpha
+
+
+def _same_bits(x, y):
+    # array_equal would let -0.0 stand for 0.0
+    return type(x) is type(y) and np.asarray(x).tobytes() == np.asarray(y).tobytes()
+
+
+def test_alpha_matches_the_where_formula_bit_for_bit():
+    # a rotation state's limiter inputs, as the rotation run squeezes them
+    mean, u_min, u_max, _ = limiter_decisions(transport_state(32, 3),
+                                              standard_table("lobatto-nodal", 3, 4))
+    assert (u_min < 0.0).sum() > 100 and (u_max > 1.0).sum() > 10
+    for a, b in ((0.0, 1.0), (-0.25, 1.5), (0.1, 0.9)):
+        m = np.clip(mean, a, b)  # every mean inside [a, b]
+        args = (m, u_min, u_max, a, b)
+        assert _same_bits(squeeze_alpha(*args), _squeeze_alpha_reference(*args))
+    # bounds exactly at a or b, means at a or b (also -0.0 on a = 0), scalars
+    edges = [(0.5, 0.0, 1.0), (0.0, 0.0, 0.5), (1.0, 0.5, 1.0), (0.0, -0.5, 0.5),
+             (1.0, 0.5, 1.5), (0.0, -0.5, 1.5), (1.0, -0.5, 1.5), (-0.0, -0.5, 0.5),
+             (-0.0, -0.0, 0.0), (0.5, -0.0, 1.0), (0.5, 0.5, 0.5), (0.25, -1.0, 2.0)]
+    for args in edges:
+        assert _same_bits(squeeze_alpha(*args, 0.0, 1.0),
+                          _squeeze_alpha_reference(*args, 0.0, 1.0)), args
+    mean, u_min, u_max = np.array(edges).T
+    for shape in ((12,), (3, 4), (2, 3, 2)):
+        args = (mean.reshape(shape), u_min.reshape(shape), u_max.reshape(shape), 0.0, 1.0)
+        assert _same_bits(squeeze_alpha(*args), _squeeze_alpha_reference(*args))
+
+
 def test_mean_slack_scales_with_the_bounds():
     # a mean may lie up to 1e-12 (b - a) outside [a, b]; scaling by 2^k is
     # exact, so acceptance and alphas must not see the units
