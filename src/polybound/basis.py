@@ -291,14 +291,24 @@ def basis_deriv_matrix(spec: BasisSpec, x) -> np.ndarray:
     return _cheb.chebval(x, dC).T
 
 
-@lru_cache(maxsize=None)
-def _transform_matrix(source: BasisSpec, target: BasisSpec) -> np.ndarray:
-    """Matrix T with c_target = T @ c_source (same represented polynomial)."""
-    n = source.N
-    k = np.arange(n)
-    pts = -np.cos(np.pi * (2 * k + 1) / (2 * n))
-    A = basis_matrix(target, pts)
-    B = basis_matrix(source, pts)
+@lru_cache(maxsize=256)
+def _transform_matrix(source: BasisSpec, target: BasisSpec, a: float = -1.0,
+                      b: float = 1.0) -> np.ndarray:
+    """Matrix T with c_target = T @ c_source, the source polynomial taken on
+    [a, b] and remapped to [-1, 1]: a basis change by default, a restriction
+    to a subinterval when target is source.
+
+    T matches values at N points, the target's nodes where the family has
+    them (so a nodal target is plain evaluation) and Chebyshev points
+    otherwise.
+    """
+    n = target.N
+    if target.nodes is not None:
+        t = np.asarray(target.nodes)
+    else:
+        t = -np.cos(np.pi * (2 * np.arange(n) + 1) / (2 * n))
+    A = basis_matrix(target, t)
+    B = basis_matrix(source, 0.5 * (a + b) + 0.5 * (b - a) * t)
     cond = np.linalg.cond(A)
     if not np.isfinite(cond) or cond > 1e13:
         raise np.linalg.LinAlgError(

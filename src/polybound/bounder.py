@@ -261,7 +261,8 @@ class BoundingTable:
         between adjacent control nodes."""
         eta = self.eta()
         spans = np.stack([
-            _restriction(self.basis, float(lo), float(hi)) for lo, hi in zip(eta[:-1], eta[1:])
+            _transform_matrix(self.basis, self.basis, float(lo), float(hi))
+            for lo, hi in zip(eta[:-1], eta[1:])
         ])
         spans.setflags(write=False)
         return spans
@@ -561,25 +562,6 @@ def brute_force_extrema(coeffs: PolyCoeffs, samples_per_dim: int):
     return float(lo[0]), float(hi[0])
 
 
-@lru_cache(maxsize=256)
-def _restriction(basis: BasisSpec, a: float, b: float) -> np.ndarray:
-    """N x N matrix taking coefficients on [-1, 1] to those on [a, b].
-
-    The restricted polynomial is remapped to [-1, 1]; the matrix matches
-    values at N points, the basis nodes where the family has them (so a
-    nodal restriction is plain evaluation) and Chebyshev points otherwise.
-    """
-    N = basis.N
-    if basis.nodes is not None:
-        t = np.asarray(basis.nodes)
-    else:
-        t = -np.cos(np.pi * (2 * np.arange(N) + 1) / (2 * N))
-    mapped = 0.5 * (a + b) + 0.5 * (b - a) * t
-    R = np.linalg.solve(basis_matrix(basis, t), basis_matrix(basis, mapped))
-    R.setflags(write=False)
-    return R
-
-
 def _restrict(U, mats):
     """Apply one matrix per polynomial axis to a stack of cells.
 
@@ -619,8 +601,10 @@ def subdivide(coeffs: PolyCoeffs, subcell) -> PolyCoeffs:
     if np.any(a < -1.0 - 1e-12) or np.any(b > 1.0 + 1e-12):
         raise ValueError("subcell must lie inside [-1, 1] per axis")
     # x is the last array axis
-    mats = [_restriction(coeffs.basis, float(a[k]), float(b[k]))[None] for k in reversed(range(d))]
-    return PolyCoeffs(d, coeffs.basis, _restrict(coeffs.u[None], mats)[0])
+    basis = coeffs.basis
+    mats = [_transform_matrix(basis, basis, float(a[k]), float(b[k]))[None]
+            for k in reversed(range(d))]
+    return PolyCoeffs(d, basis, _restrict(coeffs.u[None], mats)[0])
 
 
 def _as_ladder(tables, basis: BasisSpec) -> list[BoundingTable]:
@@ -659,17 +643,16 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
 
     Generation `level` bounds the whole (cells,) + (N,)*dim stack with
     ladder[min(level, top)] in one bound_nodes call. split(level, owner,
-    lower, upper, last) is the caller's decision: owner[i] is the input
+    lower, upper, room) is the caller's decision: owner[i] is the input
     cell that cell i descends from. A returned (cells,) mask carries the
     picked cells whole into the next generation, to be bounded with the
     next table; a (cells,) + (M-1,)*dim mask picks the spans between
-    control nodes that make it. last is true at generation max_levels;
-    split then settles every cell, and refine stops there or when nothing
-    is picked. Where the picked cells would store more than
-    _GENERATION_BYTES, N^dim coefficients and 2 M^dim node bounds each,
-    refine calls split again with last true and stops, so a split must be
-    idempotent per level. Returns the last level bounded. lower and upper
-    belong to split.
+    control nodes that make it. room is how many cells the next
+    generation may hold: 0 at generation max_levels, else as many as fit
+    _GENERATION_BYTES, N^dim coefficients and 2 M^dim node bounds each.
+    refine stops when split picks nothing or more than room, so a split
+    whose pick exceeds room settles every cell. Returns the last level
+    bounded. lower and upper belong to split.
     """
     if max_levels < 0:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
@@ -678,14 +661,11 @@ def refine(U, ladder, dim: int, split, max_levels: int) -> int:
     while True:
         table = ladder[min(level, len(ladder) - 1)]
         lower, upper = bound_nodes(U, table, dim)
-        last = level >= max_levels
-        mask = split(level, owner, lower, upper, last)
-        children = 0 if last else np.count_nonzero(mask)
-        if not children:
-            return level
         M = ladder[min(level + 1, len(ladder) - 1)].nodes.M
-        if children * 8 * (U.shape[-1] ** dim + 2 * M**dim) > _GENERATION_BYTES:
-            split(level, owner, lower, upper, True)
+        cell_bytes = 8 * (U.shape[-1] ** dim + 2 * M**dim)
+        room = 0 if level >= max_levels else _GENERATION_BYTES // cell_bytes
+        mask = split(level, owner, lower, upper, room)
+        if not 0 < np.count_nonzero(mask) <= room:
             return level
         if mask.ndim == 1:
             U, owner = U[mask], owner[mask]
@@ -705,8 +685,8 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
     One refine() call: the whole polynomial first climbs the table ladder;
     at its top, the spans between adjacent control nodes that still fail
     are subdivided. Global bounds envelope every node that meets tol and,
-    at the last level, every leaf cell, so they stay sound even when
-    unconverged.
+    in the generation where refine stops, every leaf cell, so they stay
+    sound even when unconverged.
     """
     if not tol > 0:  # NaN fails too
         raise ValueError(f"tol must be positive, got {tol}")
@@ -715,7 +695,7 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
     history = []
     gmin, gmax = np.inf, -np.inf
 
-    def split(level, owner, lower, upper, last):
+    def split(level, owner, lower, upper, room):
         nonlocal gmin, gmax
         with np.errstate(invalid="ignore"):  # inf - inf is reported below
             gap = upper - lower
@@ -725,18 +705,20 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
         if not math.isfinite(worst):
             _require_finite(lower, upper, lambda i: (
                 f"polynomial: node bounds not finite at refinement level {level}"))
-        history[level:] = [{"level": level, "cells": len(gap), "worst_gap": worst}]
-        if not last and level < len(ladder) - 1 and worst > tol:
+        history.append({"level": level, "cells": len(gap), "worst_gap": worst})
+        if room and level < len(ladder) - 1 and worst > tol:
             return np.ones(1, dtype=bool)
-        # no gathers; a plain reduction where every node counts, which on
-        # small generations costs less than a where=True one
-        if last or worst <= tol:
+        pick = _corners(gap > tol, np.logical_or, d)
+        # no gathers; a plain reduction where every node counts (all meet
+        # tol, or the pick exceeds room and refine stops), which on small
+        # generations costs less than a where=True one
+        if worst <= tol or np.count_nonzero(pick) > room:
             gmin, gmax = min(gmin, float(lower.min())), max(gmax, float(upper.max()))
         else:
             keep = gap <= tol
             gmin = min(gmin, float(np.min(lower, where=keep, initial=np.inf)))
             gmax = max(gmax, float(np.max(upper, where=keep, initial=-np.inf)))
-        return _corners(gap > tol, np.logical_or, d)
+        return pick
 
     level = refine(coeffs.u[None], ladder, d, split, max_levels)
     return BoundSummary(gmin, gmax, level, history[-1]["worst_gap"] <= tol, tuple(history))

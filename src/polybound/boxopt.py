@@ -402,29 +402,29 @@ def _mirror(basis: BasisSpec, q_lo: np.ndarray, q_up: np.ndarray) -> None:
         q_lo[1::2] = -q_up[1::2, ::-1]
 
 
-@lru_cache(maxsize=16)
-def _sample_points(n_samples: int) -> np.ndarray:
-    """Read-only grid of the n_samples equispaced points of the fits."""
-    x = np.linspace(-1.0, 1.0, n_samples)
+@lru_cache(maxsize=1)
+def _sample_points() -> np.ndarray:
+    """Read-only grid of the _N_SAMPLES equispaced points of the fits."""
+    x = np.linspace(-1.0, 1.0, _N_SAMPLES)
     x.setflags(write=False)
     return x
 
 
 @lru_cache(maxsize=16)
-def _sample_matrix(basis: BasisSpec, n_samples: int) -> np.ndarray:
+def _sample_matrix(basis: BasisSpec) -> np.ndarray:
     """Read-only basis values at the _sample_points of the fits."""
-    Phi = basis_matrix(basis, _sample_points(n_samples))
+    Phi = basis_matrix(basis, _sample_points())
     Phi.setflags(write=False)
     return Phi
 
 
-def _active_sets(basis: BasisSpec, n_samples: int) -> np.ndarray:
+def _active_sets(basis: BasisSpec) -> np.ndarray:
     """Empty start supports for every box subproblem of _raw_boxes:
     [0, i] for row i's upper fit, [1, i] for its lower fit."""
-    return np.zeros((2, _solved_rows(basis), n_samples), dtype=bool)
+    return np.zeros((2, _solved_rows(basis), _N_SAMPLES), dtype=bool)
 
 
-def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int, active: np.ndarray):
+def _raw_boxes(basis: BasisSpec, eta: np.ndarray, active: np.ndarray):
     """Pre-offset box rows from the sampled one-sided fits.
 
     Returns (q_lower, q_upper, failures) with full symmetry applied: only
@@ -441,9 +441,9 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, n_samples: int, active: np.nda
     side f (see _upper_qp); only E's last row changes between them.
     """
     N, M = basis.N, eta.size
-    Q, R = _qr(hat_matrix(eta, _sample_points(n_samples)))
-    Phi = _sample_matrix(basis, n_samples)
-    E = np.empty((M + 1, n_samples), order="F")
+    Q, R = _qr(hat_matrix(eta, _sample_points()))
+    Phi = _sample_matrix(basis)
+    E = np.empty((M + 1, _N_SAMPLES), order="F")
     E[:M] = Q.T
     f = np.zeros(M + 1)
     f[M] = 1.0
@@ -482,8 +482,7 @@ def optimize_values(basis: BasisSpec, nodes: NodeSet) -> BoundingTable:
     """
     if _N_SAMPLES < 2 * nodes.M:
         raise ValueError(f"M={nodes.M} needs more than {_N_SAMPLES} samples")
-    q_lo, q_up, failures = _raw_boxes(basis, nodes.array(), _N_SAMPLES,
-                                      _active_sets(basis, _N_SAMPLES))
+    q_lo, q_up, failures = _raw_boxes(basis, nodes.array(), _active_sets(basis))
     # offset the solved rows, then mirror so symmetry stays exact
     n = _solved_rows(basis)
     q_lo[:n], q_up[:n], padded = offset_correction(basis, nodes, q_lo[:n], q_up[:n])
@@ -553,7 +552,7 @@ def _raw_objective(basis: BasisSpec, eta: np.ndarray, active: np.ndarray) -> flo
     box subproblems' supports from one evaluation to the next (see
     _raw_boxes).
     """
-    q_lo, q_up, failures = _raw_boxes(basis, eta, _N_SAMPLES, active)
+    q_lo, q_up, failures = _raw_boxes(basis, eta, active)
     if failures:
         return 1e6
     return _gap_norms(basis, eta, q_lo, q_up)
@@ -590,7 +589,7 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     best_raw = {"value": np.inf, "z": None}
     # consecutive evaluations differ by a quasi-Newton step or a
     # finite-difference probe: each one's supports start the next one's
-    active = _active_sets(basis, _N_SAMPLES)
+    active = _active_sets(basis)
     # line searches and probes revisit node sets: solve each one once
     solved = {}
 

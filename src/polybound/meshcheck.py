@@ -18,10 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .basis import (_floats, _read_text, basis_deriv_matrix, basis_matrix,
+from .basis import (_floats, _read_text, _transform_matrix, basis_deriv_matrix, basis_matrix,
                     gauss_lobatto_nodes, make_basis)
 from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _require_finite,
-                      _restrict, _restriction, bound_nodes, refine)
+                      _restrict, bound_nodes, refine)
 from .boxopt import standard_table
 
 __all__ = [
@@ -179,15 +179,14 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
 
     ladder, tol and max_levels come checked from check_mesh. One refine()
     call serves the whole stack; split keeps each element's bookkeeping in
-    arrays indexed by owner, by minima, ORs and assignments only, so it is
-    idempotent per level. Reports are indexed from start.
+    arrays indexed by owner. Reports are indexed from start.
     """
     E = len(det)
     certified_lo, up_min = np.full((2, E), np.inf)
     invalid, exhausted = np.zeros((2, E), dtype=bool)
     levels = np.zeros(E, dtype=int)
 
-    def split(level, owner, lower, upper, last):
+    def split(level, owner, lower, upper, room):
         _require_finite(lower, upper, lambda i: (
             f"element {start + owner[i]}: det J bounds not finite at refinement level {level}"))
         gen_lo, gen_up = np.full((2, E), np.inf)
@@ -202,9 +201,10 @@ def _classify(det, ladder, tol: float, max_levels: int, start: int) -> list:
         live = ~inverted[owner][:, None, None]
         corner_lo = _corners(lower, np.minimum, 2)
         corner_gap = _corners(upper - lower, np.maximum, 2)
-        # straddling spans wider than tol refine; every other span settles
-        pick = live & (corner_lo <= 0) & (corner_gap > tol) & (not last)
-        settled = live & ~pick
+        # straddling spans wider than tol refine; every other span settles,
+        # and every span does when refine has no room for the pick
+        pick = live & (corner_lo <= 0) & (corner_gap > tol)
+        settled = live & ~pick if np.count_nonzero(pick) <= room else live
         np.minimum.at(certified_lo, owner, np.where(settled, corner_lo, np.inf).min(axis=(1, 2)))
         np.logical_or.at(exhausted, owner, (settled & (corner_lo <= 0)).any(axis=(1, 2)))
         return pick
@@ -259,7 +259,8 @@ def refinement_ladder(coeffs: PolyCoeffs, table, levels: int):
     """
     (table,) = _as_ladder(table, coeffs.basis)
     d = coeffs.dim
-    halves = np.stack([_restriction(coeffs.basis, -1.0, 0.0), _restriction(coeffs.basis, 0.0, 1.0)])
+    basis = coeffs.basis
+    halves = np.stack([_transform_matrix(basis, basis, a, b) for a, b in ((-1.0, 0.0), (0.0, 1.0))])
     U = coeffs.u[None]
     rows = []
     for lv in range(levels + 1):

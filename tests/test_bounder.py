@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from polybound import bounder
-from polybound.basis import (FAMILIES, _bary_weights, basis_matrix, cheb_coeffs,
-                             gauss_legendre_rule, linear_coeffs, make_basis, make_node_set)
-from polybound.boxopt import optimize_values, standard_table
+from polybound import bounder, meshcheck
+from polybound.basis import (FAMILIES, _bary_weights, _transform_matrix, basis_matrix,
+                             cheb_coeffs, gauss_legendre_rule, gauss_lobatto_nodes, linear_coeffs,
+                             make_basis, make_node_set)
+from polybound.boxopt import _data_dir, load_table, optimize_values, standard_table
 from polybound.bounder import (
     CoeffsFormatError,
     PolyCoeffs,
@@ -259,11 +260,11 @@ def _generations(U, ladder, dim, tol):
     the ladder is climbed whole, then the spans wider than tol split."""
     seen = []
 
-    def split(level, owner, lower, upper, last):
+    def split(level, owner, lower, upper, room):
         seen.append((owner.copy(), lower.copy(), upper.copy()))
         if level < len(ladder) - 1:
             return np.ones(len(owner), dtype=bool)
-        return bounder._corners(upper - lower > tol, np.logical_or, dim) & (not last)
+        return bounder._corners(upper - lower > tol, np.logical_or, dim)
 
     bounder.refine(U, ladder, dim, split, 4)
     return seen
@@ -330,7 +331,7 @@ def test_refine_leaves_every_generation_s_bounds_to_split(t35):
     U = np.random.default_rng(96).standard_normal((7, 4, 4))
     kept, copies = [], []
 
-    def split(level, owner, lower, upper, last):
+    def split(level, owner, lower, upper, room):
         kept.append((lower, upper))
         copies.append((lower.copy(), upper.copy()))
         return np.arange(len(owner)) > 0
@@ -513,6 +514,38 @@ def test_subdivide_is_restriction():
             )
 
 
+def _restriction_reference(basis, a, b):
+    """The span restriction as bounder built it before basis._transform_matrix
+    took it over: values matched at the basis nodes, or at Chebyshev points."""
+    N = basis.N
+    t = np.asarray(basis.nodes) if basis.nodes is not None else -np.cos(
+        np.pi * (2 * np.arange(N) + 1) / (2 * N))
+    mapped = 0.5 * (a + b) + 0.5 * (b - a) * t
+    return np.linalg.solve(basis_matrix(basis, t), basis_matrix(basis, mapped))
+
+
+def test_coefficient_maps_keep_their_bits():
+    # every shipped table's span restrictions, restrictions in each family,
+    # and the Bernstein transforms as _transform_matrix built them before
+    paths = sorted((_data_dir() / "tables").glob("*.txt"))
+    assert len(paths) == 35
+    for path in paths:
+        table = load_table(path)
+        eta = table.eta()
+        want = [_restriction_reference(table.basis, lo, hi) for lo, hi in zip(eta[:-1], eta[1:])]
+        assert np.array_equal(table._spans, np.stack(want)), path.name
+    for family in FAMILIES:
+        for p in range(1, 8):
+            basis = make_basis(family, p)
+            for a, b in [(-1.0, 0.0), (0.0, 1.0), (-0.3, 0.9), (-1.0, 1.0)]:
+                assert np.array_equal(_transform_matrix(basis, basis, a, b),
+                                      _restriction_reference(basis, a, b)), (family, p, a, b)
+            pts = -np.cos(np.pi * (2 * np.arange(p + 1) + 1) / (2 * (p + 1)))
+            bern = make_basis("bernstein", p)
+            want = np.linalg.solve(basis_matrix(bern, pts), basis_matrix(basis, pts))
+            assert np.array_equal(_transform_matrix(basis, bern), want), (family, p)
+
+
 def _restrict_reference(U, mats):
     """_restrict as it was: a per-cell matrix contracted the last axis, with
     its own axis moved there and back."""
@@ -557,8 +590,8 @@ def test_refine_carries_picked_cells_up_the_ladder(t34, t35):
              np.array([True, True]), np.array([True, True])]
     seen = []
 
-    def split(level, owner, lower, upper, last):
-        assert last == (level == 3)
+    def split(level, owner, lower, upper, room):
+        assert (room == 0) == (level == 3)
         seen.append((owner.copy(), lower.copy(), upper.copy()))
         return masks[level]
 
@@ -570,6 +603,71 @@ def test_refine_carries_picked_cells_up_the_ladder(t34, t35):
         assert np.array_equal(lower, ref[0]) and np.array_equal(upper, ref[1]), k
         picked = picked[masks[k]]
     assert [len(o) for o, _, _ in seen] == [5, 3, 2, 2]
+
+
+def test_refine_stops_a_split_that_ignores_room(t35, monkeypatch):
+    # the splits always pick, so refine alone ends them: at max_levels, and
+    # before a generation past the memory budget
+    U = np.random.default_rng(98).standard_normal((1, 4, 4))
+    seen = []
+
+    def cells(level, owner, lower, upper, room):
+        seen.append((len(owner), room))
+        return np.ones(len(owner), dtype=bool)
+
+    def spans(level, owner, lower, upper, room):
+        seen.append((len(owner), room))
+        return np.ones((len(owner), 4, 4), dtype=bool)
+
+    assert bounder.refine(U, [t35], 2, cells, 3) == 3
+    assert [n for n, _ in seen] == [1, 1, 1, 1] and seen[-1][1] == 0
+    seen.clear()
+    # cells of 16 coefficients and 2 x 25 node bounds: room for 1,985 of
+    # them, so the 4,096 spans picked at level 2 end refinement there
+    monkeypatch.setattr(bounder, "_GENERATION_BYTES", 1 << 20)
+    assert bounder.refine(U, [t35], 2, spans, 50) == 2
+    assert seen == [(1, 1985), (16, 1985), (256, 1985)]
+
+
+def _counted_splits(monkeypatch, module):
+    """Patch module.refine to record, per refine call, each split call's
+    (level, room, cells picked)."""
+    calls = []
+    real = module.refine
+
+    def refine(U, ladder, dim, split, max_levels):
+        calls.append([])
+
+        def counted(level, owner, lower, upper, room):
+            mask = split(level, owner, lower, upper, room)
+            calls[-1].append((level, room, int(np.count_nonzero(mask))))
+            return mask
+
+        return real(U, ladder, dim, counted, max_levels)
+
+    monkeypatch.setattr(module, "refine", refine)
+    return calls
+
+
+def test_refine_calls_split_once_per_generation(monkeypatch):
+    # a 1 MiB budget stops both drivers on a pick past room: the 3D
+    # polynomial at level 3, the det J that grazes zero along xi = 0 at 2
+    monkeypatch.setattr(bounder, "_GENERATION_BYTES", 1 << 20)
+    adaptive = _counted_splits(monkeypatch, bounder)
+    ladder = [standard_table("lobatto-nodal", 2, m) for m in (3, 4, 5)]
+    s = bound_adaptive(_rand_coeffs(3, 0, p=2), ladder, tol=1e-9)
+    assert s.levels_used == 3
+    mesh = _counted_splits(monkeypatch, meshcheck)
+    nodes = gauss_lobatto_nodes(4)
+    element = np.stack(np.meshgrid(nodes**3, nodes), axis=-1).reshape(-1, 2)
+    report = meshcheck.check_mesh(meshcheck.CurvedMesh(3, [element]), meshcheck.detj_tables(3),
+                                  tol=1e-4)
+    assert report.elements[0].levels_used == 2
+    for calls in (adaptive, mesh):
+        (generations,) = calls
+        assert [lv for lv, _, _ in generations] == list(range(len(generations)))
+        assert all(0 < picked <= room for _, room, picked in generations[:-1])
+        assert generations[-1][2] > generations[-1][1] > 0
 
 
 def test_bound_adaptive_tightens_to_oracle(t34, t35):
@@ -621,10 +719,39 @@ def test_bound_adaptive_stops_before_a_generation_past_the_memory_budget(monkeyp
     assert s.global_min <= lo and s.global_max >= hi
 
 
+def _refine_reference(U, ladder, dim, split, max_levels):
+    """refine as it was: split(level, owner, lower, upper, last), called a
+    second time with last true on a generation whose pick is past the
+    memory budget."""
+    owner = np.arange(len(U))
+    level = 0
+    while True:
+        table = ladder[min(level, len(ladder) - 1)]
+        lower, upper = bounder.bound_nodes(U, table, dim)
+        last = level >= max_levels
+        mask = split(level, owner, lower, upper, last)
+        children = 0 if last else np.count_nonzero(mask)
+        if not children:
+            return level
+        M = ladder[min(level + 1, len(ladder) - 1)].nodes.M
+        if children * 8 * (U.shape[-1] ** dim + 2 * M**dim) > bounder._GENERATION_BYTES:
+            split(level, owner, lower, upper, True)
+            return level
+        if mask.ndim == 1:
+            U, owner = U[mask], owner[mask]
+        else:
+            spans = table._spans
+            cell, *picked = np.nonzero(mask)
+            U = bounder._restrict(U[cell], [spans[i] for i in picked])
+            owner = owner[cell]
+        level += 1
+
+
 def _adaptive_reference(coeffs, tables, tol, max_levels=10, seen=None):
-    """bound_adaptive with its split as it was: a full finiteness check,
-    then boolean gathers of the kept node bounds. seen collects which ways
-    each split ended."""
+    """bound_adaptive with its split and refine as they were: a full
+    finiteness check, boolean gathers of the kept node bounds, and a second
+    split call that settles an over-budget generation. seen collects which
+    ways each split ended."""
     ladder = bounder._as_ladder(tables, coeffs.basis)
     d = coeffs.dim
     history = []
@@ -648,7 +775,7 @@ def _adaptive_reference(coeffs, tables, tol, max_levels=10, seen=None):
             gmax = max(gmax, float(upper[keep].max()))
         return bounder._corners(gap > tol, np.logical_or, d)
 
-    level = bounder.refine(coeffs.u[None], ladder, d, split, max_levels)
+    level = _refine_reference(coeffs.u[None], ladder, d, split, max_levels)
     return bounder.BoundSummary(gmin, gmax, level, history[-1]["worst_gap"] <= tol,
                                 tuple(history))
 

@@ -83,14 +83,14 @@ def test_upper_qp_against_slsqp():
 
     basis = make_basis("lobatto-nodal", 2)
     eta = make_node_set("equispaced", 4).array()
-    n = 240
+    n = _N_SAMPLES
     x = np.linspace(-1, 1, n)
     A = np.zeros((n, 4))
     for j in range(4):
         e = np.zeros(4)
         e[j] = 1.0
         A[:, j] = _pl_eval(eta, e, x)
-    q_lo_raw, q_up_raw, failures = _raw_boxes(basis, eta, n, _active_sets(basis, n))
+    q_lo_raw, q_up_raw, failures = _raw_boxes(basis, eta, _active_sets(basis))
     assert not failures
     for i in range(basis.N):
         phi = basis_matrix(basis, x)[:, i]
@@ -259,9 +259,9 @@ def test_box_solves_keep_their_bits(family):
     # as test_shipped_table_regenerates_byte_identically)
     basis = make_basis(family, 3)
     eta = make_node_set("equispaced", 5).array()
-    active = _active_sets(basis, _N_SAMPLES)
+    active = _active_sets(basis)
     for _ in ("cold", "warm"):
-        q_lo, q_up, failures = _raw_boxes(basis, eta, _N_SAMPLES, active)
+        q_lo, q_up, failures = _raw_boxes(basis, eta, active)
         assert failures == []
         assert _hex(q_lo, q_up) == _GOLDEN_RAW_BOXES[family].split()
     moved = _nodes_from_z(np.array([0.2, -0.1]), 5)
@@ -307,11 +307,10 @@ def test_raw_boxes_warm_start_matches_cold(family, p, extra, seed):
     basis = make_basis(family, p)
     rng = np.random.default_rng(seed)
     eta1, eta2 = (_nodes_from_z(rng.normal(0.0, 0.5, M // 2), M) for _ in range(2))
-    active = _active_sets(basis, _N_SAMPLES)
-    _raw_boxes(basis, eta1, _N_SAMPLES, active)
-    warm_lo, warm_up, warm_failures = _raw_boxes(basis, eta2, _N_SAMPLES, active)
-    cold_lo, cold_up, cold_failures = _raw_boxes(basis, eta2, _N_SAMPLES,
-                                                 _active_sets(basis, _N_SAMPLES))
+    active = _active_sets(basis)
+    _raw_boxes(basis, eta1, active)
+    warm_lo, warm_up, warm_failures = _raw_boxes(basis, eta2, active)
+    cold_lo, cold_up, cold_failures = _raw_boxes(basis, eta2, _active_sets(basis))
     assert warm_failures == cold_failures
     for warm, cold in ((warm_lo, cold_lo), (warm_up, cold_up)):
         assert (np.abs(warm - cold) <= 1e-12 * np.maximum(1.0, np.abs(cold))).all()
@@ -361,7 +360,7 @@ def test_lstsq_matches_numpy_bit_for_bit():
     # NNLS supports as _upper_qp makes them: m = M + 1 rows of [Q^T; resid],
     # 1..m+2 sample columns, so also more columns than rows
     rng = np.random.default_rng(5)
-    x = _sample_points(_N_SAMPLES)
+    x = _sample_points()
     Phi = basis_matrix(make_basis("lobatto-nodal", 7), x)
     for M in range(2, 22):
         eta = _nodes_from_z(rng.normal(0.0, 0.3, M // 2), M)
@@ -385,7 +384,7 @@ def test_lstsq_matches_numpy_bit_for_bit():
 
 
 def test_qr_matches_numpy_bit_for_bit_and_in_layout():
-    x = _sample_points(_N_SAMPLES)
+    x = _sample_points()
     for M in [*range(2, 22), 160]:  # past 128 columns LAPACK's QR runs blocked
         H = hat_matrix(make_node_set("equispaced", M).array(), x)
         Q, R = _qr(H)
@@ -401,7 +400,7 @@ def test_lapack_failures_raise(monkeypatch):
         np.linalg.lstsq(np.full((4, 2), np.nan), np.ones(4), rcond=None)
     with pytest.raises(np.linalg.LinAlgError, match="dgelsd failed"):
         _lstsq(np.full((4, 2), np.nan), np.ones(4))
-    H = hat_matrix(make_node_set("equispaced", 5).array(), _sample_points(_N_SAMPLES))
+    H = hat_matrix(make_node_set("equispaced", 5).array(), _sample_points())
     _qr(H)  # caches the workspace sizes
     lapack = boxopt._lapack()
     for routine in ("dgeqrf", "dorgqr"):
