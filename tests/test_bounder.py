@@ -650,7 +650,7 @@ def _counted_splits(monkeypatch, module):
 
 
 def test_refine_calls_split_once_per_generation(monkeypatch):
-    # a 1 MiB budget stops both drivers on a pick past room: the 3D
+    # a 1 MiB budget stops both callers on a pick past room: the 3D
     # polynomial at level 3, the det J that grazes zero along xi = 0 at 2
     monkeypatch.setattr(bounder, "_GENERATION_BYTES", 1 << 20)
     adaptive = _counted_splits(monkeypatch, bounder)
