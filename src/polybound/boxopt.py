@@ -738,29 +738,24 @@ def standard_table(family: str = "lobatto-nodal", p: int = 3, M: Optional[int] =
 
     Optimized tables come from POLYBOUND_TABLE_DIR when set, else from the
     tables shipped with the package. Fixed node kinds are computed on the
-    fly (cheap). Both are cached for the process, optimized ones per
-    table directory.
+    fly (cheap). Nothing is kept between calls: each one loads or builds
+    a new table, so hold the table you bound with; its scratch and
+    operands go with it.
     """
     if M is None:
         M = p + 1
     if M < 2:  # before any file lookup: no table has fewer nodes
         raise ValueError(f"need M >= 2 control nodes, got M={M}")
-    table_dir = os.environ.get("POLYBOUND_TABLE_DIR") if kind == "optimized" else None
-    return _cached_table(family, p, M, kind, table_dir)
-
-
-@lru_cache(maxsize=256)
-def _cached_table(family: str, p: int, M: int, kind: str,
-                  table_dir: Optional[str]) -> BoundingTable:
-    if kind == "optimized":
-        name = f"{family}-p{p}-M{M}.txt"
-        candidates = [Path(table_dir) / name] if table_dir else []
-        candidates.append(_data_dir() / "tables" / name)
-        for cand in candidates:
-            if cand.exists():
-                return load_table(cand)
-        raise FileNotFoundError(
-            f"no precomputed optimized table {name}; run the table generator "
-            "or point POLYBOUND_TABLE_DIR at a directory containing it"
-        )
-    return optimize_values(make_basis(family, p), make_node_set(kind, M))
+    if kind != "optimized":
+        return optimize_values(make_basis(family, p), make_node_set(kind, M))
+    name = f"{family}-p{p}-M{M}.txt"
+    table_dir = os.environ.get("POLYBOUND_TABLE_DIR")
+    candidates = [Path(table_dir) / name] if table_dir else []
+    candidates.append(_data_dir() / "tables" / name)
+    for cand in candidates:
+        if cand.exists():
+            return load_table(cand)
+    raise FileNotFoundError(
+        f"no precomputed optimized table {name}; run the table generator "
+        "or point POLYBOUND_TABLE_DIR at a directory containing it"
+    )

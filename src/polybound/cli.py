@@ -21,6 +21,7 @@ from . import __version__
 from .basis import NodeSet, make_basis, make_node_set
 from .boxopt import (
     BoxOptimizationError,
+    _mirror,
     optimize_nodes,
     reference_table_paths,
     optimize_values,
@@ -282,18 +283,11 @@ def cmd_tables(args) -> int:
 
 
 def _symmetry_ok(table, tol=5e-7) -> bool:
-    """Mirror symmetry: function i's rows reversed match its partner's."""
-    from .basis import mirror_pairs
-
-    if not mirror_pairs(table.basis):
-        return True
-    N = table.basis.N
-    ok = True
-    for i in range(N):
-        j = N - 1 - i
-        ok = ok and np.allclose(table.q_lower[i], table.q_lower[j][::-1], atol=tol)
-        ok = ok and np.allclose(table.q_upper[i], table.q_upper[j][::-1], atol=tol)
-    return ok
+    """The rows match what boxopt._mirror derives from the solved rows."""
+    q_lo, q_up = table.q_lower.copy(), table.q_upper.copy()
+    _mirror(table.basis, q_lo, q_up)
+    return (np.allclose(q_lo, table.q_lower, atol=tol)
+            and np.allclose(q_up, table.q_upper, atol=tol))
 
 
 # ---------------------------------------------------------------------------

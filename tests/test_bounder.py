@@ -315,6 +315,17 @@ def test_bounded_table_copy_is_collected():
     assert ref() is None
 
 
+@pytest.mark.parametrize("kind", ["optimized", "gauss-lobatto"])
+def test_fetched_table_is_collected(kind):
+    # standard_table keeps nothing: the caller's table goes when it drops it
+    table = standard_table("lobatto-nodal", 3, 5, kind=kind)
+    bound_nodes(np.random.default_rng(98).standard_normal((60000, 4, 4)), table, 2)
+    assert table._scratch._buffers and "_sweep_ops" in vars(table)
+    ref = weakref.ref(table)
+    del table
+    gc.collect()
+    assert ref() is None
+
 def test_table_scratch_stays_within_two_blocks(t35):
     # the stacks alone take 8 MB and 3 MB; the temporaries stay per block
     table = copy.deepcopy(t35)
@@ -496,6 +507,15 @@ def test_sampled_extrema_stack_matches_one_cell_calls(dim, samples):
             lo1, hi1 = brute_force_extrema(PolyCoeffs(dim, basis, U[k]), samples)
             assert abs(lo[k] - lo1) <= tol[k] and abs(hi[k] - hi1) <= tol[k]
 
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_sampled_extrema_of_multilinear_cells_are_their_corners(dim):
+    # p = 1 skips Newton: a multilinear cell's extremes are nodal values
+    U = np.random.default_rng(40 + dim).standard_normal((9,) + (2,) * dim)
+    lo, hi = sampled_extrema(U, make_basis("lobatto-nodal", 1), dim, 7)
+    corners = U.reshape(9, -1)
+    assert np.allclose(lo, corners.min(axis=1), rtol=0, atol=1e-14)
+    assert np.allclose(hi, corners.max(axis=1), rtol=0, atol=1e-14)
 
 def test_subdivide_is_restriction():
     rng = np.random.default_rng(5)

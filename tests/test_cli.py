@@ -10,10 +10,10 @@ import pytest
 
 import polybound
 from polybound import bounder
-from polybound.basis import make_basis
-from polybound.boxopt import _data_dir, load_table
+from polybound.basis import make_basis, make_node_set
+from polybound.boxopt import _data_dir, load_table, optimize_values
 from polybound.bounder import PolyCoeffs, write_coeffs
-from polybound.cli import _mesh_oracle_violations, main
+from polybound.cli import _mesh_oracle_violations, _symmetry_ok, main
 from polybound.meshcheck import (CurvedMesh, ValidityReport, check_mesh, detj_tables, mirror_element,
                                  perturb_mesh, uniform_mesh, write_mesh)
 
@@ -387,6 +387,17 @@ def test_tables_reproduction(capsys):
     assert "FAIL" not in out
     assert "Control nodes eta" in out
 
+
+def test_symmetry_check_rederives_the_mirrored_rows():
+    ref = load_table(_data_dir() / "tables" / "lobatto-nodal-p3-M4.txt")
+    modal = optimize_values(make_basis("legendre-modal", 3), make_node_set("gauss-lobatto", 5))
+    assert _symmetry_ok(ref) and _symmetry_ok(modal)
+    moved = ref.q_upper.copy()
+    moved[3, 1] += 1e-5  # row 3 is row 0 reversed
+    assert not _symmetry_ok(dataclasses.replace(ref, q_upper=moved))
+    moved = modal.q_lower.copy()
+    moved[1, 2] += 1e-5  # an odd mode's lower row is its upper row negated
+    assert not _symmetry_ok(dataclasses.replace(modal, q_lower=moved))
 
 # -- imports ----------------------------------------------------------------
 

@@ -179,6 +179,14 @@ def test_short_ladder_names_the_argument():
     assert str(err.value) == "m=2 is below the 4 nodes of det J of order 3"
 
 
+def test_ladder_falls_back_to_gauss_lobatto_nodes():
+    # no optimized table of order 9 ships: p = 5 computes its whole ladder
+    tables = detj_tables(5)
+    for M, table in zip((10, 11, 12), tables, strict=True):
+        assert table.provenance == "optimized-here"
+        assert np.array_equal(table.eta(), gauss_lobatto_nodes(M))
+    assert check_mesh(uniform_mesh(2, 2, 5), tables, tol=1e-4).counts()["valid"] == 4
+
 def test_ladder_tables_must_match_the_basis(tables_p2):
     # another family with the same N is rejected even where the ladder
     # would never reach it: the element and the polynomial settle at once

@@ -7,8 +7,6 @@ reading that file ends with exit 1 or 2 and an ``error:`` line.
 """
 
 import re
-import tempfile
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -223,10 +221,8 @@ def test_fuzz_mesh_reader(data, mesh_lines, tmp_path, capsys):
 def test_fuzz_table_reader(data, coeffs_lines, tmp_path, capsys, monkeypatch):
     coeffs = tmp_path / "c.txt"
     coeffs.write_text("\n".join(coeffs_lines) + "\n")
-    # a fresh directory per example: standard_table caches per directory
-    table_dir = Path(tempfile.mkdtemp(dir=tmp_path))
-    path = table_dir / TABLE_NAME
+    path = tmp_path / TABLE_NAME
     path.write_text(data.draw(mutated(TABLE_LINES)))
-    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(table_dir))
+    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
     _fuzz_case(load_table, (ValueError, BoxOptimizationError), path,
                ["bound", str(coeffs)], capsys)
