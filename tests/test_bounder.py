@@ -326,6 +326,7 @@ def test_fetched_table_is_collected(kind):
     gc.collect()
     assert ref() is None
 
+
 def test_table_scratch_stays_within_two_blocks(t35):
     # the stacks alone take 8 MB and 3 MB; the temporaries stay per block
     table = copy.deepcopy(t35)
@@ -516,6 +517,7 @@ def test_sampled_extrema_of_multilinear_cells_are_their_corners(dim):
     corners = U.reshape(9, -1)
     assert np.allclose(lo, corners.min(axis=1), rtol=0, atol=1e-14)
     assert np.allclose(hi, corners.max(axis=1), rtol=0, atol=1e-14)
+
 
 def test_subdivide_is_restriction():
     rng = np.random.default_rng(5)

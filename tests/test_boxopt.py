@@ -159,6 +159,7 @@ def test_optimize_nodes_takes_warm_starts():
     table = optimize_nodes(basis, 5, restarts=0, warm_starts=[eta])
     assert verify_table(table).eps2 <= verify_table(optimize_values(basis, NodeSet(eta))).eps2 + 1e-12
 
+
 def test_shipped_table_regenerates_byte_identically(tmp_path):
     # the shipped p1-M4 table was written by optimize_nodes with these
     # settings; rerunning them must reproduce the file exactly

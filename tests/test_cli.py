@@ -399,6 +399,7 @@ def test_symmetry_check_rederives_the_mirrored_rows():
     moved[1, 2] += 1e-5  # an odd mode's lower row is its upper row negated
     assert not _symmetry_ok(dataclasses.replace(modal, q_lower=moved))
 
+
 # -- imports ----------------------------------------------------------------
 
 

@@ -187,6 +187,7 @@ def test_ladder_falls_back_to_gauss_lobatto_nodes():
         assert np.array_equal(table.eta(), gauss_lobatto_nodes(M))
     assert check_mesh(uniform_mesh(2, 2, 5), tables, tol=1e-4).counts()["valid"] == 4
 
+
 def test_ladder_tables_must_match_the_basis(tables_p2):
     # another family with the same N is rejected even where the ladder
     # would never reach it: the element and the polynomial settle at once
