@@ -20,9 +20,9 @@ go on; the script then exits 1.
 
 A gain is claimed on a metric when the change wins at least 9 of 10
 pairs and its median beats the parent's by more than the parent's
-interquartile range; both halves of that rule can be read off the record.
-Under "verdicts", each workload's metrics are also judged against the
-relative bounds of BENCHMARK.json (see verdict).
+interquartile range; "gain" records that rule per workload and metric
+(see gain). Under "verdicts", each workload's metrics are also judged
+against the relative bounds of BENCHMARK.json (see verdict).
 """
 
 from __future__ import annotations
@@ -106,6 +106,20 @@ def verdict(parent, change, better: str, bound: float) -> str:
     return "ok"
 
 
+def gain(parent, change, better: str) -> str:
+    """Judge a claimed gain on one metric's runs, given in pair order.
+
+    "met" when the change wins at least nine tenths of the pairs, ties
+    counting for neither, and its median beats the parent's by more than
+    the parent's interquartile range; "not met" otherwise.
+    """
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    q1, q3 = statistics.quantiles(parent, n=4, method="inclusive")[::2]
+    margin = sign * (statistics.median(change) - statistics.median(parent))
+    return "met" if 10 * wins >= 9 * len(parent) and margin > q3 - q1 else "not met"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--base", type=Path, required=True, help="checkout of the parent commit")
@@ -119,7 +133,7 @@ def main(argv=None) -> int:
     config = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     better = {m["name"]: m["better"] for m in config["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in config["end_to_end"]}
-    machine, report, verdicts, failures = None, {}, {}, 0
+    machine, report, verdicts, gains, failures = None, {}, {}, {}, 0
     for workload in args.workloads:
         runs = {side: [] for side in sides}
         for k in range(PAIRS):
@@ -145,11 +159,10 @@ def main(argv=None) -> int:
             for side, rs in runs.items()
         }
         report[workload]["wins"] = wins
-        verdicts[workload] = {
-            m: verdict([r[m] for r, *_ in runs["parent"]], [r[m] for r, *_ in runs["change"]],
-                       better[m], bounds[m])
-            for m in wins
-        }
+        values = {m: [[r[m] for r, *_ in runs[side]] for side in ("parent", "change")]
+                  for m in wins}
+        verdicts[workload] = {m: verdict(*values[m], better[m], bounds[m]) for m in wins}
+        gains[workload] = {m: gain(*values[m], better[m]) for m in wins}
     args.out.write_text(json.dumps({
         "command": "python3 perfbench/run.py --workload W --seed S --trace 0",
         "pairs": PAIRS,
@@ -157,6 +170,7 @@ def main(argv=None) -> int:
         "machine": machine,
         "workloads": report,
         "verdicts": verdicts,
+        "gain": gains,
     }, indent=1) + "\n", encoding="utf-8")
     if failures:
         print(f"{failures} run(s) failed their checks", file=sys.stderr)

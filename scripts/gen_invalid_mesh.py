@@ -9,8 +9,16 @@ quadrant corners sample it exactly and make the Bernstein comparison
 degenerate. The pull depth is bisected against the sampling oracle
 until the oracle minimum lands in [-2.2e-4, -1.8e-4]; classification
 and the per-level Bernstein comparison are checked before freezing.
+
+    python3 scripts/gen_invalid_mesh.py [--out DIR]
+
+It writes DIR/near-degenerate-p2.txt, by default into the package's mesh
+directory. The batched extremum oracle moved the bisected pull by one
+ulp, so the shipped file's pulled y coordinate reads ...749 where a run
+now writes ...738; the element classifies the same either way.
 """
 
+import argparse
 import sys
 from pathlib import Path
 
@@ -51,7 +59,12 @@ def oracle_min(s: float) -> float:
     return lo
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--out", type=Path, default=OUT,
+                    help="directory to write the mesh to (default: the package's)")
+    out = ap.parse_args(argv).out
+
     # det J is affine in the single moved coordinate along any fixed
     # direction, but its minimum is not; plain bisection on the oracle
     lo_s, hi_s = 0.0, 1.0
@@ -99,9 +112,9 @@ def main() -> int:
               file=sys.stderr)
         return 1
 
-    OUT.mkdir(parents=True, exist_ok=True)
+    out.mkdir(parents=True, exist_ok=True)
     mesh = CurvedMesh(P, [element_with_pull(s)])
-    path = OUT / "near-degenerate-p2.txt"
+    path = out / "near-degenerate-p2.txt"
     write_mesh(mesh, path)
     print(f"wrote {path}")
     return 0

@@ -220,20 +220,36 @@ def _operators(elements: int, p: int):
 
 
 def _rhs(U: np.ndarray, ops) -> np.ndarray:
-    """Semi-discrete RHS of u_t = -div(c u) in weak form (see _operators)."""
+    """Semi-discrete RHS of u_t = -div(c u) in weak form (see _operators).
+
+    The upwind flux through every right (x) and top (y) face is computed
+    once and lifted onto both of its elements, so the two sides cancel
+    exactly. Each face's two traces are copied into one (Ne, Ne, 2N)
+    buffer: the element's last node column, then its periodic
+    neighbour's first, taken from U[:, 1:] with the wrap column U[:, 0]
+    copied last. The lift operands [flux of the face before, flux of
+    this face] fill one (2, Ne, Ne, N) buffer the same way. The y pass
+    runs on views with both element axes and both node axes swapped.
+    """
     Ne, N = U.shape[0], ops["N"]
     rows = U.reshape(Ne, Ne, N * N)  # swapaxes(0, 1) makes element columns
+    R = np.empty(U.shape)  # each term's product, before it is added to out
     out = rows @ ops["Kx"]
-    out += (rows.swapaxes(0, 1) @ ops["Ky"]).swapaxes(0, 1)
+    out += np.matmul(rows.swapaxes(0, 1), ops["Ky"], out=R.reshape(rows.shape)).swapaxes(0, 1)
     out = out.reshape(U.shape)
-    # upwind flux through every right and top face, computed once per face
-    # and lifted onto both of its elements, so the two sides cancel exactly
-    fx = np.concatenate([U[..., N - 1], np.roll(U[..., 0], -1, axis=1)], axis=-1) @ ops["Fx"]
-    fy = np.concatenate([U[..., N - 1, :], np.roll(U[..., 0, :], -1, axis=0)], axis=-1)
-    fy = (fy.swapaxes(0, 1) @ ops["Fy"]).swapaxes(0, 1)
-    for f, axis, lift in ((fx, 1, out), (fy, 0, out.swapaxes(-1, -2))):
-        Q = np.stack([np.roll(f, 1, axis=axis), f]).reshape(2, -1)
-        lift += (Q.T @ ops["Eb"]).reshape(U.shape)
+    trace, f, Q = np.empty((Ne, Ne, 2 * N)), np.empty((Ne, Ne, N)), np.empty((2, Ne, Ne, N))
+    for F, y in ((ops["Fx"], False), (ops["Fy"], True)):
+        V, T, q = (U.swapaxes(0, 1).swapaxes(2, 3), trace.swapaxes(0, 1),
+                   Q.swapaxes(1, 2)) if y else (U, trace, Q)
+        T[..., :N] = V[..., N - 1]
+        T[:, :-1, N:] = V[:, 1:, :, 0]
+        T[:, -1, N:] = V[:, 0, :, 0]
+        np.matmul(T, F, out=f)
+        q[1] = f
+        q[0, :, 1:] = f[:, :-1]
+        q[0, :, 0] = f[:, -1]
+        np.matmul(Q.reshape(2, -1).T, ops["Eb"], out=R.reshape(-1, N))
+        out += R.swapaxes(-1, -2) if y else R
     return out
 
 
@@ -337,18 +353,28 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
         )
     ops = _operators(state.elements, state.p)
 
-    def limit(U, stage):
+    def stage(k, U, w=None, base=None):
+        # U + dt L(U), or base() + w (U + dt L(U)), formed in the residual's
+        # own buffer; IEEE + and * commute, so each rounds as the SSP-RK3
+        # stage U0 + dt L(U0), 0.75 U0 + 0.25 (U1 + dt L(U1)) or
+        # U0 / 3 + 2/3 (U2 + dt L(U2)) does
+        t = _rhs(U, ops)
+        t *= dt
+        t += U
+        if w is not None:
+            t *= w
+            t += base()  # made after _rhs returns, never beside its temporaries
         if table is None:
-            return U
+            return t
         try:
-            return _limit_arrays(U, table, bounds, ops)[0]
+            return _limit_arrays(t, table, bounds, ops)[0]
         except (ValueError, NonFiniteBoundsError) as exc:
-            raise type(exc)(f"RK stage {stage} of 3 at t={state.t}: {exc}") from exc
+            raise type(exc)(f"RK stage {k} of 3 at t={state.t}: {exc}") from exc
 
     U0 = state.U
-    U1 = limit(U0 + dt * _rhs(U0, ops), 1)
-    U2 = limit(0.75 * U0 + 0.25 * (U1 + dt * _rhs(U1, ops)), 2)
-    U3 = limit(U0 / 3.0 + 2.0 / 3.0 * (U2 + dt * _rhs(U2, ops)), 3)
+    U1 = stage(1, U0)
+    U2 = stage(2, U1, 0.25, lambda: 0.75 * U0)
+    U3 = stage(3, U2, 2.0 / 3.0, lambda: U0 / 3.0)
     return replace(state, U=U3, t=state.t + dt)
 
 

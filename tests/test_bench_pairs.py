@@ -44,6 +44,23 @@ def test_verdict_is_unresolved_when_the_parent_spreads_past_the_bound():
     assert bench_pairs.verdict(parent, [150.0, 160.0, 170.0, 155.0, 165.0], "higher", 0.25) == "ok"
 
 
+def test_gain_needs_nine_of_ten_pairs_and_a_margin_past_the_parent_iqr():
+    parent = [10.0 + k for k in range(10)]  # median 14.5, inclusive quartiles 12.25 and 16.75
+    # the first pair lost, nine won; the change's median 19.0 beats 14.5 by
+    # 4.5, exactly the parent's IQR, which is not more than it
+    change = [9.0] + [p + 4.5 for p in parent[1:]]
+    assert bench_pairs.gain(parent, change, "higher") == "not met"
+    change = [9.0] + [p + 5.0 for p in parent[1:]]  # margin 5.0
+    assert bench_pairs.gain(parent, change, "higher") == "met"
+    # eight wins and a tie are too few, however large the margin
+    change = [9.0, 11.0] + [p + 50.0 for p in parent[2:]]
+    assert bench_pairs.gain(parent, change, "higher") == "not met"
+    # a lower-is-better metric turns the direction round
+    assert bench_pairs.gain([-v for v in parent], [-9.0] + [-p - 5.0 for p in parent[1:]],
+                            "lower") == "met"
+    assert bench_pairs.gain(parent, [9.0] + [p + 5.0 for p in parent[1:]], "lower") \
+        == "not met"
+
 
 _STUB_RUN = """
 import json
@@ -79,3 +96,5 @@ def test_main_writes_a_verdict_per_workload_and_metric(tmp_path):
                              "--out", str(out), "--workloads", "rotation"]) == 0
     record = json.loads(out.read_text(encoding="utf-8"))
     assert record["verdicts"] == {"rotation": {"items_per_s": "ok", "op_ms_p50": "ok"}}
+    # identical runs win no pair, so no gain is met
+    assert record["gain"] == {"rotation": {"items_per_s": "not met", "op_ms_p50": "not met"}}

@@ -373,6 +373,70 @@ def test_steps_in_two_threads_match_sequential_steps():
         assert all(np.array_equal(a, b) for a, b in zip(got[k], expected[0]))
 
 
+def _rhs_reference(U, ops):
+    """The residual with its traces joined by np.concatenate and np.roll,
+    its lift operands by np.stack and the y lift added into a transposed
+    view: the form the buffered _rhs must reproduce bit for bit."""
+    Ne, N = U.shape[0], ops["N"]
+    rows = U.reshape(Ne, Ne, N * N)
+    out = rows @ ops["Kx"]
+    out += (rows.swapaxes(0, 1) @ ops["Ky"]).swapaxes(0, 1)
+    out = out.reshape(U.shape)
+    fx = np.concatenate([U[..., N - 1], np.roll(U[..., 0], -1, axis=1)], axis=-1) @ ops["Fx"]
+    fy = np.concatenate([U[..., N - 1, :], np.roll(U[..., 0, :], -1, axis=0)], axis=-1)
+    fy = (fy.swapaxes(0, 1) @ ops["Fy"]).swapaxes(0, 1)
+    for f, axis, lift in ((fx, 1, out), (fy, 0, out.swapaxes(-1, -2))):
+        Q = np.stack([np.roll(f, 1, axis=axis), f]).reshape(2, -1)
+        lift += (Q.T @ ops["Eb"]).reshape(U.shape)
+    return out
+
+
+def _dg_step_reference(U0, dt, ops, table=None):
+    """SSP-RK3 written out with a fresh array per operation."""
+    def limit(U):
+        return U if table is None else _limit_arrays(U, table, (0.0, 1.0), ops)[0]
+
+    U1 = limit(U0 + dt * _rhs_reference(U0, ops))
+    U2 = limit(0.75 * U0 + 0.25 * (U1 + dt * _rhs_reference(U1, ops)))
+    return limit(U0 / 3.0 + 2.0 / 3.0 * (U2 + dt * _rhs_reference(U2, ops)))
+
+
+def test_rhs_and_dg_step_keep_their_bits():
+    rng = np.random.default_rng(27)
+    for Ne in (1, 2, 3, 32):
+        for p in (1, 2, 3, 4, 6):
+            U = rng.standard_normal((Ne, Ne, p + 1, p + 1))
+            ops = _operators(Ne, p)
+            assert _rhs(U, ops).tobytes() == _rhs_reference(U, ops).tobytes(), (Ne, p)
+            dt = cfl_dt(DGState(p=p, U=U))
+            assert dg_step(DGState(p=p, U=U), dt).U.tobytes() \
+                == _dg_step_reference(U, dt, ops).tobytes(), (Ne, p)
+    # the rotation benchmark's state, limited after every stage
+    table = standard_table("lobatto-nodal", 3, 4)
+    state = apply_limiter(transport_state(32, 3), table)
+    dt, ops, U = cfl_dt(state), _operators(32, 3), state.U
+    for _ in range(100):
+        state = dg_step(state, dt, table)
+        U = _dg_step_reference(U, dt, ops, table)
+    assert state.U.tobytes() == U.tobytes()
+
+
+def test_warm_dg_step_allocation_budget():
+    # the rotation benchmark's step; 900 KiB is the traced peak of a warm
+    # step that formed every RK stage from fresh temporaries
+    table = standard_table("lobatto-nodal", 3, 4)
+    state = apply_limiter(transport_state(32, 3), table)
+    dt = cfl_dt(state)
+    dg_step(state, dt, table)
+    tracemalloc.start()
+    try:
+        dg_step(state, dt, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 900 * 1024
+
+
 def test_warm_limiter_pass_allocation_budget():
     # the rotation benchmark's state and table; a warm scratch leaves only
     # the (Ne, Ne) diagnostics and the blended state to allocate
