@@ -49,14 +49,16 @@ def main():
     print()
 
     m0 = total_mass(state)
+    # relative to the initial mass, or absolute when that is 0
+    scale, drift_name = (abs(m0), "mass drift") if m0 else (1.0, "abs. drift")
     t0 = time.perf_counter()
-    print(f"  {'t':>5} {'sampled min':>14} {'sampled max':>12} {'mass drift':>12}")
+    print(f"  {'t':>5} {'sampled min':>14} {'sampled max':>12} {drift_name:>12}")
     smin, smax = sample_extrema(state)
     print(f"  {state.t:5.2f} {smin:14.6e} {smax:12.8f} {'-':>12}")
     for _ in range(4):
         state = advance(state, 0.25, table)
         smin, smax = sample_extrema(state)
-        drift = abs(total_mass(state) - m0) / abs(m0)
+        drift = abs(total_mass(state) - m0) / scale
         print(f"  {state.t:5.2f} {smin:14.6e} {smax:12.8f} {drift:12.3e}")
     print(f"\none revolution in {time.perf_counter() - t0:.1f} s")
     if table is not None:

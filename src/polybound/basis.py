@@ -291,7 +291,6 @@ def basis_deriv_matrix(spec: BasisSpec, x) -> np.ndarray:
     return _cheb.chebval(x, dC).T
 
 
-@lru_cache(maxsize=256)
 def _transform_matrix(source: BasisSpec, target: BasisSpec, a: float = -1.0,
                       b: float = 1.0) -> np.ndarray:
     """Matrix T with c_target = T @ c_source, the source polynomial taken on
@@ -314,9 +313,7 @@ def _transform_matrix(source: BasisSpec, target: BasisSpec, a: float = -1.0,
         raise np.linalg.LinAlgError(
             f"basis change to {target.family} p={target.p} is numerically singular"
         )
-    T = np.linalg.solve(A, B)
-    T.setflags(write=False)
-    return T
+    return np.linalg.solve(A, B)
 
 
 def change_basis(coeffs, target: BasisSpec):
@@ -413,6 +410,15 @@ def _read_text(path, magic: str, error, count, **types):
         if line.strip():
             raise error(f"{path}: line {k}: unexpected content after the last record")
     return meta, records
+
+
+def _write_text(path, magic: str, meta: str, records) -> None:
+    """Write the layout _read_text reads: the magic line, the metadata
+    line, then one line per (prefix, values) record, the prefix followed
+    by the values in %.17g, which reads back bit for bit."""
+    lines = [magic, meta]
+    lines += (prefix + " ".join(f"{v:.17g}" for v in values) for prefix, values in records)
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def _floats(text: str, count: int, error, record: str) -> np.ndarray:

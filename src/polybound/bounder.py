@@ -18,7 +18,6 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -29,6 +28,7 @@ from .basis import (
     _floats,
     _read_text,
     _transform_matrix,
+    _write_text,
     basis_matrix,
     cheb_coeffs,
     gauss_legendre_rule,
@@ -146,7 +146,6 @@ def _require_finite(lower, upper, message) -> None:
         raise NonFiniteBoundsError(message(int(np.argmin(finite))))
 
 
-@lru_cache(maxsize=64)
 def _p1_ops(basis: BasisSpec):
     """Read-only projection operators: coefficient rows times w0, w1 and P
     give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T. Quadrature
@@ -405,7 +404,7 @@ def bound_nodes(U, table: BoundingTable, dim: int):
 
 def bound_tensor(coeffs: PolyCoeffs, table: BoundingTable) -> NodeBounds:
     """Guaranteed bounds of a 1D/2D/3D polynomial on the node tensor grid."""
-    (table,) = _as_ladder(table, coeffs.basis)
+    table = _one_table(table, coeffs.basis)
     lower, upper = bound_nodes(coeffs.u, table, coeffs.dim)
     _require_finite(lower[None], upper[None], lambda i: (
         f"polynomial: node bounds not finite with the M={table.nodes.M} table"))
@@ -586,8 +585,7 @@ def subdivide(coeffs: PolyCoeffs, subcell) -> PolyCoeffs:
     """Restrict to an axis-aligned subcell, remapped to the reference cell.
 
     subcell is one (a, b) pair per dimension, x first; a single pair is
-    accepted in 1D. The restriction is linear, one cached N x N matrix
-    per axis interval.
+    accepted in 1D. The restriction is linear, one N x N matrix per axis interval.
     """
     d = coeffs.dim
     cell = np.asarray(subcell, dtype=float)
@@ -621,6 +619,15 @@ def _as_ladder(tables, basis: BasisSpec) -> list[BoundingTable]:
                 f"match polynomial basis {basis.family} p={basis.p}"
             )
     return sorted(ladder, key=lambda t: t.nodes.M)
+
+
+def _one_table(table, basis: BasisSpec) -> BoundingTable:
+    """The table of a function that bounds with one, checked as _as_ladder
+    checks a ladder; a ladder of more than one table is refused."""
+    ladder = _as_ladder(table, basis)
+    if len(ladder) > 1:
+        raise ValueError(f"expected one table, got a ladder of {len(ladder)}")
+    return ladder[0]
 
 
 def _corners(a, reduce, dim: int):
@@ -725,12 +732,9 @@ def bound_adaptive(coeffs: PolyCoeffs, tables, tol: float,
 
 
 def write_coeffs(coeffs: PolyCoeffs, path) -> None:
-    lines = [
-        "polybound-coeffs v1",
-        f"dim={coeffs.dim} family={coeffs.basis.family} p={coeffs.basis.p}",
-        " ".join(f"{v:.17g}" for v in coeffs.u.ravel()),
-    ]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "polybound-coeffs v1",
+                f"dim={coeffs.dim} family={coeffs.basis.family} p={coeffs.basis.p}",
+                [("", coeffs.u.ravel())])
 
 
 def read_coeffs(path) -> PolyCoeffs:

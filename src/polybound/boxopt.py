@@ -38,11 +38,10 @@ from .basis import (
     NodeSet,
     _floats,
     _read_text,
+    _write_text,
     basis_matrix,
     cheb_coeffs,
     gauss_legendre_rule,
-    gauss_lobatto_nodes,
-    gauss_legendre_nodes,
     hat_matrix,
     make_basis,
     make_node_set,
@@ -255,21 +254,6 @@ def _row_min_gap_sampled(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
     return float(gap.min()) - 0.5 * lip * h
 
 
-def _clenshaw(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """chebval(x[k], c[k]) for every row k of c (P, L) and x (P, K).
-
-    Each step repeats chebval's c0/c1 recursion in its order, so every
-    row comes out bit for bit as chebval would give it.
-    """
-    if c.shape[1] == 1:
-        return c[:, :1] + 0 * x
-    x2 = 2 * x
-    c0, c1 = c[:, -2, None], c[:, -1, None]
-    for i in range(3, c.shape[1] + 1):
-        c0, c1 = c[:, -i, None] - c1, c0 + c1 * x2
-    return c0 + c1 * x
-
-
 def _colleague_eigvals(c: np.ndarray):
     """(eigenvalues, solved) of chebroots' rotated colleague matrix for
     every row of c (P, L >= 3), whose last entry must be nonzero.
@@ -344,15 +328,16 @@ def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
         ok = (np.abs(r.imag) < 1e-10) & (r.real > ak - _ROOT_TOL) & (r.real < bk + _ROOT_TOL)
         r = np.where(ok, r.real, ak)
         # one Newton polish on the gap derivative
-        dgv = _clenshaw(c, r)
-        d2v = _clenshaw(neg_d2[owner[k]], r)
+        dgv = _cheb.chebval(r.T, c.T, tensor=False).T
+        d2v = _cheb.chebval(r.T, neg_d2[owner[k]].T, tensor=False).T
         good = np.abs(d2v) > 1e-14
         r = np.where(good, r - dgv / np.where(good, d2v, 1.0), r)
         roots[k, :L - 1] = np.clip(r, ak, bk)
         keep[k, :L - 1] = ok
 
     xs = np.concatenate([a, b, roots], axis=1)
-    gap = q[:, :-1].reshape(-1, 1) + slope * (xs - a) - _clenshaw(phi[owner], xs)
+    phi_xs = _cheb.chebval(xs.T, phi[owner].T, tensor=False).T
+    gap = q[:, :-1].reshape(-1, 1) + slope * (xs - a) - phi_xs
     gap[:, 2:][~keep] = np.inf
     # a span whose gaps include a NaN (an overflowing row) fails its margin
     span = gap.min(axis=1)
@@ -608,11 +593,11 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     nf = M // 2  # free log-gaps
     seeds = [np.zeros(nf)]
     for eta0 in (
-        gauss_lobatto_nodes(M),
-        np.sort(np.concatenate(([-1.0], gauss_legendre_nodes(M - 2), [1.0]))),
+        make_node_set("gauss-lobatto", M).array(),
+        make_node_set("gauss-legendre+endpoints", M).array(),
         -np.cos(np.pi * np.arange(M) / (M - 1)),
     ):
-        seeds.append(_z_from_nodes(np.asarray(eta0)))
+        seeds.append(_z_from_nodes(eta0))
     for eta0 in warm_starts:
         eta0 = np.asarray(eta0, dtype=float)
         if eta0.size != M:
@@ -660,16 +645,12 @@ class TableFormatError(ValueError):
 
 def save_table(table: BoundingTable, path) -> None:
     """Write a table in the line-oriented text format, full precision."""
-    lines = [
-        "polybound-table v1",
-        f"family={table.basis.family} p={table.basis.p} M={table.nodes.M} "
-        f"epsilon={table.epsilon:.17g} provenance={table.provenance}",
-        "nodes: " + " ".join(f"{v:.17g}" for v in table.eta()),
-    ]
-    for side, q in (("L", table.q_lower), ("U", table.q_upper)):
-        for i, row in enumerate(q):
-            lines.append(f"{side} {i + 1}: " + " ".join(f"{v:.17g}" for v in row))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    rows = [(f"{side} {i + 1}: ", row)
+            for side, q in (("L", table.q_lower), ("U", table.q_upper)) for i, row in enumerate(q)]
+    _write_text(path, "polybound-table v1",
+                f"family={table.basis.family} p={table.basis.p} M={table.nodes.M} "
+                f"epsilon={table.epsilon:.17g} provenance={table.provenance}",
+                [("nodes: ", table.eta()), *rows])
 
 
 def _read_table_text(path):
@@ -711,9 +692,11 @@ def load_table(path) -> BoundingTable:
         raise TableFormatError(f"{path}: {err}") from None
     quality = verify_table(table)
     if quality.max_violation < -1e-12:
+        lo, up, _ = _continuous_min_gaps(table.basis, eta, q_lower, q_upper)
+        worst = int(np.argmin(np.concatenate([lo, up])))
         raise BoxOptimizationError(
             f"{path}: table violates its bounding property "
-            f"(margin {quality.max_violation:.3e})",
+            f"(margin {quality.max_violation:.3e}) in row {'LU'[worst // N]} {worst % N + 1}",
             table=table,
             quality=quality,
         )

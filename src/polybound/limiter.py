@@ -346,6 +346,8 @@ def dg_step(state: DGState, dt: float, table: BoundingTable | None = None,
     """One SSP-RK3 step; the limiter runs after every stage when a table
     is supplied, so intermediate stages respect the bounds too. A limiter
     error names the RK stage and the time at the start of the step."""
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"need a finite, positive time step, got dt={dt}")
     if dt > cfl_dt(state) * (1.0 + 1e-12):
         raise ValueError(
             f"dt={dt} exceeds the CFL limit {cfl_dt(state)} for p={state.p}, "

@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from pathlib import Path
 
 import numpy as np
 
-from .basis import (_floats, _read_text, _transform_matrix, basis_deriv_matrix, basis_matrix,
-                    gauss_lobatto_nodes, make_basis)
-from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _require_finite,
-                      _restrict, bound_nodes, refine)
+from .basis import (_floats, _read_text, _transform_matrix, _write_text, basis_deriv_matrix,
+                    basis_matrix, gauss_lobatto_nodes, make_basis)
+from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _one_table,
+                      _require_finite, _restrict, bound_nodes, refine)
 from .boxopt import standard_table
 
 __all__ = [
@@ -257,7 +256,7 @@ def refinement_ladder(coeffs: PolyCoeffs, table, levels: int):
     lower, and whether each method has already proven a negative value.
     Used to compare tightness of the two bounding approaches.
     """
-    (table,) = _as_ladder(table, coeffs.basis)
+    table = _one_table(table, coeffs.basis)
     d = coeffs.dim
     basis = coeffs.basis
     halves = np.stack([_transform_matrix(basis, basis, a, b) for a, b in ((-1.0, 0.0), (0.0, 1.0))])
@@ -269,6 +268,8 @@ def refinement_ladder(coeffs: PolyCoeffs, table, levels: int):
             cell, *half = np.indices((len(U),) + (2,) * d).reshape(d + 1, -1)
             U = _restrict(U[cell], [halves[h] for h in half])
         lower, upper = bound_nodes(U, table, d)
+        _require_finite(lower, upper, lambda i: (
+            f"polynomial: node bounds not finite at refinement level {lv}"))
         bern = _bernstein_stack(U, coeffs.basis, d).reshape(len(U), -1)
         rows.append({
             "level": lv,
@@ -315,13 +316,8 @@ def mirror_element(element) -> np.ndarray:
 
 
 def write_mesh(mesh: CurvedMesh, path) -> None:
-    lines = [
-        "polybound-mesh v1",
-        f"dim=2 p={mesh.p} elements={mesh.n_elements}",
-    ]
-    lines += (" ".join(f"{v:.17g}" for v in row)
-              for row in mesh.elements.reshape(mesh.n_elements, -1).tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "polybound-mesh v1", f"dim=2 p={mesh.p} elements={mesh.n_elements}",
+                (("", element.ravel().tolist()) for element in mesh.elements))
 
 
 def _mesh_count(meta) -> int:

@@ -207,6 +207,24 @@ def test_node_set_validation():
         make_basis("no-such-family", 2)
 
 
+@pytest.mark.parametrize("M", [2, 3, 4, 7])
+def test_gauss_legendre_node_set_adds_the_endpoints(M):
+    # M < 3 leaves room for the endpoints only
+    eta = make_node_set("gauss-legendre+endpoints", M).array()
+    interior = gauss_legendre_rule(M - 2)[0] if M >= 3 else np.empty(0)
+    assert eta.tobytes() == np.concatenate(([-1.0], interior, [1.0])).tobytes()
+
+
+@pytest.mark.parametrize("positions, refusal", [
+    ([0.0], "need at least 2 control nodes"),
+    ([-1.0, 0.5, 0.5, 1.0], "strictly increasing"),
+    ([-0.9, 0.0, 0.9], "start at -1 and end at \\+1"),
+])
+def test_node_set_refusals(positions, refusal):
+    with pytest.raises(ValueError, match=refusal):
+        NodeSet(positions)
+
+
 def test_chebyshev_node_set_is_clustered():
     ns = make_node_set("chebyshev", 7).array()
     gaps = np.diff(ns)

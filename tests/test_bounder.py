@@ -255,6 +255,16 @@ def test_bound_tensor_arrays_are_read_only_and_outlive_later_calls(t35):
             a[0] = 0.0
 
 
+def test_one_table_functions_refuse_a_ladder(t34, t35):
+    c = _rand_coeffs(2, 94)
+    with pytest.raises(ValueError, match="expected one table, got a ladder of 2"):
+        bound_tensor(c, [t34, t35])
+    with pytest.raises(ValueError, match="expected one table, got a ladder of 2"):
+        meshcheck.refinement_ladder(c, [t34, t35], 2)
+    # a one-table list is still one table
+    assert np.array_equal(bound_tensor(c, [t35]).lower, bound_tensor(c, t35).lower)
+
+
 def _generations(U, ladder, dim, tol):
     """Copies of (owner, lower, upper) of every generation refine bounds:
     the ladder is climbed whole, then the spans wider than tol split."""

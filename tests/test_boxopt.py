@@ -462,6 +462,23 @@ def test_load_rejects_tampered_table(tmp_path, p3_table):
     assert err.value.table.q_upper[0, 0] == pytest.approx(p3_table.q_upper[0, 0] - 0.8)
 
 
+@pytest.mark.parametrize("name, row, shift", [
+    ("lobatto-nodal-p3-M5.txt", "U 3", -1e-3),
+    ("lobatto-nodal-p3-M5.txt", "L 1", 1e-3),
+    ("lobatto-nodal-p2-M3.txt", "U 2", -1e-3),
+    ("lobatto-nodal-p6-M7.txt", "U 7", -1e-3),
+])
+def test_load_names_the_row_that_fails_verification(name, row, shift, tmp_path):
+    lines = (_data_dir() / "tables" / name).read_text().splitlines()
+    k = next(k for k, line in enumerate(lines) if line.startswith(row + ":"))
+    values = [float(v) + shift for v in lines[k].split(":")[1].split()]
+    lines[k] = f"{row}: " + " ".join(repr(v) for v in values)
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(BoxOptimizationError, match=f"in row {row}$"):
+        load_table(path)
+
+
 def test_load_rejects_malformed_header(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not-a-table v9\n")

@@ -55,6 +55,22 @@ def test_boxgen_deterministic(tmp_path, capsys):
     assert table.basis == make_basis("lobatto-nodal", 2)
 
 
+def test_boxgen_refuses_the_table_it_wrote_when_it_fails_verification(tmp_path, monkeypatch,
+                                                                     capsys):
+    def lowered(basis, nodes):  # U 2 lowered below its basis function
+        table = optimize_values(basis, nodes)
+        q_upper = table.q_upper.copy()
+        q_upper[1] -= 0.1
+        return dataclasses.replace(table, q_upper=q_upper)
+
+    monkeypatch.setattr(polybound.cli, "optimize_values", lowered)
+    out = tmp_path / "bad.txt"
+    assert main(["boxgen", "--p", "2", "--m", "4", "--nodes", "gll", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert f"wrote {out}" in captured.out and "max_violation = -" in captured.out
+    assert "violates its bounding property" in captured.err and "in row U 2" in captured.err
+
+
 def test_boxgen_fixed_nodes_alias(tmp_path):
     out = tmp_path / "gll.txt"
     rc = main(["boxgen", "--family", "legendre", "--p", "3", "--m", "5",
@@ -358,6 +374,13 @@ def test_limit_demo_short_run(capsys):
     out = capsys.readouterr().out
     assert "limiter on" in out
     assert "mass drift" in out
+
+
+def test_limit_demo_with_zero_initial_mass_reports_absolute_drift(capsys):
+    # at p = 1 on 2x2 elements no GLL node lies inside a shape, so the mass is 0
+    rc = main(["limit-demo", "--elements", "2", "--order", "1", "--tfinal", "0.01"])
+    assert rc == 0
+    assert "absolute mass drift: 0.000e+00" in capsys.readouterr().out
 
 
 def test_limit_demo_report_file(tmp_path, capsys):

@@ -466,6 +466,12 @@ def test_cfl_guard():
         dg_step(state, 1.01 * cfl_dt(state))
 
 
+@pytest.mark.parametrize("dt", [float("nan"), -0.01, 0.0, float("-inf")])
+def test_dg_step_refuses_a_step_that_is_not_finite_and_positive(dt):
+    with pytest.raises(ValueError, match=f"dt={dt}"):
+        dg_step(transport_state(4, 2), dt)
+
+
 def test_dg_step_names_stage_and_time_when_mean_leaves_bounds():
     state = DGState(p=2, U=np.full((4, 4, 3, 3), 1.2), t=0.25)
     message = r"^RK stage 1 of 3 at t=0\.25: element \(\d, \d\) mean 1\.\d+ lies outside"

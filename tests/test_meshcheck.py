@@ -243,6 +243,20 @@ def test_refinement_ladder_beats_bernstein(tables_p2):
     assert rows[-1]["table_proves_negative"]
 
 
+@pytest.mark.parametrize("scale, corner, level", [(1e308, 1.0, 0), (7.5e307, -1.0, 1)])
+def test_refinement_ladder_names_the_level_of_non_finite_bounds(scale, corner, level):
+    # nodal values of one sign but one corner; at 7.5e307 the bounds overflow
+    # only once the halves are restricted
+    table = standard_table("lobatto-nodal", 2, 3)
+    values = np.full((3, 3), scale)
+    values[2, 2] *= corner
+    c = bounder.PolyCoeffs(2, table.basis, values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(bounder.NonFiniteBoundsError,
+                           match=f"node bounds not finite at refinement level {level}"):
+            refinement_ladder(c, table, 3)
+
+
 def test_indeterminate_on_exhausted_refinement(tables_p2):
     # a grazing element at zero tolerance and no levels cannot be settled
     mesh = read_mesh_graze()

@@ -13,12 +13,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polybound import bounder, boxopt, meshcheck
-from polybound.basis import _floats, _read_text, make_basis
-from polybound.boxopt import BoxOptimizationError, TableFormatError, load_table
-from polybound.bounder import CoeffsFormatError, PolyCoeffs, read_coeffs, write_coeffs
+from polybound.basis import NodeSet, _floats, _read_text, make_basis
+from polybound.boxopt import BoxOptimizationError, TableFormatError, load_table, save_table
+from polybound.bounder import (BoundingTable, CoeffsFormatError, PolyCoeffs, read_coeffs,
+                               write_coeffs)
 from polybound.cli import main
-from polybound.meshcheck import (MeshFormatError, perturb_mesh, read_mesh, uniform_mesh,
-                                 write_mesh)
+from polybound.meshcheck import (CurvedMesh, MeshFormatError, perturb_mesh, read_mesh,
+                                 uniform_mesh, write_mesh)
 
 TABLE_NAME = "lobatto-nodal-p2-M3.txt"
 TABLE_LINES = (boxopt._data_dir() / "tables" / TABLE_NAME).read_text().splitlines()
@@ -51,6 +52,39 @@ def test_readers_allow_trailing_blank_lines(tmp_path, coeffs_lines, mesh_lines):
         path.write_text("\n".join(lines + lines[-1:]) + "\n")
         with pytest.raises(ValueError, match=f"line {len(lines) + 1}: unexpected content"):
             reader(path)
+
+
+def _tiny_table():
+    basis = make_basis("lobatto-nodal", 1)
+    return BoundingTable(basis, NodeSet([-1.0, 0.0, 1.0]), [[-0.1, 0.4, 1.0], [0.0, 0.5, 1.1]],
+                         [[1.0, 0.6, 0.0], [0.1, 0.6, 1.0 + 2**-52]], 1e-6, "optimized-here")
+
+
+@pytest.mark.parametrize("write, obj, text", [
+    (write_coeffs, PolyCoeffs(1, make_basis("lobatto-nodal", 1), [0.1, -2.5]),
+     "polybound-coeffs v1\n"
+     "dim=1 family=lobatto-nodal p=1\n"
+     "0.10000000000000001 -2.5\n"),
+    (write_mesh, CurvedMesh(1, [[[0.0, 0.0], [1.0, 0.0], [1 / 3, 1.0], [1.0, 0.1 + 0.2]]]),
+     "polybound-mesh v1\n"
+     "dim=2 p=1 elements=1\n"
+     "0 0 1 0 0.33333333333333331 1 1 0.30000000000000004\n"),
+    (write_mesh, CurvedMesh(2, []),
+     "polybound-mesh v1\n"
+     "dim=2 p=2 elements=0\n"),
+    (save_table, _tiny_table(),
+     "polybound-table v1\n"
+     "family=lobatto-nodal p=1 M=3 epsilon=9.9999999999999995e-07 provenance=optimized-here\n"
+     "nodes: -1 0 1\n"
+     "L 1: -0.10000000000000001 0.40000000000000002 1\n"
+     "L 2: 0 0.5 1.1000000000000001\n"
+     "U 1: 1 0.59999999999999998 0\n"
+     "U 2: 0.10000000000000001 0.59999999999999998 1.0000000000000002\n"),
+], ids=["coeffs", "mesh", "empty-mesh", "table"])
+def test_writers_write_the_exact_text(write, obj, text, tmp_path):
+    path = tmp_path / "out.txt"
+    write(obj, path)
+    assert path.read_bytes() == text.encode()
 
 
 def test_readers_check_counts_before_building_the_basis(tmp_path, monkeypatch):
