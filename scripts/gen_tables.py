@@ -28,6 +28,7 @@ from polybound.boxopt import (  # noqa: E402
     load_table,
     optimize_nodes,
     save_table,
+    table_file_name,
     verify_table,
 )
 
@@ -36,7 +37,7 @@ FAMILY = "lobatto-nodal"
 
 
 def generate(out, p, M, restarts, maxiter, warm=()):
-    dst = out / f"{FAMILY}-p{p}-M{M}.txt"
+    dst = out / table_file_name(FAMILY, p, M)
     if dst.exists():
         t = load_table(dst)
         print(f"kept {dst.name}: eps2 {verify_table(t).eps2:.6f}", flush=True)
@@ -79,7 +80,7 @@ def main():
     generate(out, 7, 8, restarts=36, maxiter=80)
 
     # M ladder for p=3 (convergence study); warm start from the previous M
-    name = f"{FAMILY}-p3-M6.txt"
+    name = table_file_name(FAMILY, 3, 6)
     prev = load_table(out / name if (out / name).exists() else TABLES / name).eta()
     for M in range(7, 21):
         prev = generate(out, 3, M, restarts=6, maxiter=50, warm=(insert_node(prev),))

@@ -8,7 +8,7 @@ Everything lives on [-1, 1]. Four families are supported:
 * ``legendre-modal``   Legendre polynomials P_0 .. P_p
 
 Nodal evaluation uses the barycentric Lagrange form; every family also has
-a cached Chebyshev representation used for derivatives and root finding.
+a Chebyshev representation used for derivatives and root finding.
 Arrays index the basis functions from 0; only the ``L i:``/``U i:`` rows
 of table files number them from 1.
 """
@@ -264,7 +264,6 @@ def basis_matrix(spec: BasisSpec, x) -> np.ndarray:
     return _legendre_matrix(spec.p, x)
 
 
-@lru_cache(maxsize=None)
 def cheb_coeffs(spec: BasisSpec) -> np.ndarray:
     """Chebyshev coefficients of every basis function; shape (p+1, N).
 
@@ -279,7 +278,6 @@ def cheb_coeffs(spec: BasisSpec) -> np.ndarray:
     Phi = basis_matrix(spec, pts)
     C = np.linalg.solve(V, Phi)
     C[np.abs(C) < 1e-300] = 0.0
-    C.setflags(write=False)
     return C
 
 

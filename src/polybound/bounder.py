@@ -17,7 +17,7 @@ import math
 import threading
 import warnings
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import chebyshev as _cheb
@@ -147,7 +147,7 @@ def _require_finite(lower, upper, message) -> None:
 
 
 def _p1_ops(basis: BasisSpec):
-    """Read-only projection operators: coefficient rows times w0, w1 and P
+    """Projection operators: coefficient rows times w0, w1 and P
     give a0, a1 and the fluctuation, P = I - w0 e0^T - w1 e1^T. Quadrature
     with p+2 points is exact for the degree 2p+1 integrands involved."""
     xg, wg = gauss_legendre_rule(basis.p + 2)
@@ -157,8 +157,6 @@ def _p1_ops(basis: BasisSpec):
     e0 = linear_coeffs(basis, 1.0, 0.0)
     e1 = linear_coeffs(basis, 0.0, 1.0)
     P = np.eye(basis.N) - np.outer(w0, e0) - np.outer(w1, e1)
-    for a in (w0, w1, P):
-        a.setflags(write=False)
     return w0, w1, P
 
 
@@ -462,25 +460,21 @@ def eval_on_grid(coeffs: PolyCoeffs, axes) -> np.ndarray:
     return _grid_values(coeffs.u[None], coeffs.basis, axes[::-1])[0]
 
 
-@lru_cache(maxsize=64)
 def _cheb_ops(basis: BasisSpec) -> np.ndarray:
     """(3, N, N): basis coefficients to the Chebyshev coefficients of the
     polynomial and of its first and second derivatives (p >= 2)."""
     T = cheb_coeffs(basis)
-    ops = np.stack([np.pad(_cheb.chebder(T, m, axis=0), ((0, m), (0, 0))) for m in range(3)])
-    ops.setflags(write=False)
-    return ops
+    return np.stack([np.pad(_cheb.chebder(T, m, axis=0), ((0, m), (0, 0))) for m in range(3)])
 
 
-def _derivatives(U, basis: BasisSpec, x) -> np.ndarray:
+def _derivatives(U, ops: np.ndarray, x) -> np.ndarray:
     """All derivatives of order <= 2 per axis of each cell of U at its point.
 
-    U has shape (n,) + (N,)*dim and x shape (n, dim) in array-axis order;
-    the result is (n,) + (3,)*dim, each axis holding the derivative order
-    along it, flattened to (n, 3**dim).
+    U has shape (n,) + (N,)*dim, ops is _cheb_ops of its basis and x has
+    shape (n, dim) in array-axis order; the result is (n,) + (3,)*dim, each
+    axis holding the derivative order along it, flattened to (n, 3**dim).
     """
-    ops = _cheb_ops(basis)
-    return _restrict(U, [np.einsum("nk,okj->noj", _cheb.chebvander(x[:, a], basis.p), ops)
+    return _restrict(U, [np.einsum("nk,okj->noj", _cheb.chebvander(x[:, a], U.shape[1] - 1), ops)
                          for a in range(x.shape[1])]).reshape(len(U), -1)
 
 
@@ -501,12 +495,13 @@ def _newton(U, basis: BasisSpec, x) -> np.ndarray:
     e, shape = np.eye(dim, dtype=int), (3,) * dim
     g_at = np.ravel_multi_index(tuple(e), shape)
     h_at = np.ravel_multi_index(tuple(e[:, :, None] + e[:, None]), shape)
+    ops = _cheb_ops(basis)
     x = x.copy()
     active = np.arange(len(x))
     for _ in range(_NEWTON_STEPS):
         if not len(active):
             break
-        D = _derivatives(U[active], basis, x[active])
+        D = _derivatives(U[active], ops, x[active])
         H = D[:, h_at]
         singular = np.linalg.slogdet(H)[0] == 0
         H[singular] = np.eye(dim)
@@ -515,7 +510,7 @@ def _newton(U, basis: BasisSpec, x) -> np.ndarray:
         ok = ~singular & np.isfinite(new).all(axis=1)
         x[active[ok]] = new[ok]
         active = active[ok & (np.abs(new - xa).max(axis=1) >= 1e-14)]
-    return _derivatives(U, basis, x)[:, 0]
+    return _derivatives(U, ops, x)[:, 0]
 
 
 def sampled_extrema(U, basis: BasisSpec, dim: int, samples_per_dim: int):

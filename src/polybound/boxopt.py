@@ -51,6 +51,8 @@ from .bounder import BoundingTable
 
 _ROOT_TOL = 1e-12  # window slack when assigning roots to a subinterval
 _N_SAMPLES = 1000  # equispaced samples of the discrete one-sided fits
+_SAMPLE_POINTS = np.linspace(-1.0, 1.0, _N_SAMPLES)  # their grid, read-only
+_SAMPLE_POINTS.setflags(write=False)
 _EPSILON = 1e-6  # safety margin added after the continuous offset
 _NNLS_EPS = 10.0 * np.finfo(float).eps  # NNLS multiplier tolerance, relative
 
@@ -387,18 +389,10 @@ def _mirror(basis: BasisSpec, q_lo: np.ndarray, q_up: np.ndarray) -> None:
         q_lo[1::2] = -q_up[1::2, ::-1]
 
 
-@lru_cache(maxsize=1)
-def _sample_points() -> np.ndarray:
-    """Read-only grid of the _N_SAMPLES equispaced points of the fits."""
-    x = np.linspace(-1.0, 1.0, _N_SAMPLES)
-    x.setflags(write=False)
-    return x
-
-
 @lru_cache(maxsize=16)
 def _sample_matrix(basis: BasisSpec) -> np.ndarray:
-    """Read-only basis values at the _sample_points of the fits."""
-    Phi = basis_matrix(basis, _sample_points())
+    """Read-only basis values at the _SAMPLE_POINTS of the fits."""
+    Phi = basis_matrix(basis, _SAMPLE_POINTS)
     Phi.setflags(write=False)
     return Phi
 
@@ -426,7 +420,7 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, active: np.ndarray):
     side f (see _upper_qp); only E's last row changes between them.
     """
     N, M = basis.N, eta.size
-    Q, R = _qr(hat_matrix(eta, _sample_points()))
+    Q, R = _qr(hat_matrix(eta, _SAMPLE_POINTS))
     Phi = _sample_matrix(basis)
     E = np.empty((M + 1, _N_SAMPLES), order="F")
     E[:M] = Q.T
@@ -484,9 +478,9 @@ def optimize_values(basis: BasisSpec, nodes: NodeSet) -> BoundingTable:
     return table
 
 
-def _gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
-               q_upper: np.ndarray) -> float:
-    """Sum over rows of the L2 norms of U - phi and phi - L.
+def _row_gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
+                   q_upper: np.ndarray):
+    """Per-row L2 norms of phi - L and of U - phi, as (lower, upper).
 
     Gauss points per subinterval make the quadrature exact for these
     piecewise-polynomial gaps.
@@ -498,9 +492,14 @@ def _gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
     wts = (half * wg).ravel()
     Phi = basis_matrix(basis, pts)
     H = hat_matrix(eta, pts)
-    gap_u = H @ q_upper.T - Phi
-    gap_l = Phi - H @ q_lower.T
-    return float((np.sqrt(wts @ gap_u**2) + np.sqrt(wts @ gap_l**2)).sum())
+    return np.sqrt(wts @ (Phi - H @ q_lower.T)**2), np.sqrt(wts @ (H @ q_upper.T - Phi)**2)
+
+
+def _gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
+               q_upper: np.ndarray) -> float:
+    """Sum over rows of the L2 norms of U - phi and phi - L."""
+    lo, up = _row_gap_norms(basis, eta, q_lower, q_upper)
+    return float((up + lo).sum())
 
 
 def verify_table(table: BoundingTable) -> BoxQuality:
@@ -663,10 +662,10 @@ def _read_table_text(path):
 def load_table(path) -> BoundingTable:
     """Read and verify a table file.
 
-    A table whose continuous margin is below -1e-12 raises
-    BoxOptimizationError, whose ``table`` and ``quality`` hold the table
-    as read and its verification. Provenance is kept for reference
-    tables and otherwise becomes loaded-from-file.
+    A table whose continuous margin is below -1e-12 or whose gap norm is
+    not finite raises BoxOptimizationError naming the row; ``table`` and
+    ``quality`` hold the table as read and its verification. Provenance is
+    kept for reference tables and otherwise becomes loaded-from-file.
     """
     meta, records = _read_table_text(path)
     p, M = meta["p"], meta["M"]
@@ -690,16 +689,19 @@ def load_table(path) -> BoundingTable:
                               q_lower, q_upper, meta["epsilon"], provenance)
     except ValueError as err:
         raise TableFormatError(f"{path}: {err}") from None
-    quality = verify_table(table)
-    if quality.max_violation < -1e-12:
-        lo, up, _ = _continuous_min_gaps(table.basis, eta, q_lower, q_upper)
-        worst = int(np.argmin(np.concatenate([lo, up])))
-        raise BoxOptimizationError(
-            f"{path}: table violates its bounding property "
-            f"(margin {quality.max_violation:.3e}) in row {'LU'[worst // N]} {worst % N + 1}",
-            table=table,
-            quality=quality,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is refused below
+        quality = verify_table(table)
+        fault = None
+        if quality.max_violation < -1e-12:
+            fault = f"violates its bounding property (margin {quality.max_violation:.3e})"
+            lo, up, _ = _continuous_min_gaps(table.basis, eta, q_lower, q_upper)
+            worst = np.argmin(np.concatenate([lo, up]))
+        elif not np.isfinite(quality.eps2):
+            fault = f"gap norm is not finite (eps2 {quality.eps2})"
+            worst = np.argmax(np.concatenate(_row_gap_norms(table.basis, eta, q_lower, q_upper)))
+    if fault:
+        raise BoxOptimizationError(f"{path}: table {fault} in row {'LU'[worst // N]} "
+                                   f"{worst % N + 1}", table=table, quality=quality)
     if np.any(table.q_lower > table.q_upper):
         raise TableFormatError(f"{path}: lower values exceed upper values")
     return table
@@ -713,6 +715,11 @@ def reference_table_paths():
     """The shipped tables whose header records provenance=reference, by name."""
     return [path for path in sorted((_data_dir() / "tables").glob("*.txt"))
             if _read_table_text(path)[0]["provenance"] == "reference"]
+
+
+def table_file_name(family: str, p: int, M: int) -> str:
+    """The file name of a (family, p, M) table, as standard_table looks it up."""
+    return f"{family}-p{p}-M{M}.txt"
 
 
 def standard_table(family: str = "lobatto-nodal", p: int = 3, M: Optional[int] = None,
@@ -731,7 +738,7 @@ def standard_table(family: str = "lobatto-nodal", p: int = 3, M: Optional[int] =
         raise ValueError(f"need M >= 2 control nodes, got M={M}")
     if kind != "optimized":
         return optimize_values(make_basis(family, p), make_node_set(kind, M))
-    name = f"{family}-p{p}-M{M}.txt"
+    name = table_file_name(family, p, M)
     table_dir = os.environ.get("POLYBOUND_TABLE_DIR")
     candidates = [Path(table_dir) / name] if table_dir else []
     candidates.append(_data_dir() / "tables" / name)

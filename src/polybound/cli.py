@@ -28,6 +28,7 @@ from .boxopt import (
     save_table,
     load_table,
     standard_table,
+    table_file_name,
     verify_table,
 )
 from .bounder import (
@@ -92,9 +93,7 @@ def cmd_boxgen(args) -> int:
     else:
         table = optimize_values(basis, make_node_set(node_kind, args.m))
     report = verify_table(table)
-    out = Path(args.output) if args.output else Path(
-        f"{family}-p{args.p}-M{args.m}.txt"
-    )
+    out = Path(args.output or table_file_name(family, args.p, args.m))
     save_table(table, out)
     print(f"wrote {out}")
     print(f"eps2 = {report.eps2:.7f}")
@@ -203,7 +202,8 @@ def _mesh_oracle_violations(mesh, report, samples: int) -> int:
     sampling missed the minimum, not that the bound failed.
     """
     ilo = np.array([er.min_detj_interval[0] for er in report.elements])
-    lo, _ = sampled_extrema(_detj_stack(mesh.elements, mesh.p), _detj_ops(mesh.p)[0], 2, samples)
+    target, V, D = _detj_ops(mesh.p)
+    lo, _ = sampled_extrema(_detj_stack(mesh.elements, V, D), target, 2, samples)
     return int(np.count_nonzero(lo < ilo - 1e-10))
 
 

@@ -10,7 +10,7 @@ it at any stage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
@@ -71,7 +71,6 @@ class DGState:
     p: int
     U: np.ndarray
     t: float = 0.0
-    basis: BasisSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         U = np.asarray(self.U, dtype=float)
@@ -83,7 +82,10 @@ class DGState:
         U = U.copy()
         U.setflags(write=False)
         object.__setattr__(self, "U", U)
-        object.__setattr__(self, "basis", make_basis("lobatto-nodal", self.p))
+
+    @property
+    def basis(self) -> BasisSpec:
+        return make_basis("lobatto-nodal", self.p)
 
     @property
     def elements(self) -> int:

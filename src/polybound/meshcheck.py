@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -120,24 +119,18 @@ def _element_nodes(element):
     return nodes, p
 
 
-@lru_cache(maxsize=_MAX_GEOMETRIC_ORDER)
 def _detj_ops(p: int):
     """det J target basis plus geometry values and derivatives at its nodes."""
     geom = make_basis("lobatto-nodal", p)
     target = make_basis("lobatto-nodal", 2 * p - 1)
-    t = np.asarray(target.nodes)
-    V = basis_matrix(geom, t)
-    D = basis_deriv_matrix(geom, t)
-    V.setflags(write=False)
-    D.setflags(write=False)
-    return target, V, D
+    return target, basis_matrix(geom, target.nodes), basis_deriv_matrix(geom, target.nodes)
 
 
-def _detj_stack(nodes, p: int) -> np.ndarray:
-    """det J nodal coefficients of stacked elements, (E, (p+1)^2, 2) -> (E, 2p, 2p)."""
-    _, V, D = _detj_ops(p)
-    X = nodes[..., 0].reshape(-1, p + 1, p + 1)  # axes (element, eta, xi)
-    Y = nodes[..., 1].reshape(-1, p + 1, p + 1)
+def _detj_stack(nodes, V, D) -> np.ndarray:
+    """det J nodal coefficients, (E, (p+1)^2, 2) -> (E, 2p, 2p), from _detj_ops(p)'s V, D."""
+    n = V.shape[1]  # p + 1
+    X = nodes[..., 0].reshape(-1, n, n)  # axes (element, eta, xi)
+    Y = nodes[..., 1].reshape(-1, n, n)
     x_xi = V @ X @ D.T
     x_eta = D @ X @ V.T
     y_xi = V @ Y @ D.T
@@ -153,7 +146,8 @@ def detj_coeffs(element, p: int) -> PolyCoeffs:
     nodes of that target space is representation-exact.
     """
     nodes = CurvedMesh(p, [element]).elements
-    return PolyCoeffs(2, _detj_ops(p)[0], _detj_stack(nodes, p)[0])
+    target, V, D = _detj_ops(p)
+    return PolyCoeffs(2, target, _detj_stack(nodes, V, D)[0])
 
 
 def detj_tables(p: int, m: int | None = None) -> list:
@@ -241,10 +235,11 @@ def check_mesh(mesh: CurvedMesh, tables, tol: float,
         raise ValueError(f"tol must be positive, got {tol}")
     if max_levels < 0:
         raise ValueError(f"max_levels must be >= 0, got {max_levels}")
-    ladder = _as_ladder(tables, _detj_ops(mesh.p)[0])
+    target, V, D = _detj_ops(mesh.p)
+    ladder = _as_ladder(tables, target)
     reports = []
     for start in range(0, mesh.n_elements, _BLOCK_ELEMENTS):
-        det = _detj_stack(mesh.elements[start:start + _BLOCK_ELEMENTS], mesh.p)
+        det = _detj_stack(mesh.elements[start:start + _BLOCK_ELEMENTS], V, D)
         reports += _classify(det, ladder, tol, max_levels, start)
     return ValidityReport(tuple(reports))
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
-from polybound import bounder, meshcheck
+from polybound import bounder, limiter, meshcheck
 from polybound.basis import (FAMILIES, _bary_weights, _transform_matrix, basis_matrix,
                              cheb_coeffs, gauss_legendre_rule, gauss_lobatto_nodes, linear_coeffs,
                              make_basis, make_node_set)
@@ -363,11 +363,33 @@ def test_refine_leaves_every_generation_s_bounds_to_split(t35):
         assert np.array_equal(lower, lo) and np.array_equal(upper, up)
 
 
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda t: bounder.BoundingTable(t.basis, t.nodes, t.q_lower[:, 1:], t.q_upper,
+                                                 t.epsilon, t.provenance),
+                 r"table shape \(4, 4\) does not match N=4, M=5", id="table-shape"),
+    pytest.param(lambda t: bounder.BoundingTable(t.basis, t.nodes, t.q_lower, t.q_upper,
+                                                 t.epsilon, "guessed"),
+                 "unknown provenance 'guessed'", id="table-provenance"),
+    pytest.param(lambda t: bounder.NodeBounds(t.eta(), np.zeros(5), np.zeros(4)),
+                 "lower/upper shape mismatch", id="node-bounds-shape"),
+    pytest.param(lambda t: bounder.NodeBounds(t.eta(), np.ones(5), np.zeros(5)),
+                 "lower exceeds upper", id="node-bounds-order"),
+    pytest.param(lambda t: bound_nodes(np.zeros((3, 5)), t, 1),
+                 r"need coefficients of shape \(\.\.\., 4\)\^1, got \(3, 5\)",
+                 id="bound-nodes-shape"),
+    pytest.param(lambda t: limiter.apply_limiter(limiter.transport_state(2, 2), t),
+                 "bounding table is for lobatto-nodal p=3, solution basis is lobatto-nodal p=2",
+                 id="limiter-basis"),
+])
+def test_refusals_name_the_fault(call, message, t35):
+    with pytest.raises(ValueError, match=message):
+        call(t35)
+
+
 def test_cached_operators_are_read_only(t35):
     U = np.random.default_rng(92).standard_normal((5, 4, 4))
     before = bound_nodes(U, t35, 2)
-    for op in (*bounder._p1_ops(t35.basis), _bary_weights(tuple(t35.basis.nodes)),
-               t35._spans):
+    for op in (*t35._sweep_ops, _bary_weights(tuple(t35.basis.nodes)), t35._spans):
         with pytest.raises(ValueError):
             op[0] += 1.0
     after = bound_nodes(U, t35, 2)

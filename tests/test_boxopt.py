@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from polybound.basis import (FAMILIES, NodeSet, basis_matrix, cheb_coeffs, hat_m
 from polybound.boxopt import (
     _N_SAMPLES,
     _ROOT_TOL,
+    _SAMPLE_POINTS,
     BoxOptimizationError,
     TableFormatError,
     _active_sets,
@@ -25,7 +27,6 @@ from polybound.boxopt import (
     _qr,
     _raw_boxes,
     _raw_objective,
-    _sample_points,
     load_table,
     offset_correction,
     optimize_nodes,
@@ -370,7 +371,7 @@ def test_lstsq_matches_numpy_bit_for_bit():
     # NNLS supports as _upper_qp makes them: m = M + 1 rows of [Q^T; resid],
     # 1..m+2 sample columns, so also more columns than rows
     rng = np.random.default_rng(5)
-    x = _sample_points()
+    x = _SAMPLE_POINTS
     Phi = basis_matrix(make_basis("lobatto-nodal", 7), x)
     for M in range(2, 22):
         eta = _nodes_from_z(rng.normal(0.0, 0.3, M // 2), M)
@@ -394,7 +395,7 @@ def test_lstsq_matches_numpy_bit_for_bit():
 
 
 def test_qr_matches_numpy_bit_for_bit_and_in_layout():
-    x = _sample_points()
+    x = _SAMPLE_POINTS
     for M in [*range(2, 22), 160]:  # past 128 columns LAPACK's QR runs blocked
         H = hat_matrix(make_node_set("equispaced", M).array(), x)
         Q, R = _qr(H)
@@ -410,7 +411,7 @@ def test_lapack_failures_raise(monkeypatch):
         np.linalg.lstsq(np.full((4, 2), np.nan), np.ones(4), rcond=None)
     with pytest.raises(np.linalg.LinAlgError, match="dgelsd failed"):
         _lstsq(np.full((4, 2), np.nan), np.ones(4))
-    H = hat_matrix(make_node_set("equispaced", 5).array(), _sample_points())
+    H = hat_matrix(make_node_set("equispaced", 5).array(), _SAMPLE_POINTS)
     _qr(H)  # caches the workspace sizes
     lapack = boxopt._lapack()
     for routine in ("dgeqrf", "dorgqr"):
@@ -477,6 +478,19 @@ def test_load_names_the_row_that_fails_verification(name, row, shift, tmp_path):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(BoxOptimizationError, match=f"in row {row}$"):
         load_table(path)
+
+
+def test_load_refuses_a_row_whose_gap_norm_overflows(tmp_path):
+    lines = (_data_dir() / "tables" / "lobatto-nodal-p2-M3.txt").read_text().splitlines()
+    lines = ["U 1: 1e200 1e200 1e200" if line.startswith("U 1:") else line for line in lines]
+    path = tmp_path / "t.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BoxOptimizationError,
+                           match=r"gap norm is not finite \(eps2 inf\) in row U 1$") as err:
+            load_table(path)
+    assert err.value.quality.eps2 == np.inf
 
 
 def test_load_rejects_malformed_header(tmp_path):

@@ -11,7 +11,8 @@ import pytest
 import polybound
 from polybound import bounder
 from polybound.basis import make_basis, make_node_set
-from polybound.boxopt import _data_dir, load_table, optimize_values
+from polybound.boxopt import (_data_dir, load_table, optimize_values, standard_table,
+                              table_file_name)
 from polybound.bounder import PolyCoeffs, write_coeffs
 from polybound.cli import _mesh_oracle_violations, _symmetry_ok, main
 from polybound.meshcheck import (CurvedMesh, ValidityReport, check_mesh, detj_tables, mirror_element,
@@ -88,6 +89,16 @@ def test_boxgen_default_m_is_p_plus_one(tmp_path, capsys, monkeypatch):
     rc = main(["boxgen", "--p", "2", "--nodes", "cheb"])
     assert rc == 0
     assert (tmp_path / "lobatto-nodal-p2-M3.txt").exists()
+
+
+def test_boxgen_writes_by_default_the_file_standard_table_finds(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
+    assert main(["boxgen", "--family", "bernstein", "--p", "2", "--nodes", "gll"]) == 0
+    written = load_table(tmp_path / table_file_name("bernstein", 2, 3))
+    found = standard_table("bernstein", 2, 3)  # no bernstein table ships
+    assert found.eta().tobytes() == written.eta().tobytes()
+    assert found.q_upper.tobytes() == written.q_upper.tobytes()
 
 
 def test_boxgen_rejects_bad_family(capsys):
@@ -232,6 +243,15 @@ def test_bound_with_non_finite_table(tmp_path, monkeypatch, capsys):
     assert _bound_with_edited_table(tmp_path, monkeypatch, first_nan) == 1
     err = capsys.readouterr().err
     assert "error:" in err and "finite" in err
+
+
+def test_bound_with_table_whose_gap_norm_overflows(tmp_path, monkeypatch, capsys):
+    # L 2 lies 1e200 below phi_2: its margin holds, but its squared gap overflows
+    far_below = lambda values: ["-1e200"] * len(values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _bound_with_edited_table(tmp_path, monkeypatch, far_below) == 2
+    assert "gap norm is not finite (eps2 inf) in row L 2" in capsys.readouterr().err
 
 
 def test_bound_with_overflowing_table_row(tmp_path, monkeypatch, capsys):

@@ -2,8 +2,9 @@
 scripts' imports resolve.
 
 Each demo runs in its own interpreter, as its docstring says to run it.
-gen_invalid_mesh.py runs into a temporary directory. gen_tables.py is
-only loaded, never run: it regenerates the shipped tables for minutes.
+gen_invalid_mesh.py runs into a temporary directory. gen_tables.py and
+cache_traffic.py are only loaded, never run: the first regenerates the
+shipped tables for minutes.
 """
 
 import os
@@ -35,7 +36,8 @@ def test_demo_runs_to_the_end(argv):
     assert run.returncode == 0 and "Traceback" not in run.stderr, run.stderr
 
 
-@pytest.mark.parametrize("script", ["gen_invalid_mesh.py", "gen_tables.py"])
+@pytest.mark.parametrize("script", ["gen_invalid_mesh.py", "gen_tables.py",
+                                    "cache_traffic.py"])
 def test_script_loads_without_running(script):
     namespace = runpy.run_path(str(ROOT / "scripts" / script), run_name="not_main")
     assert callable(namespace["main"])

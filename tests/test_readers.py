@@ -108,6 +108,30 @@ def test_readers_check_counts_before_building_the_basis(tmp_path, monkeypatch):
         load_table(path)
 
 
+@pytest.mark.parametrize("argv, name, text, message", [
+    (["bound", "FILE"], "c.txt", "polybound-coeffs v1\ndim=4 family=lobatto-nodal p=1\n1 2\n",
+     "dim must be 1, 2, or 3"),
+    (["bound", "FILE"], "c.txt", "polybound-coeffs v1\n", "truncated, missing metadata line"),
+    (["checkmesh", "FILE"], "m.txt", "polybound-mesh v1\ndim=3 p=2 elements=0\n",
+     "only dim=2 meshes are supported"),
+    (["checkmesh", "FILE"], "m.txt", "polybound-mesh v1\ndim=2 p=9 elements=0\n",
+     "geometric order must be 1..8"),
+    # p=-2 asks for 1 + 2 (p + 1) = -1 records
+    (["bound", "COEFFS"], "lobatto-nodal-p1-M2.txt",
+     "polybound-table v1\nfamily=lobatto-nodal p=-2 M=2 epsilon=1e-06 provenance=reference\n",
+     "negative record count -1"),
+], ids=["coeffs-dim", "truncated", "mesh-dim", "mesh-order", "negative-count"])
+def test_reader_refusals_exit_one_naming_the_file(argv, name, text, message, tmp_path,
+                                                  monkeypatch, capsys):
+    path, coeffs = tmp_path / name, tmp_path / "p1.txt"
+    path.write_text(text)
+    write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 1), [0.0, 1.0]), coeffs)
+    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
+    files = {"FILE": str(path), "COEFFS": str(coeffs)}
+    assert main([files.get(arg, arg) for arg in argv]) == 1
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 # tokens float() reads, tokens it refuses, and record shapes one loadtxt
 # call refuses; each replaces one record value or a whole record
 FLOAT_TOKENS = ["nan", "-nan", "inf", "-inf", "1e999", "-0", "1e-320", "1_0", "\u0661\u0662"]
