@@ -71,7 +71,8 @@ class BoxQuality:
 
 
 class BoxOptimizationError(RuntimeError):
-    """Raised when a discrete subproblem fails; carries the best-found table."""
+    """A table failed verification (load_table attaches it and its quality),
+    a box solve failed, or a node search found no feasible table."""
 
     def __init__(self, message, table=None, quality=None):
         super().__init__(message)
@@ -135,7 +136,7 @@ def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
                 k = cols[int(z.argmin())]
                 u[k] = 0.0
                 passive[k] = False
-    raise RuntimeError("NNLS iteration budget exhausted")
+    raise BoxOptimizationError("NNLS iteration budget exhausted")
 
 
 @lru_cache(maxsize=None)
@@ -240,7 +241,7 @@ def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray, active: np.ndarray,
     u = _nnls(E, f, active)
     s = E @ u - f
     if abs(s[M]) < 1e-13:
-        raise RuntimeError("incompatible constraint set in box subproblem")
+        raise BoxOptimizationError("incompatible constraint set in box subproblem")
     y = -s[:M] / s[M]
     return _solve_r(R, y + Qtb)
 
@@ -403,14 +404,23 @@ def _active_sets(basis: BasisSpec) -> np.ndarray:
     return np.zeros((2, _solved_rows(basis), _N_SAMPLES), dtype=bool)
 
 
+def _empty_hats(eta: np.ndarray) -> np.ndarray:
+    """The control nodes whose hats hold no fit sample strictly between the
+    neighbouring nodes (the end nodes hold -1 and 1): their columns of the
+    fit's hat matrix are zero, so its QR factor R is singular."""
+    # ndarray methods: the node search runs this on every evaluation
+    held = (_SAMPLE_POINTS.searchsorted(eta[2:])
+            - _SAMPLE_POINTS.searchsorted(eta[:-2], side="right"))
+    return (held == 0).nonzero()[0] + 1
+
+
 def _raw_boxes(basis: BasisSpec, eta: np.ndarray, active: np.ndarray):
     """Pre-offset box rows from the sampled one-sided fits.
 
-    Returns (q_lower, q_upper, failures) with full symmetry applied: only
-    the rows _mirror cannot fill are solved, and a row whose function is
-    its own mirror image (the middle nodal row, an even Legendre mode) is
-    symmetrised. Failed rows fall back to the plain least-squares fit and
-    are listed in failures.
+    Returns (q_lower, q_upper) with full symmetry applied: only the rows
+    _mirror cannot fill are solved, and a row whose function is its own
+    mirror image (the middle nodal row, an even Legendre mode) is
+    symmetrised.
 
     ``active`` (from _active_sets) holds each subproblem's start support
     and is updated in place, so a caller solving at nearby nodes can
@@ -427,55 +437,41 @@ def _raw_boxes(basis: BasisSpec, eta: np.ndarray, active: np.ndarray):
     f = np.zeros(M + 1)
     f[M] = 1.0
 
-    def solve_upper(col, start):
-        try:
-            return _upper_qp(Q, R, col, start, E, f), True
-        except RuntimeError:
-            # least-squares candidate; the offset step will make it feasible
-            return _solve_r(R, Q.T @ col), False
-
     pairs = mirror_pairs(basis)
     q_up = np.empty((N, M))
     q_lo = np.empty((N, M))
-    failures = []
     for i in range(_solved_rows(basis)):
-        q_up[i], ok = solve_upper(Phi[:, i], active[0, i])
+        q_up[i] = _upper_qp(Q, R, Phi[:, i], active[0, i], E, f)
         if pairs or i % 2 == 0:  # an odd mode's lower row comes from _mirror
-            neg, ok_l = solve_upper(-Phi[:, i], active[1, i])
-            q_lo[i] = -neg
-            ok = ok and ok_l
+            q_lo[i] = -_upper_qp(Q, R, -Phi[:, i], active[1, i], E, f)
         if (2 * i == N - 1) if pairs else (i % 2 == 0):  # its own mirror image
             q_up[i] = 0.5 * (q_up[i] + q_up[i][::-1])
             q_lo[i] = 0.5 * (q_lo[i] + q_lo[i][::-1])
-        if not ok:
-            failures.append(i)
     _mirror(basis, q_lo, q_up)
-    return q_lo, q_up, failures
+    return q_lo, q_up
 
 
 def optimize_values(basis: BasisSpec, nodes: NodeSet) -> BoundingTable:
     """Optimal bounding table for a fixed control-node set.
 
     Discrete least-squares fits with one-sided constraints on _N_SAMPLES
-    equispaced points, then the continuous offset correction.
+    equispaced points, then the continuous offset correction. A node set
+    whose hats the samples miss is refused, naming the first such node.
     """
     if _N_SAMPLES < 2 * nodes.M:
         raise ValueError(f"M={nodes.M} needs more than {_N_SAMPLES} samples")
-    q_lo, q_up, failures = _raw_boxes(basis, nodes.array(), _active_sets(basis))
+    eta = nodes.array()
+    for k in _empty_hats(eta)[:1]:
+        raise ValueError(f"the hat function of control node {k} (eta = {eta[k]:.17g}) "
+                         f"holds none of the {_N_SAMPLES} fit samples")
+    q_lo, q_up = _raw_boxes(basis, eta, _active_sets(basis))
     # offset the solved rows, then mirror so symmetry stays exact
     n = _solved_rows(basis)
     q_lo[:n], q_up[:n], padded = offset_correction(basis, nodes, q_lo[:n], q_up[:n])
     _mirror(basis, q_lo, q_up)
 
     provenance = "optimized-here-padded" if padded else "optimized-here"
-    table = BoundingTable(basis, nodes, q_lo, q_up, _EPSILON, provenance)
-    if failures:
-        raise BoxOptimizationError(
-            f"discrete subproblem failed for basis functions {failures}",
-            table=table,
-            quality=verify_table(table),
-        )
-    return table
+    return BoundingTable(basis, nodes, q_lo, q_up, _EPSILON, provenance)
 
 
 def _row_gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
@@ -536,10 +532,7 @@ def _raw_objective(basis: BasisSpec, eta: np.ndarray, active: np.ndarray) -> flo
     box subproblems' supports from one evaluation to the next (see
     _raw_boxes).
     """
-    q_lo, q_up, failures = _raw_boxes(basis, eta, active)
-    if failures:
-        return 1e6
-    return _gap_norms(basis, eta, q_lo, q_up)
+    return _gap_norms(basis, eta, *_raw_boxes(basis, eta, active))
 
 
 def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
@@ -577,9 +570,13 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     # line searches and probes revisit node sets: solve each one once
     solved = {}
 
+    def unusable(eta):
+        # nodes closer than 1e-6, or a hat function the fit cannot sample
+        return np.min(np.diff(eta)) < 1e-6 or _empty_hats(eta).size > 0
+
     def objective(z_free):
         eta = _nodes_from_z(np.asarray(z_free, dtype=float), M)
-        if np.min(np.diff(eta)) < 1e-6:
+        if unusable(eta):
             return 1e6 - np.min(np.diff(eta))
         key = eta.tobytes()
         if key not in solved:
@@ -621,13 +618,10 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     for z in candidates:
         eta = _nodes_from_z(z, M)
         key = tuple(np.round(eta, 10))
-        if key in seen or np.min(np.diff(eta)) < 1e-6:
+        if key in seen or unusable(eta):
             continue
         seen.add(key)
-        try:
-            table = build(eta)
-        except BoxOptimizationError as err:
-            table = err.table
+        table = build(eta)
         # verify_table's eps2 alone: the pick needs no continuous margins
         eps2 = _gap_norms(basis, table.eta(), table.q_lower, table.q_upper)
         if eps2 < best_eps2:

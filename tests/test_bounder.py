@@ -12,8 +12,8 @@ from numpy.polynomial import chebyshev as cheb
 
 from polybound import bounder, limiter, meshcheck
 from polybound.basis import (FAMILIES, _bary_weights, _transform_matrix, basis_matrix,
-                             cheb_coeffs, gauss_legendre_rule, gauss_lobatto_nodes, linear_coeffs,
-                             make_basis, make_node_set)
+                             change_basis, cheb_coeffs, gauss_legendre_nodes, gauss_legendre_rule,
+                             gauss_lobatto_nodes, linear_coeffs, make_basis, make_node_set)
 from polybound.boxopt import _data_dir, load_table, optimize_values, standard_table
 from polybound.bounder import (
     CoeffsFormatError,
@@ -363,6 +363,9 @@ def test_refine_leaves_every_generation_s_bounds_to_split(t35):
         assert np.array_equal(lower, lo) and np.array_equal(upper, up)
 
 
+_C2 = PolyCoeffs(2, B3, np.ones((4, 4)))
+
+
 @pytest.mark.parametrize("call, message", [
     pytest.param(lambda t: bounder.BoundingTable(t.basis, t.nodes, t.q_lower[:, 1:], t.q_upper,
                                                  t.epsilon, t.provenance),
@@ -380,6 +383,22 @@ def test_refine_leaves_every_generation_s_bounds_to_split(t35):
     pytest.param(lambda t: limiter.apply_limiter(limiter.transport_state(2, 2), t),
                  "bounding table is for lobatto-nodal p=3, solution basis is lobatto-nodal p=2",
                  id="limiter-basis"),
+    pytest.param(lambda t: subdivide(_C2, [(-1.0, 0.0)]), r"subcell must be 2 \(a, b\) pairs",
+                 id="subdivide-pairs"),
+    pytest.param(lambda t: subdivide(_C2, [(-1.0, 0.0), (0.5, 0.5)]), "empty subcell",
+                 id="subdivide-empty"),
+    pytest.param(lambda t: subdivide(_C2, [(-1.0, 0.0), (0.5, 1.5)]),
+                 r"inside \[-1, 1\] per axis", id="subdivide-outside"),
+    pytest.param(lambda t: sampled_extrema(np.ones((1, 4)), B3, 1, 1),
+                 "at least 2 samples per dimension", id="sampled-extrema"),
+    pytest.param(lambda t: eval_on_grid(_C2, [np.zeros(3)]), "one axis array per dimension",
+                 id="eval-on-grid"),
+    pytest.param(lambda t: meshcheck.uniform_mesh(0, 1, 2), "at least one element per direction",
+                 id="uniform-mesh"),
+    pytest.param(lambda t: change_basis(_C2, make_basis("bernstein", 2)),
+                 "source p=3, target p=2", id="change-basis"),
+    pytest.param(lambda t: gauss_legendre_nodes(0), "need n >= 1", id="gauss-legendre"),
+    pytest.param(lambda t: gauss_lobatto_nodes(1), "need n >= 2", id="gauss-lobatto"),
 ])
 def test_refusals_name_the_fault(call, message, t35):
     with pytest.raises(ValueError, match=message):
@@ -632,6 +651,11 @@ def test_subdivide_full_cell_is_identity():
     c = _rand_coeffs(1, 3)
     sub = subdivide(c, [(-1.0, 1.0)])
     np.testing.assert_allclose(sub.u, c.u, atol=1e-12)
+
+
+def test_subdivide_accepts_a_single_1d_pair():
+    c = _rand_coeffs(1, 3)
+    assert np.array_equal(subdivide(c, (-0.5, 0.25)).u, subdivide(c, [(-0.5, 0.25)]).u)
 
 
 def test_refine_carries_picked_cells_up_the_ladder(t34, t35):

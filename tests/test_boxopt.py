@@ -27,6 +27,7 @@ from polybound.boxopt import (
     _qr,
     _raw_boxes,
     _raw_objective,
+    _upper_qp,
     load_table,
     offset_correction,
     optimize_nodes,
@@ -91,8 +92,7 @@ def test_upper_qp_against_slsqp():
         e = np.zeros(4)
         e[j] = 1.0
         A[:, j] = _pl_eval(eta, e, x)
-    q_lo_raw, q_up_raw, failures = _raw_boxes(basis, eta, _active_sets(basis))
-    assert not failures
+    q_lo_raw, q_up_raw = _raw_boxes(basis, eta, _active_sets(basis))
     for i in range(basis.N):
         phi = basis_matrix(basis, x)[:, i]
         res = minimize(
@@ -159,6 +159,25 @@ def test_optimize_nodes_takes_warm_starts():
     eta = standard_table("lobatto-nodal", 3, 5).eta()
     table = optimize_nodes(basis, 5, restarts=0, warm_starts=[eta])
     assert verify_table(table).eps2 <= verify_table(optimize_values(basis, NodeSet(eta))).eps2 + 1e-12
+
+
+def test_node_search_passes_over_a_node_set_the_fit_cannot_sample():
+    # no fit sample lies strictly between -5e-4 and 5e-4, where node 2's hat is nonzero
+    basis = make_basis("lobatto-nodal", 3)
+    hollow = [-1.0, -5e-4, 0.0, 5e-4, 1.0]
+    with pytest.raises(ValueError, match=r"control node 2 \(eta = 0\) holds none of the 1000"):
+        optimize_values(basis, NodeSet(hollow))
+    # the pick leaves it out, so the seeds' pick stands
+    seeds_only = optimize_nodes(basis, 5, restarts=0)
+    table = optimize_nodes(basis, 5, restarts=0, warm_starts=[hollow])
+    assert _hex(table.eta(), table.q_lower, table.q_upper) == _hex(
+        seeds_only.eta(), seeds_only.q_lower, seeds_only.q_upper)
+    # the fifth restart starts at it, which the objective scores like nodes 1e-6 apart
+    table = optimize_nodes(basis, 5, restarts=5, maxiter=2, warm_starts=[hollow])
+    assert verify_table(table).max_violation > 0
+    # a node set too large for the samples is still refused by name
+    with pytest.raises(ValueError, match="M=600 needs more than 1000 samples"):
+        optimize_nodes(basis, 600, restarts=0)
 
 
 def test_shipped_table_regenerates_byte_identically(tmp_path):
@@ -272,8 +291,7 @@ def test_box_solves_keep_their_bits(family):
     eta = make_node_set("equispaced", 5).array()
     active = _active_sets(basis)
     for _ in ("cold", "warm"):
-        q_lo, q_up, failures = _raw_boxes(basis, eta, active)
-        assert failures == []
+        q_lo, q_up = _raw_boxes(basis, eta, active)
         assert _hex(q_lo, q_up) == _GOLDEN_RAW_BOXES[family].split()
     moved = _nodes_from_z(np.array([0.2, -0.1]), 5)
     assert _raw_objective(basis, moved, active).hex() == _GOLDEN_MOVED_OBJECTIVE[family]
@@ -320,16 +338,14 @@ def test_raw_boxes_warm_start_matches_cold(family, p, extra, seed):
     eta1, eta2 = (_nodes_from_z(rng.normal(0.0, 0.5, M // 2), M) for _ in range(2))
     active = _active_sets(basis)
     _raw_boxes(basis, eta1, active)
-    warm_lo, warm_up, warm_failures = _raw_boxes(basis, eta2, active)
-    cold_lo, cold_up, cold_failures = _raw_boxes(basis, eta2, _active_sets(basis))
-    assert warm_failures == cold_failures
+    warm_lo, warm_up = _raw_boxes(basis, eta2, active)
+    cold_lo, cold_up = _raw_boxes(basis, eta2, _active_sets(basis))
     for warm, cold in ((warm_lo, cold_lo), (warm_up, cold_up)):
         assert (np.abs(warm - cold) <= 1e-12 * np.maximum(1.0, np.abs(cold))).all()
-    if not cold_failures:
-        x = np.linspace(-1.0, 1.0, _N_SAMPLES)
-        A, Phi = hat_matrix(eta2, x), basis_matrix(basis, x)
-        assert (A @ warm_up.T >= Phi - 1e-12).all()
-        assert (A @ warm_lo.T <= Phi + 1e-12).all()
+    x = np.linspace(-1.0, 1.0, _N_SAMPLES)
+    A, Phi = hat_matrix(eta2, x), basis_matrix(basis, x)
+    assert (A @ warm_up.T >= Phi - 1e-12).all()
+    assert (A @ warm_lo.T <= Phi + 1e-12).all()
 
 
 @pytest.mark.parametrize("family", FAMILIES)
@@ -401,6 +417,16 @@ def test_qr_matches_numpy_bit_for_bit_and_in_layout():
         Q, R = _qr(H)
         want_Q, want_R = np.linalg.qr(H)
         assert _same_array(Q, want_Q) and _same_array(R, want_R), M
+
+
+def test_upper_qp_refuses_an_incompatible_constraint_set():
+    # A = [1, -1]^T, b = [1, 1]: q >= 1 and -q >= 1 cannot both hold, which
+    # no hat matrix allows, since its columns sum to 1
+    Q, R = _qr(np.array([[1.0], [-1.0]]))
+    E = np.empty((2, 2), order="F")
+    E[:1] = Q.T
+    with pytest.raises(BoxOptimizationError, match="incompatible constraint set"):
+        _upper_qp(Q, R, np.ones(2), np.zeros(2, dtype=bool), E, np.array([0.0, 1.0]))
 
 
 def test_lapack_failures_raise(monkeypatch):

@@ -10,8 +10,8 @@ import pytest
 
 import polybound
 from polybound import bounder
-from polybound.basis import make_basis, make_node_set
-from polybound.boxopt import (_data_dir, load_table, optimize_values, standard_table,
+from polybound.basis import basis_matrix, make_basis, make_node_set
+from polybound.boxopt import (_data_dir, load_table, optimize_values, save_table, standard_table,
                               table_file_name)
 from polybound.bounder import PolyCoeffs, write_coeffs
 from polybound.cli import _mesh_oracle_violations, _symmetry_ok, main
@@ -119,6 +119,29 @@ def test_boxgen_names_a_bad_order(family, tmp_path, capsys):
 def test_boxgen_rejects_out_of_range_arguments(flags, tmp_path, capsys):
     assert main(["boxgen", "-o", str(tmp_path / "t.txt")] + flags) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_boxgen_exits_two_when_a_box_solve_fails(tmp_path, monkeypatch, capsys):
+    def degenerate(E, f, passive):  # an NNLS answer whose residual ends in 0
+        j = int(np.argmax(E[-1]))
+        u = np.zeros(E.shape[1])
+        u[j] = 1.0 / E[-1, j]
+        return u
+
+    monkeypatch.setattr(polybound.boxopt, "_nnls", degenerate)
+    out = tmp_path / "t.txt"
+    assert main(["boxgen", "--p", "2", "--m", "4", "--nodes", "gll", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == "error: incompatible constraint set in box subproblem\n"
+    assert not out.exists()
+
+
+def test_boxgen_names_a_node_whose_hat_function_no_fit_sample_reaches(tmp_path, capsys):
+    # 120 Gauss-Lobatto nodes: no fit sample lies strictly between -1 and eta[2]
+    out = tmp_path / "t.txt"
+    assert main(["boxgen", "--p", "2", "--m", "120", "--nodes", "gll", "-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: the hat function of control node 1 (eta = -0.9994859")
+    assert "holds none of the 1000 fit samples" in err and not out.exists()
 
 
 # -- bound ------------------------------------------------------------------
@@ -265,6 +288,22 @@ def test_bound_with_overflowing_table_row(tmp_path, monkeypatch, capsys):
     write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 1), np.ones(2)), path)
     assert main(["bound", str(path)]) == 2
     assert "violates its bounding property (margin -inf)" in capsys.readouterr().err
+
+
+def test_bound_with_table_whose_lower_values_exceed_its_upper_ones(tmp_path, monkeypatch, capsys):
+    # each envelope is phi at the nodes, 5e-13 to the wrong side: the margin
+    # passes verification's -1e-12, and the crossed rows are refused after it
+    basis, nodes = make_basis("lobatto-nodal", 1), make_node_set("equispaced", 3)
+    phi = basis_matrix(basis, nodes.array()).T
+    table = dataclasses.replace(optimize_values(basis, nodes), q_lower=phi + 5e-13,
+                                q_upper=phi - 5e-13)
+    path = tmp_path / table_file_name("lobatto-nodal", 1, 3)
+    save_table(table, path)
+    monkeypatch.setenv("POLYBOUND_TABLE_DIR", str(tmp_path))
+    coeffs = tmp_path / "c.txt"
+    write_coeffs(PolyCoeffs(1, basis, np.ones(2)), coeffs)
+    assert main(["bound", str(coeffs), "--m", "3"]) == 1
+    assert capsys.readouterr().err == f"error: {path}: lower values exceed upper values\n"
 
 
 @pytest.mark.parametrize("dim, p, big, extra, stage", [
@@ -418,6 +457,52 @@ def test_limit_demo_no_limiter(capsys):
                "--tfinal", "0.02", "--samples", "8", "--no-limiter"])
     assert rc == 0
     assert "limiter off" in capsys.readouterr().out
+
+
+# -- soundness alarms -------------------------------------------------------
+
+
+def _shrunk(table):
+    """The table with both envelopes collapsed onto their midline."""
+    mid = 0.5 * (table.q_lower + table.q_upper)
+    return dataclasses.replace(table, q_lower=mid, q_upper=mid)
+
+
+def _coeffs_file(tmp_path, u):
+    path = tmp_path / "c.txt"
+    write_coeffs(PolyCoeffs(1, make_basis("lobatto-nodal", 3), np.array(u, dtype=float)), path)
+    return str(path)
+
+
+def _mesh_file(tmp_path):
+    path = tmp_path / "m.txt"
+    write_mesh(perturb_mesh(uniform_mesh(3, 3, 2), 0.15, seed=7), path)
+    return str(path)
+
+
+@pytest.mark.parametrize("argv, code, stream, alarm", [
+    (lambda tmp: ["bound", _coeffs_file(tmp, [0, 1, 1, 0]), "--oracle"], 2, "err",
+     "BOUND VIOLATION against oracle"),
+    # the midline still covers this polynomial's extrema
+    (lambda tmp: ["bound", _coeffs_file(tmp, [0.1, 1, -0.8, 0.3]), "--oracle"], 0, "err", None),
+    (lambda tmp: ["checkmesh", _mesh_file(tmp), "--oracle"], 2, "out",
+     "oracle: 2 interval-soundness violation(s)"),
+    (lambda tmp: ["limit-demo", "--elements", "4", "--tfinal", "0.02"], 2, "err",
+     "bounds violated despite limiter"),
+], ids=["bound", "bound-covered", "checkmesh", "limit-demo"])
+def test_soundness_alarms_catch_a_table_that_bounds_nothing(argv, code, stream, alarm, tmp_path,
+                                                            monkeypatch, capsys):
+    standard, ladder = polybound.cli.standard_table, polybound.cli.detj_tables
+    monkeypatch.setattr(polybound.cli, "standard_table",
+                        lambda *args, **kwargs: _shrunk(standard(*args, **kwargs)))
+    monkeypatch.setattr(polybound.cli, "detj_tables",
+                        lambda *args, **kwargs: [_shrunk(t) for t in ladder(*args, **kwargs)])
+    assert main(argv(tmp_path)) == code
+    text = getattr(capsys.readouterr(), stream)
+    if alarm is None:
+        assert "VIOLATION" not in text
+    else:
+        assert alarm in text
 
 
 # -- tables -----------------------------------------------------------------

@@ -37,7 +37,7 @@ def test_demo_runs_to_the_end(argv):
 
 
 @pytest.mark.parametrize("script", ["gen_invalid_mesh.py", "gen_tables.py",
-                                    "cache_traffic.py"])
+                                    "cache_traffic.py", "box_solve_margins.py"])
 def test_script_loads_without_running(script):
     namespace = runpy.run_path(str(ROOT / "scripts" / script), run_name="not_main")
     assert callable(namespace["main"])
