@@ -162,7 +162,6 @@ def _p1_ops(basis: BasisSpec):
 
 PROVENANCE_VALUES = (
     "optimized-here",
-    "optimized-here-padded",
     "loaded-from-file",
     "reference",
 )

@@ -72,7 +72,8 @@ class BoxQuality:
 
 class BoxOptimizationError(RuntimeError):
     """A table failed verification (load_table attaches it and its quality),
-    a box solve failed, or a node search found no feasible table."""
+    a box solve failed, a node search found no feasible table, or a
+    margin eigen solve failed."""
 
     def __init__(self, message, table=None, quality=None):
         super().__init__(message)
@@ -246,47 +247,21 @@ def _upper_qp(Q: np.ndarray, R: np.ndarray, b: np.ndarray, active: np.ndarray,
     return _solve_r(R, y + Qtb)
 
 
-def _row_min_gap_sampled(dphi: np.ndarray, phi_c: np.ndarray, eta: np.ndarray,
-                         row: np.ndarray) -> float:
-    """Sampling fallback for min(U - phi) with a Lipschitz safety deduction."""
-    xs = np.linspace(-1.0, 1.0, 10000)
-    gap = np.interp(xs, eta, row) - _cheb.chebval(xs, phi_c)
-    slope_max = np.max(np.abs(np.diff(row) / np.diff(eta)))
-    lip = float(np.abs(dphi).sum()) + slope_max
-    h = xs[1] - xs[0]
-    return float(gap.min()) - 0.5 * lip * h
-
-
-def _colleague_eigvals(c: np.ndarray):
-    """(eigenvalues, solved) of chebroots' rotated colleague matrix for
-    every row of c (P, L >= 3), whose last entry must be nonzero.
-
-    One eigvals call serves all rows. If it raises LinAlgError the rows
-    are solved one by one, and a row that still fails is marked unsolved.
-    """
+def _colleague_eigvals(c: np.ndarray) -> np.ndarray:
+    """Eigenvalues of chebroots' rotated colleague matrix for every row of
+    c (P, L >= 3), whose last entry must be nonzero: one eigvals call."""
     n = c.shape[1] - 1
     mat = np.zeros((len(c), n, n))
     i = np.arange(n - 1)
     mat[:, i, i + 1] = mat[:, i + 1, i] = np.r_[np.sqrt(.5), np.full(n - 2, .5)]
     scl = np.array([1.] + [np.sqrt(.5)] * (n - 1))
     mat[:, :, -1] -= (c[:, :-1] / c[:, -1:]) * (scl / scl[-1]) * .5
-    mat = mat[:, ::-1, ::-1]
-    solved = np.ones(len(c), dtype=bool)
-    try:
-        return np.linalg.eigvals(mat), solved
-    except np.linalg.LinAlgError:
-        vals = np.zeros((len(c), n), dtype=complex)
-        for k, m in enumerate(mat):
-            try:
-                vals[k] = np.linalg.eigvals(m)
-            except np.linalg.LinAlgError:
-                solved[k] = False
-        return vals, solved
+    return np.linalg.eigvals(mat[:, ::-1, ::-1])
 
 
 def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
                          q_upper: np.ndarray):
-    """Per-row continuous min gaps for both sides, plus a pad flag.
+    """Per-row continuous min gaps (lower, upper) of both sides.
 
     Rows may be a leading subset of the basis functions (the unique half
     during symmetric optimization); row k always belongs to phi_{k+1}.
@@ -298,8 +273,8 @@ def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
     real root of its derivative, found as an eigenvalue of the
     colleague matrix (as chebroots does) and polished by a Newton step.
     All problems are solved at once; those whose derivative trims to the
-    same length share one eigvals call. A row whose eigen solve fails
-    takes the sampled bound on both sides and sets the pad flag.
+    same length share one eigvals call. If that call fails, the check
+    raises BoxOptimizationError naming one of its rows (``row U 1``).
     """
     n, S = len(q_upper), eta.size - 1
     C = cheb_coeffs(basis)[:, :n].T
@@ -319,15 +294,18 @@ def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
     # masked root slots sit on the left end until their gaps are dropped
     roots = np.repeat(a, dg.shape[1] - 1, axis=1)
     keep = np.zeros(roots.shape, dtype=bool)
-    failed = np.zeros(len(dg), dtype=bool)
     for L in sorted(set(length.tolist()) - {0, 1}):  # np.unique would import numpy.ma
         k = np.flatnonzero(length == L)
         c, ak, bk = dg[k, :L], a[k], b[k]
         if L == 2:
             r = -c[:, :1] / c[:, 1:]
         else:
-            r, solved = _colleague_eigvals(c)
-            failed[k] = ~solved
+            try:
+                r = _colleague_eigvals(c)
+            except np.linalg.LinAlgError as err:
+                s = owner[k[0]]
+                raise BoxOptimizationError(f"margin eigen solve failed ({err}) in row "
+                                           f"{'UL'[s // n]} {s % n + 1}") from None
         ok = (np.abs(r.imag) < 1e-10) & (r.real > ak - _ROOT_TOL) & (r.real < bk + _ROOT_TOL)
         r = np.where(ok, r.real, ak)
         # one Newton polish on the gap derivative
@@ -346,10 +324,7 @@ def _continuous_min_gaps(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
     span = gap.min(axis=1)
     span[np.isnan(span)] = -np.inf
     best = span.reshape(2 * n, S).min(axis=1)
-    up, lo = best[:n], best[n:]
-    for i in set((owner[failed] % n).tolist()):
-        up[i], lo[i] = [_row_min_gap_sampled(dphi[s], phi[s], eta, q[s]) for s in (i, n + i)]
-    return lo, up, bool(failed.any())
+    return best[n:], best[:n]
 
 
 def offset_correction(basis: BasisSpec, nodes: NodeSet, q_lower: np.ndarray,
@@ -357,16 +332,15 @@ def offset_correction(basis: BasisSpec, nodes: NodeSet, q_lower: np.ndarray,
     """Shift candidate rows so the bounds hold continuously with margin _EPSILON.
 
     Upper rows move up by max(0, -min_x(U - phi)) + _EPSILON; lower rows
-    move down symmetrically. Returns (q_lower, q_upper, padded) where
-    ``padded`` reports whether the sampling fallback was used for any row.
+    move down symmetrically. Returns (q_lower, q_upper).
     """
     eta = nodes.array()
     q_lower = np.array(q_lower, dtype=float)
     q_upper = np.array(q_upper, dtype=float)
-    lo, up, padded = _continuous_min_gaps(basis, eta, q_lower, q_upper)
+    lo, up = _continuous_min_gaps(basis, eta, q_lower, q_upper)
     q_upper += (np.maximum(0.0, -up) + _EPSILON)[:, None]
     q_lower -= (np.maximum(0.0, -lo) + _EPSILON)[:, None]
-    return q_lower, q_upper, padded
+    return q_lower, q_upper
 
 
 def _solved_rows(basis: BasisSpec) -> int:
@@ -467,11 +441,9 @@ def optimize_values(basis: BasisSpec, nodes: NodeSet) -> BoundingTable:
     q_lo, q_up = _raw_boxes(basis, eta, _active_sets(basis))
     # offset the solved rows, then mirror so symmetry stays exact
     n = _solved_rows(basis)
-    q_lo[:n], q_up[:n], padded = offset_correction(basis, nodes, q_lo[:n], q_up[:n])
+    q_lo[:n], q_up[:n] = offset_correction(basis, nodes, q_lo[:n], q_up[:n])
     _mirror(basis, q_lo, q_up)
-
-    provenance = "optimized-here-padded" if padded else "optimized-here"
-    return BoundingTable(basis, nodes, q_lo, q_up, _EPSILON, provenance)
+    return BoundingTable(basis, nodes, q_lo, q_up, _EPSILON, "optimized-here")
 
 
 def _row_gap_norms(basis: BasisSpec, eta: np.ndarray, q_lower: np.ndarray,
@@ -502,7 +474,7 @@ def verify_table(table: BoundingTable) -> BoxQuality:
     """Quality check: exact gap L2 norms and the worst continuous margin."""
     eta = table.eta()
     eps2 = _gap_norms(table.basis, eta, table.q_lower, table.q_upper)
-    lo, up, _ = _continuous_min_gaps(table.basis, eta, table.q_lower, table.q_upper)
+    lo, up = _continuous_min_gaps(table.basis, eta, table.q_lower, table.q_upper)
     return BoxQuality(eps2=eps2, max_violation=float(min(lo.min(), up.min())))
 
 
@@ -684,11 +656,14 @@ def load_table(path) -> BoundingTable:
     except ValueError as err:
         raise TableFormatError(f"{path}: {err}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is refused below
-        quality = verify_table(table)
+        try:
+            quality = verify_table(table)
+        except BoxOptimizationError as err:  # a margin eigen solve failed
+            raise BoxOptimizationError(f"{path}: {err}", table=table) from None
         fault = None
         if quality.max_violation < -1e-12:
             fault = f"violates its bounding property (margin {quality.max_violation:.3e})"
-            lo, up, _ = _continuous_min_gaps(table.basis, eta, q_lower, q_upper)
+            lo, up = _continuous_min_gaps(table.basis, eta, q_lower, q_upper)
             worst = np.argmin(np.concatenate([lo, up]))
         elif not np.isfinite(quality.eps2):
             fault = f"gap norm is not finite (eps2 {quality.eps2})"

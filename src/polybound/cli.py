@@ -357,6 +357,9 @@ def main(argv=None) -> int:
     try:
         if args.command == "boxgen" and args.m is None:
             args.m = args.p + 1
+        # refused before any bounding or time stepping
+        if getattr(args, "oracle", True) and getattr(args, "samples", 2) < 2:
+            raise ValueError("need at least 2 samples per dimension")
         # overflow reaches the user as NonFiniteBoundsError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)

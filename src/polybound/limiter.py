@@ -446,10 +446,11 @@ def step_interpolation_table(orders=range(3, 8)):
         vals = np.where(nodes < 0.0, -0.5, 0.5)
         vals[np.abs(nodes) < 1e-14] = 0.0
         coeffs = PolyCoeffs(1, basis, vals)
+        # first, so an order with no shipped table is refused before any work
+        table = standard_table(basis.family, p, p + 1, kind="optimized")
 
         lo_e, hi_e = brute_force_extrema(coeffs, 10_000)
         lo_b, hi_b = bernstein_bounds(coeffs)
-        table = standard_table(basis.family, p, p + 1, kind="optimized")
         nb_p = bound_tensor(coeffs, table)
         lo_p, hi_p = nb_p.global_min(), nb_p.global_max()
 

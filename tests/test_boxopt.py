@@ -471,6 +471,18 @@ def test_save_load_round_trip(tmp_path, p3_table):
     assert (tmp_path / "t2.txt").read_text() == (tmp_path / "t3.txt").read_text()
 
 
+def test_load_reads_an_old_padded_provenance_as_loaded_from_file(tmp_path):
+    shipped = load_table(_data_dir() / "tables" / "lobatto-nodal-p1-M4.txt")  # optimized-here
+    path = tmp_path / "t.txt"
+    save_table(shipped, path)
+    text = path.read_text()
+    path.write_text(text.replace("provenance=loaded-from-file", "provenance=optimized-here-padded"))
+    assert "provenance=optimized-here-padded" in path.read_text()
+    back = load_table(path)
+    assert back.provenance == "loaded-from-file"
+    np.testing.assert_array_equal(back.q_upper, shipped.q_upper)
+
+
 def test_load_rejects_tampered_table(tmp_path, p3_table):
     path = tmp_path / "bad.txt"
     save_table(p3_table, path)
@@ -555,8 +567,7 @@ def test_offset_correction_raises_all_rows_feasible():
     # degrade the upper rows, then ask for correction
     q_up = raw.q_upper - 0.05
     q_lo = raw.q_lower + 0.05
-    fixed_lo, fixed_up, padded = offset_correction(basis, nodes, q_lo, q_up)
-    assert not padded
+    fixed_lo, fixed_up = offset_correction(basis, nodes, q_lo, q_up)
     x = np.linspace(-1, 1, 1500)
     Phi = basis_matrix(basis, x)
     eta = nodes.array()
@@ -565,63 +576,25 @@ def test_offset_correction_raises_all_rows_feasible():
         assert (_pl_eval(eta, fixed_lo[i], x) <= Phi[:, i] + 1e-12).all()
 
 
-def test_sampled_fallback_encloses_and_is_conservative(monkeypatch):
-    from polybound import boxopt
-
-    def no_eigvals(a):
-        raise np.linalg.LinAlgError("eigen solver unavailable")
-
-    basis = make_basis("lobatto-nodal", 3)
-    # the colleague-matrix eigen solve is the one step of the exact
-    # margin that can raise LinAlgError
-    monkeypatch.setattr(boxopt.np.linalg, "eigvals", no_eigvals)
-    t = optimize_values(basis, make_node_set("equispaced", 5))
-    assert t.provenance == "optimized-here-padded"
-    x = np.linspace(-1, 1, 4003)
-    Phi = basis_matrix(basis, x)
-    eta = t.eta()
-    for i in range(basis.N):
-        assert (_pl_eval(eta, t.q_lower[i], x) <= Phi[:, i] + 1e-12).all()
-        assert (_pl_eval(eta, t.q_upper[i], x) >= Phi[:, i] - 1e-12).all()
-    lo_sampled, up_sampled, padded = boxopt._continuous_min_gaps(basis, eta, t.q_lower, t.q_upper)
-    assert padded
-    monkeypatch.undo()
-    lo, up, padded = boxopt._continuous_min_gaps(basis, eta, t.q_lower, t.q_upper)
-    assert not padded
-    # the Lipschitz deduction keeps both sides' sampled margins below the
-    # exact ones, and costs under 1e-3 on the 10,000-point grid
-    assert (lo_sampled <= lo).all() and (up_sampled <= up).all()
-    assert (lo - lo_sampled < 1e-3).all() and (up - up_sampled < 1e-3).all()
+def _failing_eigvals(a):
+    raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
 
-def test_failed_batched_eigen_solve_pads_only_the_rows_that_fail(monkeypatch):
-    from polybound import boxopt
+def test_failed_margin_eigen_solve_raises_naming_a_row(monkeypatch):
+    t = load_table(_data_dir() / "tables" / "lobatto-nodal-p3-M5.txt")
+    monkeypatch.setattr(np.linalg, "eigvals", _failing_eigvals)
+    with pytest.raises(BoxOptimizationError, match=r"^margin eigen solve failed "
+                       r"\(Eigenvalues did not converge\) in row U 1$"):
+        _continuous_min_gaps(t.basis, t.eta(), t.q_lower, t.q_upper)
 
-    eigvals = np.linalg.eigvals
-    single_calls = []
 
-    def flaky_eigvals(a):
-        # the batched solve fails, and then the first matrix solved alone:
-        # row 0's upper side on span 0, as problems are side-major
-        if a.ndim == 3:
-            raise np.linalg.LinAlgError("no convergence")
-        single_calls.append(a)
-        if len(single_calls) == 1:
-            raise np.linalg.LinAlgError("no convergence")
-        return eigvals(a)
-
-    t = standard_table("lobatto-nodal", 3, 5)
-    eta = t.eta()
-    lo, up, padded = _continuous_min_gaps(t.basis, eta, t.q_lower, t.q_upper)
-    monkeypatch.setattr(boxopt.np.linalg, "eigvals", flaky_eigvals)
-    lo_f, up_f, padded_f = _continuous_min_gaps(t.basis, eta, t.q_lower, t.q_upper)
-    assert padded_f and not padded
-    np.testing.assert_array_equal(lo_f[1:], lo[1:])
-    np.testing.assert_array_equal(up_f[1:], up[1:])
-    phi_c = cheb_coeffs(t.basis)[:, 0]
-    dphi = cheb.chebder(phi_c)
-    assert up_f[0] == boxopt._row_min_gap_sampled(dphi, phi_c, eta, t.q_upper[0])
-    assert lo_f[0] == boxopt._row_min_gap_sampled(-dphi, -phi_c, eta, -t.q_lower[0])
+def test_load_table_names_the_file_when_a_margin_eigen_solve_fails(monkeypatch):
+    path = _data_dir() / "tables" / "lobatto-nodal-p3-M5.txt"
+    monkeypatch.setattr(np.linalg, "eigvals", _failing_eigvals)
+    with pytest.raises(BoxOptimizationError) as err:
+        load_table(path)
+    assert str(err.value).startswith(f"{path}: margin eigen solve failed")
+    assert str(err.value).endswith("in row U 1")
 
 
 def _row_min_gap(dphi, phi_c, eta, row):
@@ -662,8 +635,7 @@ def _assert_min_gaps_match_reference(basis, eta, q_lower, q_upper):
         dphi = cheb.chebder(phi_c)
         ref_up[i] = _row_min_gap(dphi, phi_c, eta, q_upper[i])
         ref_lo[i] = _row_min_gap(-dphi, -phi_c, eta, -q_lower[i])
-    lo, up, padded = _continuous_min_gaps(basis, eta, q_lower, q_upper)
-    assert not padded
+    lo, up = _continuous_min_gaps(basis, eta, q_lower, q_upper)
     np.testing.assert_array_equal(lo, ref_lo)
     np.testing.assert_array_equal(up, ref_up)
 

@@ -135,6 +135,18 @@ def test_boxgen_exits_two_when_a_box_solve_fails(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_boxgen_exits_two_when_a_margin_eigen_solve_fails(tmp_path, monkeypatch, capsys):
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", failing)
+    out = tmp_path / "t.txt"
+    assert main(["boxgen", "--p", "3", "--m", "5", "--nodes", "equispaced", "-o", str(out)]) == 2
+    assert capsys.readouterr().err == ("error: margin eigen solve failed (Eigenvalues did not "
+                                       "converge) in row U 1\n")
+    assert not out.exists()
+
+
 def test_boxgen_names_a_node_whose_hat_function_no_fit_sample_reaches(tmp_path, capsys):
     # 120 Gauss-Lobatto nodes: no fit sample lies strictly between -1 and eta[2]
     out = tmp_path / "t.txt"
@@ -154,6 +166,17 @@ def test_bound_step_column(capsys):
     assert "3.0758" in out
     assert "0.6780" in out
     assert "-98.3%" in out
+
+
+def test_bound_step_refuses_an_order_with_no_table_before_any_work(capsys):
+    # the oracle and the Bernstein conversion of order 12 would warn first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["bound", "--step", "--order", "12"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no precomputed optimized table lobatto-nodal-p12-M13.txt")
+    assert captured.err.count("\n") == 1
 
 
 def test_bound_coeffs_file_with_oracle(tmp_path, capsys):
@@ -218,6 +241,23 @@ def test_bad_numeric_arguments_exit_one_naming_the_value(argv, named, tmp_path, 
     assert main([files.get(a, a) for a in argv]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["checkmesh", "MESH", "--oracle", "--samples", "1"],
+    ["bound", "COEFFS", "--oracle", "--samples", "1"],
+    ["limit-demo", "--samples", "1"],
+], ids=["checkmesh", "bound", "limit-demo"])
+def test_too_few_oracle_samples_are_refused_before_the_run(argv, tmp_path, monkeypatch, capsys):
+    def no_time_step(*args):  # limit-demo prints nothing before its oracle runs
+        raise AssertionError("time stepping ran before the refusal")
+
+    monkeypatch.setattr(polybound.limiter, "advance", no_time_step)
+    files = _coeffs_and_mesh(tmp_path)
+    assert main([files.get(a, a) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least 2 samples per dimension\n"
+    assert captured.out == ""
 
 
 def test_checkmesh_short_ladder_names_the_option(tmp_path, capsys):
