@@ -324,8 +324,7 @@ def _bound_rows(basis: BasisSpec, rows: np.ndarray, table: BoundingTable, scratc
     return _sweep(rows, None, table, scratch, out)
 
 
-def _bound_interval_rows(basis: BasisSpec, lo_rows, hi_rows, table: BoundingTable,
-                         scratch: dict, out=None):
+def _bound_interval_rows(lo_rows, hi_rows, table: BoundingTable, scratch: dict, out=None):
     """Node bounds when each coefficient is only known to an interval.
 
     The midpoint carries the projection; the radius re-enters per
@@ -356,7 +355,7 @@ def _bound_block(U, table: BoundingTable, dim: int, scratch: dict, out):
         # the (M, B) memory of a sweep, read N values at a time, holds the
         # next sweep's rows
         lower, upper = _bound_interval_rows(
-            table.basis, lower.T.reshape(-1, N), upper.T.reshape(-1, N), table, scratch,
+            lower.T.reshape(-1, N), upper.T.reshape(-1, N), table, scratch,
             out if d == dim - 1 else None)
     return lower.T, upper.T
 
@@ -512,6 +511,18 @@ def _newton(U, basis: BasisSpec, x) -> np.ndarray:
     return _derivatives(U, ops, x)[:, 0]
 
 
+# grid values one cell may ask for: 2048^2 in 2D, 161^3 in 3D
+_CELL_GRID_VALUES = 1 << 22
+
+
+def _check_grid(samples_per_dim: int, dim: int) -> None:
+    if samples_per_dim < 2:
+        raise ValueError("need at least 2 samples per dimension")
+    if samples_per_dim**dim > _CELL_GRID_VALUES:
+        raise ValueError(f"samples_per_dim={samples_per_dim} in dim {dim} asks for more "
+                         f"than {_CELL_GRID_VALUES} grid values per cell")
+
+
 def sampled_extrema(U, basis: BasisSpec, dim: int, samples_per_dim: int):
     """Per-cell (min, max) of a (cells,) + (N,)*dim stack by sampling plus Newton.
 
@@ -521,8 +532,7 @@ def sampled_extrema(U, basis: BasisSpec, dim: int, samples_per_dim: int):
     is kept where it improves on the grid. Always an under-approximation:
     min >= the true minimum and max <= the true maximum, per cell.
     """
-    if samples_per_dim < 2:
-        raise ValueError("need at least 2 samples per dimension")
+    _check_grid(samples_per_dim, dim)
     U = np.asarray(U, dtype=float)
     axis = np.linspace(-1.0, 1.0, samples_per_dim)
     G = samples_per_dim**dim

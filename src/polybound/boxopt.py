@@ -71,14 +71,8 @@ class BoxQuality:
 
 
 class BoxOptimizationError(RuntimeError):
-    """A table failed verification (load_table attaches it and its quality),
-    a box solve failed, a node search found no feasible table, or a
-    margin eigen solve failed."""
-
-    def __init__(self, message, table=None, quality=None):
-        super().__init__(message)
-        self.table = table
-        self.quality = quality
+    """A table failed verification, a box solve failed, a node search found
+    no feasible table, or a margin eigen solve failed."""
 
 
 def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
@@ -629,9 +623,9 @@ def load_table(path) -> BoundingTable:
     """Read and verify a table file.
 
     A table whose continuous margin is below -1e-12 or whose gap norm is
-    not finite raises BoxOptimizationError naming the row; ``table`` and
-    ``quality`` hold the table as read and its verification. Provenance is
-    kept for reference tables and otherwise becomes loaded-from-file.
+    not finite raises BoxOptimizationError naming the file and the row.
+    Provenance is kept for reference tables and otherwise becomes
+    loaded-from-file.
     """
     meta, records = _read_table_text(path)
     p, M = meta["p"], meta["M"]
@@ -659,7 +653,7 @@ def load_table(path) -> BoundingTable:
         try:
             quality = verify_table(table)
         except BoxOptimizationError as err:  # a margin eigen solve failed
-            raise BoxOptimizationError(f"{path}: {err}", table=table) from None
+            raise BoxOptimizationError(f"{path}: {err}") from None
         fault = None
         if quality.max_violation < -1e-12:
             fault = f"violates its bounding property (margin {quality.max_violation:.3e})"
@@ -670,7 +664,7 @@ def load_table(path) -> BoundingTable:
             worst = np.argmax(np.concatenate(_row_gap_norms(table.basis, eta, q_lower, q_upper)))
     if fault:
         raise BoxOptimizationError(f"{path}: table {fault} in row {'LU'[worst // N]} "
-                                   f"{worst % N + 1}", table=table, quality=quality)
+                                   f"{worst % N + 1}")
     if np.any(table.q_lower > table.q_upper):
         raise TableFormatError(f"{path}: lower values exceed upper values")
     return table

@@ -33,6 +33,7 @@ from .boxopt import (
 )
 from .bounder import (
     NonFiniteBoundsError,
+    _check_grid,
     bernstein_bounds,
     bound_adaptive,
     bound_tensor,
@@ -106,16 +107,6 @@ def cmd_boxgen(args) -> int:
 # bound
 
 
-def _print_node_bounds(nb) -> None:
-    if nb.dim == 1:
-        print(f"{'eta':>12} {'lower':>14} {'upper':>14}")
-        for e, lo, up in zip(nb.eta, nb.lower, nb.upper):
-            print(f"{e:12.7f} {lo:14.7f} {up:14.7f}")
-    else:
-        print(f"node grid {nb.lower.shape}, showing global envelope only")
-    print(f"global bounds: [{nb.global_min():.10f}, {nb.global_max():.10f}]")
-
-
 def _step_triple(order: int) -> int:
     rows = _lim.step_interpolation_table([order])
     (lo_e, hi_e) = rows["exact"][0]
@@ -138,6 +129,8 @@ def cmd_bound(args) -> int:
               file=sys.stderr)
         return 1
     coeffs = read_coeffs(args.coeffs)
+    if args.oracle:
+        _check_grid(args.samples, coeffs.dim)
     p = coeffs.basis.p
     M = args.m if args.m is not None else p + 1
     table = standard_table(coeffs.basis.family, p, M, kind=_node_kind(args.nodes))
@@ -147,18 +140,23 @@ def cmd_bound(args) -> int:
                                  max_levels=args.subdivide)
         print(f"adaptive bounds after {summary.levels_used} level(s), "
               f"converged={summary.converged}")
-        print(f"global bounds: [{summary.global_min:.10f}, "
-              f"{summary.global_max:.10f}]")
-        return 0
-
-    nb = bound_tensor(coeffs, table)
-    _print_node_bounds(nb)
+        gmin, gmax = summary.global_min, summary.global_max
+    else:
+        nb = bound_tensor(coeffs, table)
+        if nb.dim == 1:
+            print(f"{'eta':>12} {'lower':>14} {'upper':>14}")
+            for e, lo, up in zip(nb.eta, nb.lower, nb.upper):
+                print(f"{e:12.7f} {lo:14.7f} {up:14.7f}")
+        else:
+            print(f"node grid {nb.lower.shape}, showing global envelope only")
+        gmin, gmax = nb.global_min(), nb.global_max()
+    print(f"global bounds: [{gmin:.10f}, {gmax:.10f}]")
     if args.oracle:
         lo, hi = brute_force_extrema(coeffs, args.samples)
         blo, bhi = bernstein_bounds(coeffs)
         print(f"{'oracle':12} {lo:14.7f} {hi:14.7f}")
         print(f"{'bernstein':12} {blo:14.7f} {bhi:14.7f}")
-        if nb.global_min() > lo + 1e-12 or nb.global_max() < hi - 1e-12:
+        if gmin > lo + 1e-12 or gmax < hi - 1e-12:
             print("BOUND VIOLATION against oracle", file=sys.stderr)
             return 2
     return 0

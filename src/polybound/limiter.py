@@ -26,6 +26,7 @@ from .bounder import (
     BoundingTable,
     NonFiniteBoundsError,
     PolyCoeffs,
+    _one_table,
     bernstein_bounds,
     bound_nodes,
     bound_tensor,
@@ -297,11 +298,7 @@ def squeeze_alpha(mean, u_min, u_max, a: float, b: float):
 
 
 def _limit_arrays(U: np.ndarray, table: BoundingTable, bounds, ops):
-    if table.basis != ops["basis"]:
-        raise ValueError(
-            f"bounding table is for {table.basis.family} p={table.basis.p}, "
-            f"solution basis is {ops['basis'].family} p={ops['basis'].p}"
-        )
+    table = _one_table(table, ops["basis"])
     a, b = bounds
     means = _mean_batch(U, ops)
     lower, upper = bound_nodes(U, table, 2)

@@ -381,7 +381,7 @@ _C2 = PolyCoeffs(2, B3, np.ones((4, 4)))
                  r"need coefficients of shape \(\.\.\., 4\)\^1, got \(3, 5\)",
                  id="bound-nodes-shape"),
     pytest.param(lambda t: limiter.apply_limiter(limiter.transport_state(2, 2), t),
-                 "bounding table is for lobatto-nodal p=3, solution basis is lobatto-nodal p=2",
+                 "table basis lobatto-nodal p=3 does not match polynomial basis lobatto-nodal p=2",
                  id="limiter-basis"),
     pytest.param(lambda t: subdivide(_C2, [(-1.0, 0.0)]), r"subcell must be 2 \(a, b\) pairs",
                  id="subdivide-pairs"),
@@ -391,6 +391,8 @@ _C2 = PolyCoeffs(2, B3, np.ones((4, 4)))
                  r"inside \[-1, 1\] per axis", id="subdivide-outside"),
     pytest.param(lambda t: sampled_extrema(np.ones((1, 4)), B3, 1, 1),
                  "at least 2 samples per dimension", id="sampled-extrema"),
+    pytest.param(lambda t: sampled_extrema(np.ones((1, 4, 4, 4)), B3, 3, 2000),
+                 "samples_per_dim=2000 in dim 3", id="sampled-extrema-grid"),
     pytest.param(lambda t: eval_on_grid(_C2, [np.zeros(3)]), "one axis array per dimension",
                  id="eval-on-grid"),
     pytest.param(lambda t: meshcheck.uniform_mesh(0, 1, 2), "at least one element per direction",
@@ -458,11 +460,11 @@ def test_interval_sweep_matches_four_corner_reference(family, p, extra, rows, ex
     lo, hi = f - r, f + r
     ref_lo, ref_hi, scale = _four_corner_rows(table, lo, hi)
     tol = 8 * np.finfo(float).eps * scale
-    lower, upper = bounder._bound_interval_rows(table.basis, lo, hi, table, {})
+    lower, upper = bounder._bound_interval_rows(lo, hi, table, {})
     assert np.all(np.abs(lower - ref_lo) <= tol) and np.all(np.abs(upper - ref_hi) <= tol)
     # a zero-width interval is an exact row
     exact = bounder._bound_rows(table.basis, f, table, {})
-    point = bounder._bound_interval_rows(table.basis, f, f, table, {})
+    point = bounder._bound_interval_rows(f, f, table, {})
     ref_lo, ref_hi, scale = _four_corner_rows(table, f, f)
     tol = 8 * np.finfo(float).eps * scale
     for got in (exact, point):

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -495,10 +496,11 @@ def test_load_rejects_tampered_table(tmp_path, p3_table):
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(BoxOptimizationError) as err:
         load_table(path)
-    # the error carries the table as read, so tooling can look at a broken file
-    assert verify_table(err.value.table) == err.value.quality
-    assert err.value.quality.max_violation < -1e-6
-    assert err.value.table.q_upper[0, 0] == pytest.approx(p3_table.q_upper[0, 0] - 0.8)
+    # the message alone names the file, the margin and the row
+    found = re.fullmatch(r"(.*): table violates its bounding property "
+                         r"\(margin (\S+)\) in row U 1", str(err.value))
+    assert found and found[1] == str(path)
+    assert float(found[2]) < -1e-6
 
 
 @pytest.mark.parametrize("name, row, shift", [
@@ -526,9 +528,8 @@ def test_load_refuses_a_row_whose_gap_norm_overflows(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(BoxOptimizationError,
-                           match=r"gap norm is not finite \(eps2 inf\) in row U 1$") as err:
+                           match=r"t\.txt: table gap norm is not finite \(eps2 inf\) in row U 1$"):
             load_table(path)
-    assert err.value.quality.eps2 == np.inf
 
 
 def test_load_rejects_malformed_header(tmp_path):

@@ -260,6 +260,17 @@ def test_too_few_oracle_samples_are_refused_before_the_run(argv, tmp_path, monke
     assert captured.out == ""
 
 
+def test_bound_refuses_an_oracle_grid_too_large_for_one_cell(tmp_path, capsys):
+    # the default 2000 samples per axis would be 8e9 grid values in 3D
+    path = tmp_path / "c3.txt"
+    write_coeffs(PolyCoeffs(3, make_basis("lobatto-nodal", 3), np.ones((4, 4, 4))), path)
+    assert main(["bound", str(path), "--oracle"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: samples_per_dim=2000 in dim 3 asks for more than "
+                            "4194304 grid values per cell\n")
+
+
 def test_checkmesh_short_ladder_names_the_option(tmp_path, capsys):
     files = _coeffs_and_mesh(tmp_path)
     assert main(["checkmesh", files["MESH"], "--m", "2"]) == 1
@@ -523,13 +534,15 @@ def _mesh_file(tmp_path):
 @pytest.mark.parametrize("argv, code, stream, alarm", [
     (lambda tmp: ["bound", _coeffs_file(tmp, [0, 1, 1, 0]), "--oracle"], 2, "err",
      "BOUND VIOLATION against oracle"),
+    (lambda tmp: ["bound", _coeffs_file(tmp, [0, 1, 1, 0]), "--subdivide", "2", "--oracle"],
+     2, "err", "BOUND VIOLATION against oracle"),
     # the midline still covers this polynomial's extrema
     (lambda tmp: ["bound", _coeffs_file(tmp, [0.1, 1, -0.8, 0.3]), "--oracle"], 0, "err", None),
     (lambda tmp: ["checkmesh", _mesh_file(tmp), "--oracle"], 2, "out",
      "oracle: 2 interval-soundness violation(s)"),
     (lambda tmp: ["limit-demo", "--elements", "4", "--tfinal", "0.02"], 2, "err",
      "bounds violated despite limiter"),
-], ids=["bound", "bound-covered", "checkmesh", "limit-demo"])
+], ids=["bound", "bound-subdivide", "bound-covered", "checkmesh", "limit-demo"])
 def test_soundness_alarms_catch_a_table_that_bounds_nothing(argv, code, stream, alarm, tmp_path,
                                                             monkeypatch, capsys):
     standard, ladder = polybound.cli.standard_table, polybound.cli.detj_tables

@@ -305,6 +305,23 @@ def test_limiter_certifies_bounds():
     assert smin >= -1e-12 and smax <= 1.0 + 1e-12
 
 
+def test_limiter_takes_one_table_as_bound_tensor_does():
+    state = transport_state(4, 3)
+    table = table_for(3)
+    assert np.array_equal(apply_limiter(state, [table]).U, apply_limiter(state, table).U)
+    with pytest.raises(ValueError, match="expected one table, got a ladder of 2"):
+        apply_limiter(state, [table, standard_table("lobatto-nodal", 3, 4)])
+    with pytest.raises(TypeError, match="BoundingTable"):
+        apply_limiter(state, "lobatto-nodal-p3-M5.txt")
+
+
+def test_dg_step_names_stage_when_table_basis_differs():
+    state = transport_state(4, 2)
+    message = r"^RK stage 1 of 3 at t=0\.0: table basis lobatto-nodal p=3 does not match"
+    with pytest.raises(ValueError, match=message):
+        dg_step(state, cfl_dt(state), table_for(3))
+
+
 def test_limiter_idempotent():
     # re-bounding the blend can undershoot a by roundoff, so the second
     # pass may still nudge by ~1 ulp of the coefficient scale; no more
