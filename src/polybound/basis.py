@@ -371,25 +371,30 @@ def mirror_pairs(basis: BasisSpec) -> bool:
     return basis.family != "legendre-modal"
 
 
-def _read_text(path, magic: str, error, count, **types):
+class FormatError(ValueError):
+    """Malformed coefficient, mesh or table file; the message names the
+    file and the offending record."""
+
+
+def _read_text(path, magic: str, count, **types):
     """Read a polybound text file: magic line, key=value metadata, records.
 
     Each keyword names a required metadata key and the type it converts
     to. count(meta) checks the converted metadata and returns how many
     record lines follow; exactly that many must be there, and only blank
-    lines may come after them. Every fault raises error naming the file.
-    Returns (meta, records).
+    lines may come after them. Every fault raises FormatError naming the
+    file. Returns (meta, records).
     """
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or lines[0].strip() != magic:
-        raise error(f"{path}: missing {magic!r} header")
+        raise FormatError(f"{path}: missing {magic!r} header")
     if len(lines) < 2:
-        raise error(f"{path}: truncated, missing metadata line")
+        raise FormatError(f"{path}: truncated, missing metadata line")
     meta = {}
     for tok in lines[1].split():
         key, eq, value = tok.partition("=")
         if not eq:
-            raise error(f"{path}: bad metadata token {tok!r}")
+            raise FormatError(f"{path}: bad metadata token {tok!r}")
         meta[key] = value
     try:
         for key, kind in types.items():
@@ -400,13 +405,13 @@ def _read_text(path, magic: str, error, count, **types):
         if n < 0:
             raise ValueError(f"negative record count {n}")
     except ValueError as err:
-        raise error(f"{path}: {err}") from None
+        raise FormatError(f"{path}: {err}") from None
     records = lines[2:2 + n]
     if len(records) < n:
-        raise error(f"{path}: expected {n} record lines, found {len(records)}")
+        raise FormatError(f"{path}: expected {n} record lines, found {len(records)}")
     for k, line in enumerate(lines[2 + n:], start=3 + n):
         if line.strip():
-            raise error(f"{path}: line {k}: unexpected content after the last record")
+            raise FormatError(f"{path}: line {k}: unexpected content after the last record")
     return meta, records
 
 
@@ -419,12 +424,12 @@ def _write_text(path, magic: str, meta: str, records) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _floats(text: str, count: int, error, record: str) -> np.ndarray:
-    """The count floats of one record; faults raise error naming the record."""
+def _floats(text: str, count: int, record: str) -> np.ndarray:
+    """The count floats of one record; faults raise FormatError naming the record."""
     parts = text.split()
     if len(parts) != count:
-        raise error(f"{record}: expected {count} values, got {len(parts)}")
+        raise FormatError(f"{record}: expected {count} values, got {len(parts)}")
     try:
         return np.array([float(v) for v in parts])
     except ValueError as err:
-        raise error(f"{record}: {err}") from None
+        raise FormatError(f"{record}: {err}") from None

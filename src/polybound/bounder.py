@@ -24,6 +24,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     BasisSpec,
+    FormatError,
     NodeSet,
     _floats,
     _read_text,
@@ -41,7 +42,6 @@ __all__ = [
     "PolyCoeffs",
     "NodeBounds",
     "BoundSummary",
-    "CoeffsFormatError",
     "NonFiniteBoundsError",
     "bound_nodes",
     "bound_tensor",
@@ -125,10 +125,6 @@ class BoundSummary:
     levels_used: int
     converged: bool = True
     level_history: tuple = field(default_factory=tuple)
-
-
-class CoeffsFormatError(ValueError):
-    """Malformed coefficient file; the message names the offending record."""
 
 
 class NonFiniteBoundsError(ArithmeticError):
@@ -742,15 +738,15 @@ def write_coeffs(coeffs: PolyCoeffs, path) -> None:
 
 
 def read_coeffs(path) -> PolyCoeffs:
-    meta, (line,) = _read_text(path, "polybound-coeffs v1", CoeffsFormatError,
-                               lambda meta: 1, dim=int, family=str, p=int)
+    meta, (line,) = _read_text(path, "polybound-coeffs v1", lambda meta: 1,
+                               dim=int, family=str, p=int)
     d, family, p = meta["dim"], meta["family"], meta["p"]
     if family not in FAMILIES:
-        raise CoeffsFormatError(f"{path}: unknown family {family!r}")
+        raise FormatError(f"{path}: unknown family {family!r}")
     if d not in (1, 2, 3):
-        raise CoeffsFormatError(f"{path}: dim must be 1, 2, or 3")
-    u = _floats(line, (p + 1) ** d, CoeffsFormatError, f"{path}: coefficient line")
+        raise FormatError(f"{path}: dim must be 1, 2, or 3")
+    u = _floats(line, (p + 1) ** d, f"{path}: coefficient line")
     try:
         return PolyCoeffs(d, make_basis(family, p), u)
     except ValueError as err:
-        raise CoeffsFormatError(f"{path}: {err}") from None
+        raise FormatError(f"{path}: {err}") from None

@@ -35,6 +35,7 @@ from numpy.polynomial import chebyshev as _cheb
 
 from .basis import (
     BasisSpec,
+    FormatError,
     NodeSet,
     _floats,
     _read_text,
@@ -71,8 +72,8 @@ class BoxQuality:
 
 
 class BoxOptimizationError(RuntimeError):
-    """A table failed verification, a box solve failed, a node search found
-    no feasible table, or a margin eigen solve failed."""
+    """A table failed verification, a box solve failed, or a margin eigen
+    solve failed."""
 
 
 def _nnls(E: np.ndarray, f: np.ndarray, passive: np.ndarray) -> np.ndarray:
@@ -510,8 +511,9 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     norms, with deterministic seeds (equispaced and the standard fixed
     node kinds) plus perturbed restarts. Every converged restart and
     every seed then gets the full offset-corrected table, and the final
-    pick is by the post-offset gap norm sum (eps2); the equispaced seed is
-    always in that pool, so the result is never worse than it. A node set
+    pick is by the post-offset gap norm sum (eps2); the equispaced table,
+    fitted before any search, opens that pool, so an M the fit refuses is
+    refused at once and the result is never worse than it. A node set
     the search revisits is not solved again: it keeps its first value.
     Returns the winning BoundingTable (its nodes carry the positions).
     """
@@ -525,9 +527,14 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     def build(eta_arr):
         return optimize_values(basis, NodeSet(eta_arr))
 
-    if M <= 3:
-        # symmetry pins these node sets completely
-        return build([-1.0, 1.0] if M == 2 else [-1.0, 0.0, 1.0])
+    nf = M // 2  # free log-gaps
+    # the equispaced seed opens the pool; its fit refuses an M too large
+    eta = _nodes_from_z(np.zeros(nf), M)
+    best_table = build(eta)
+    if M <= 3:  # symmetry pins these node sets completely
+        return best_table
+    best_eps2 = _gap_norms(basis, best_table.eta(), best_table.q_lower, best_table.q_upper)
+    seen = {tuple(np.round(eta, 10))}
 
     best_raw = {"value": np.inf, "z": None}
     # consecutive evaluations differ by a quasi-Newton step or a
@@ -552,7 +559,6 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
             best_raw.update(value=value, z=np.array(z_free, dtype=float))
         return value
 
-    nf = M // 2  # free log-gaps
     seeds = [np.zeros(nf)]
     for eta0 in (
         make_node_set("gauss-lobatto", M).array(),
@@ -579,8 +585,6 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
     if best_raw["z"] is not None:
         candidates.append(best_raw["z"])
 
-    best_eps2, best_table = np.inf, None
-    seen = set()
     for z in candidates:
         eta = _nodes_from_z(z, M)
         key = tuple(np.round(eta, 10))
@@ -592,14 +596,7 @@ def optimize_nodes(basis: BasisSpec, M: int, restarts: int = 20, seed: int = 0,
         eps2 = _gap_norms(basis, table.eta(), table.q_lower, table.q_upper)
         if eps2 < best_eps2:
             best_eps2, best_table = eps2, table
-
-    if best_table is None:
-        raise BoxOptimizationError("node search found no feasible table")
     return best_table
-
-
-class TableFormatError(ValueError):
-    """Malformed table file; the message names the offending record."""
 
 
 def save_table(table: BoundingTable, path) -> None:
@@ -614,9 +611,8 @@ def save_table(table: BoundingTable, path) -> None:
 
 def _read_table_text(path):
     """(meta, records) of a table file, header and record count checked."""
-    return _read_text(path, "polybound-table v1", TableFormatError,
-                      lambda meta: 1 + 2 * (meta["p"] + 1), family=str, p=int,
-                      M=int, epsilon=float, provenance=str)
+    return _read_text(path, "polybound-table v1", lambda meta: 1 + 2 * (meta["p"] + 1),
+                      family=str, p=int, M=int, epsilon=float, provenance=str)
 
 
 def load_table(path) -> BoundingTable:
@@ -630,16 +626,16 @@ def load_table(path) -> BoundingTable:
     meta, records = _read_table_text(path)
     p, M = meta["p"], meta["M"]
     if not records[0].startswith("nodes:"):
-        raise TableFormatError(f"{path}: expected 'nodes:' record on line 3")
-    eta = _floats(records[0][len("nodes:"):], M, TableFormatError, f"{path}: nodes")
+        raise FormatError(f"{path}: expected 'nodes:' record on line 3")
+    eta = _floats(records[0][len("nodes:"):], M, f"{path}: nodes")
     N = p + 1
     rows = []
     for k, rec in enumerate(records[1:]):
         rec = rec.strip()
         tag = f"{'LU'[k // N]} {k % N + 1}:"
         if not rec.startswith(tag):
-            raise TableFormatError(f"{path}: expected record {tag!r}, got {rec[:20]!r}")
-        rows.append(_floats(rec[len(tag):], M, TableFormatError, f"{path}: {tag}"))
+            raise FormatError(f"{path}: expected record {tag!r}, got {rec[:20]!r}")
+        rows.append(_floats(rec[len(tag):], M, f"{path}: {tag}"))
     q_lower, q_upper = np.reshape(rows, (2, N, M))
 
     provenance = "reference" if meta["provenance"] == "reference" else "loaded-from-file"
@@ -648,7 +644,7 @@ def load_table(path) -> BoundingTable:
                               NodeSet(eta),
                               q_lower, q_upper, meta["epsilon"], provenance)
     except ValueError as err:
-        raise TableFormatError(f"{path}: {err}") from None
+        raise FormatError(f"{path}: {err}") from None
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing row is refused below
         try:
             quality = verify_table(table)
@@ -666,7 +662,7 @@ def load_table(path) -> BoundingTable:
         raise BoxOptimizationError(f"{path}: table {fault} in row {'LU'[worst // N]} "
                                    f"{worst % N + 1}")
     if np.any(table.q_lower > table.q_upper):
-        raise TableFormatError(f"{path}: lower values exceed upper values")
+        raise FormatError(f"{path}: lower values exceed upper values")
     return table
 
 

@@ -89,12 +89,15 @@ def cmd_boxgen(args) -> int:
     family = _family(args.family)
     node_kind = _node_kind(args.nodes)
     basis = make_basis(family, args.p)
+    M = args.m if args.m is not None else args.p + 1
+    out = Path(args.output or table_file_name(family, args.p, M))
+    if not out.parent.is_dir():  # before the search, which may take minutes
+        raise FileNotFoundError(f"no such directory: {out.parent}")
     if node_kind == "optimized":
-        table = optimize_nodes(basis, args.m, restarts=args.restarts, seed=args.seed)
+        table = optimize_nodes(basis, M, restarts=args.restarts, seed=args.seed)
     else:
-        table = optimize_values(basis, make_node_set(node_kind, args.m))
+        table = optimize_values(basis, make_node_set(node_kind, M))
     report = verify_table(table)
-    out = Path(args.output or table_file_name(family, args.p, args.m))
     save_table(table, out)
     print(f"wrote {out}")
     print(f"eps2 = {report.eps2:.7f}")
@@ -125,9 +128,7 @@ def cmd_bound(args) -> int:
     if args.step:
         return _step_triple(args.order)
     if not args.coeffs:
-        print("a coefficients file is required unless --step is given",
-              file=sys.stderr)
-        return 1
+        raise ValueError("a coefficients file is required unless --step is given")
     coeffs = read_coeffs(args.coeffs)
     if args.oracle:
         _check_grid(args.samples, coeffs.dim)
@@ -167,6 +168,8 @@ def cmd_bound(args) -> int:
 
 
 def cmd_checkmesh(args) -> int:
+    if args.oracle:
+        _check_grid(args.samples, 2)
     mesh = read_mesh(args.mesh)
     try:
         tables = detj_tables(mesh.p, args.m)
@@ -210,6 +213,7 @@ def _mesh_oracle_violations(mesh, report, samples: int) -> int:
 
 
 def cmd_limit_demo(args) -> int:
+    _check_grid(args.samples, 2)
     p = args.order
     table = None
     if not args.no_limiter:
@@ -353,11 +357,6 @@ def _build_parser() -> _Parser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "boxgen" and args.m is None:
-            args.m = args.p + 1
-        # refused before any bounding or time stepping
-        if getattr(args, "oracle", True) and getattr(args, "samples", 2) < 2:
-            raise ValueError("need at least 2 samples per dimension")
         # overflow reaches the user as NonFiniteBoundsError, not as warnings
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)

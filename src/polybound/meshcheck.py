@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .basis import (_floats, _read_text, _transform_matrix, _write_text, basis_deriv_matrix,
-                    basis_matrix, gauss_lobatto_nodes, make_basis)
+from .basis import (FormatError, _floats, _read_text, _transform_matrix, _write_text,
+                    basis_deriv_matrix, basis_matrix, gauss_lobatto_nodes, make_basis)
 from .bounder import (PolyCoeffs, _as_ladder, _bernstein_stack, _corners, _one_table,
                       _require_finite, _restrict, bound_nodes, refine)
 from .boxopt import standard_table
@@ -26,7 +26,6 @@ __all__ = [
     "CurvedMesh",
     "ElementReport",
     "ValidityReport",
-    "MeshFormatError",
     "detj_coeffs",
     "detj_tables",
     "classify_element",
@@ -101,10 +100,6 @@ class ValidityReport:
         for e in self.elements:
             out[e.status] += 1
         return out
-
-
-class MeshFormatError(ValueError):
-    """Malformed mesh file; the message names the offending record."""
 
 
 def _element_nodes(element):
@@ -327,14 +322,14 @@ def _mesh_count(meta) -> int:
 
 
 def read_mesh(path) -> CurvedMesh:
-    meta, records = _read_text(path, "polybound-mesh v1", MeshFormatError, _mesh_count,
+    meta, records = _read_text(path, "polybound-mesh v1", _mesh_count,
                                dim=int, p=int, elements=int)
     want = 2 * (meta["p"] + 1) ** 2
     values = np.reshape(_element_values(records, want, path), (-1, want // 2, 2))
     try:
         return CurvedMesh(meta["p"], values)
     except ValueError as err:
-        raise MeshFormatError(f"{path}: {err}") from None
+        raise FormatError(f"{path}: {err}") from None
 
 
 def _element_values(records, want: int, path):
@@ -352,6 +347,6 @@ def _element_values(records, want: int, path):
         except ValueError:
             pass
     if values is None or values.shape != (len(records), want):
-        values = [_floats(line, want, MeshFormatError, f"{path}: element {k}")
+        values = [_floats(line, want, f"{path}: element {k}")
                   for k, line in enumerate(records)]
     return values

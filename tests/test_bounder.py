@@ -11,12 +11,11 @@ from hypothesis import given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 from polybound import bounder, limiter, meshcheck
-from polybound.basis import (FAMILIES, _bary_weights, _transform_matrix, basis_matrix,
+from polybound.basis import (FAMILIES, FormatError, _bary_weights, _transform_matrix, basis_matrix,
                              change_basis, cheb_coeffs, gauss_legendre_nodes, gauss_legendre_rule,
                              gauss_lobatto_nodes, linear_coeffs, make_basis, make_node_set)
 from polybound.boxopt import _data_dir, load_table, optimize_values, standard_table
 from polybound.bounder import (
-    CoeffsFormatError,
     PolyCoeffs,
     bernstein_bounds,
     bound_adaptive,
@@ -927,10 +926,10 @@ def test_coeffs_io_round_trip(tmp_path):
 def test_coeffs_format_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("wrong header\n")
-    with pytest.raises(CoeffsFormatError):
+    with pytest.raises(FormatError):
         read_coeffs(p)
     p.write_text("polybound-coeffs v1\ndim=2 family=lobatto-nodal p=3\n1.0 2.0\n")
-    with pytest.raises(CoeffsFormatError):
+    with pytest.raises(FormatError):
         read_coeffs(p)
 
 

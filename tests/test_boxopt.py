@@ -7,18 +7,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings, strategies as st
 from numpy.polynomial import chebyshev as cheb
 
 import polybound
-from polybound.basis import (FAMILIES, NodeSet, basis_matrix, cheb_coeffs, hat_matrix, make_basis,
-                             make_node_set, mirror_pairs)
+from polybound.basis import (FAMILIES, FormatError, NodeSet, basis_matrix, cheb_coeffs, hat_matrix,
+                             make_basis, make_node_set, mirror_pairs)
 from polybound.boxopt import (
     _N_SAMPLES,
     _ROOT_TOL,
     _SAMPLE_POINTS,
     BoxOptimizationError,
-    TableFormatError,
     _active_sets,
     _continuous_min_gaps,
     _data_dir,
@@ -162,7 +162,7 @@ def test_optimize_nodes_takes_warm_starts():
     assert verify_table(table).eps2 <= verify_table(optimize_values(basis, NodeSet(eta))).eps2 + 1e-12
 
 
-def test_node_search_passes_over_a_node_set_the_fit_cannot_sample():
+def test_node_search_passes_over_a_node_set_the_fit_cannot_sample(monkeypatch):
     # no fit sample lies strictly between -5e-4 and 5e-4, where node 2's hat is nonzero
     basis = make_basis("lobatto-nodal", 3)
     hollow = [-1.0, -5e-4, 0.0, 5e-4, 1.0]
@@ -176,9 +176,14 @@ def test_node_search_passes_over_a_node_set_the_fit_cannot_sample():
     # the fifth restart starts at it, which the objective scores like nodes 1e-6 apart
     table = optimize_nodes(basis, 5, restarts=5, maxiter=2, warm_starts=[hollow])
     assert verify_table(table).max_violation > 0
-    # a node set too large for the samples is still refused by name
-    with pytest.raises(ValueError, match="M=600 needs more than 1000 samples"):
-        optimize_nodes(basis, 600, restarts=0)
+    # a node set too large for the samples is still refused by name, before any search
+    def no_search(*args, **kwargs):
+        raise AssertionError("the node search ran before the refusal")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
+    for restarts in (0, 8):
+        with pytest.raises(ValueError, match="M=600 needs more than 1000 samples"):
+            optimize_nodes(basis, 600, restarts=restarts)
 
 
 def test_shipped_table_regenerates_byte_identically(tmp_path):
@@ -535,7 +540,7 @@ def test_load_refuses_a_row_whose_gap_norm_overflows(tmp_path):
 def test_load_rejects_malformed_header(tmp_path):
     path = tmp_path / "junk.txt"
     path.write_text("not-a-table v9\n")
-    with pytest.raises(TableFormatError):
+    with pytest.raises(FormatError):
         load_table(path)
 
 

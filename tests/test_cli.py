@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import polybound
 from polybound import bounder
@@ -156,6 +157,22 @@ def test_boxgen_names_a_node_whose_hat_function_no_fit_sample_reaches(tmp_path, 
     assert "holds none of the 1000 fit samples" in err and not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--p", "3", "--m", "6", "-o", "TMP/missing/dir/t.txt"], "no such directory: TMP/missing/dir"),
+    (["--p", "2", "--m", "520", "-o", "TMP/t.txt"], "M=520 needs more than 1000 samples"),
+], ids=["missing-directory", "oversize-m"])
+def test_boxgen_refuses_before_the_search(argv, message, tmp_path, monkeypatch, capsys):
+    def no_search(*args, **kwargs):
+        raise AssertionError("the node search ran before the refusal")
+
+    monkeypatch.setattr(scipy.optimize, "minimize", no_search)
+    assert main(["boxgen"] + [a.replace("TMP", str(tmp_path)) for a in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message.replace('TMP', str(tmp_path))}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- bound ------------------------------------------------------------------
 
 
@@ -243,12 +260,19 @@ def test_bad_numeric_arguments_exit_one_naming_the_value(argv, named, tmp_path, 
     assert err.startswith("error:") and named in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("argv", [
-    ["checkmesh", "MESH", "--oracle", "--samples", "1"],
-    ["bound", "COEFFS", "--oracle", "--samples", "1"],
-    ["limit-demo", "--samples", "1"],
-], ids=["checkmesh", "bound", "limit-demo"])
-def test_too_few_oracle_samples_are_refused_before_the_run(argv, tmp_path, monkeypatch, capsys):
+TOO_FEW = "need at least 2 samples per dimension"
+TOO_MANY = "samples_per_dim=2100 in dim 2 asks for more than 4194304 grid values per cell"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["checkmesh", "MESH", "--oracle", "--samples", "1"], TOO_FEW),
+    (["bound", "COEFFS", "--oracle", "--samples", "1"], TOO_FEW),
+    (["limit-demo", "--samples", "1"], TOO_FEW),
+    (["checkmesh", "MESH", "--oracle", "--samples", "2100"], TOO_MANY),
+    (["limit-demo", "--samples", "2100"], TOO_MANY),
+], ids=["checkmesh", "bound", "limit-demo", "checkmesh-oversize", "limit-demo-oversize"])
+def test_too_few_oracle_samples_are_refused_before_the_run(argv, message, tmp_path, monkeypatch,
+                                                           capsys):
     def no_time_step(*args):  # limit-demo prints nothing before its oracle runs
         raise AssertionError("time stepping ran before the refusal")
 
@@ -256,8 +280,13 @@ def test_too_few_oracle_samples_are_refused_before_the_run(argv, tmp_path, monke
     files = _coeffs_and_mesh(tmp_path)
     assert main([files.get(a, a) for a in argv]) == 1
     captured = capsys.readouterr()
-    assert captured.err == "error: need at least 2 samples per dimension\n"
+    assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def test_bound_step_ignores_the_oracle_grid(capsys):
+    assert main(["bound", "--step", "--oracle", "--samples", "1"]) == 0
+    assert "step interpolant, order 5" in capsys.readouterr().out
 
 
 def test_bound_refuses_an_oracle_grid_too_large_for_one_cell(tmp_path, capsys):
@@ -281,8 +310,11 @@ def test_bound_missing_file():
     assert main(["bound", "/nonexistent/coeffs.txt"]) == 1
 
 
-def test_bound_no_file_no_step():
+def test_bound_no_file_no_step(capsys):
     assert main(["bound"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: a coefficients file is required unless --step is given\n"
 
 
 def _bound_with_edited_table(tmp_path, monkeypatch, edit):

@@ -5,12 +5,11 @@ import numpy as np
 import pytest
 
 from polybound import bounder, meshcheck
-from polybound.basis import gauss_lobatto_nodes
+from polybound.basis import FormatError, gauss_lobatto_nodes
 from polybound.boxopt import standard_table
 from polybound.bounder import bound_adaptive, brute_force_extrema, eval_on_grid
 from polybound.meshcheck import (
     CurvedMesh,
-    MeshFormatError,
     check_mesh,
     classify_element,
     detj_coeffs,
@@ -287,14 +286,14 @@ def test_mesh_io_round_trip(tmp_path):
 def test_mesh_format_errors(tmp_path):
     p = tmp_path / "bad.txt"
     p.write_text("nope\n")
-    with pytest.raises(MeshFormatError):
+    with pytest.raises(FormatError):
         read_mesh(p)
     p.write_text("polybound-mesh v1\ndim=2 p=2 elements=1\n1.0 2.0\n")
-    with pytest.raises(MeshFormatError) as ei:
+    with pytest.raises(FormatError) as ei:
         read_mesh(p)
     assert "element 0" in str(ei.value)
     p.write_text("polybound-mesh v1\ndim=2 p=2 elements=-3\n")
-    with pytest.raises(MeshFormatError, match="negative element count"):
+    with pytest.raises(FormatError, match="negative element count"):
         read_mesh(p)
 
 

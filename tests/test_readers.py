@@ -2,7 +2,7 @@
 
 Each fuzz case starts from a valid coefficient, mesh or table file,
 mutates its lines and checks that the reader fails only with a
-ValueError (its *FormatError among them) and that the CLI command
+ValueError (FormatError among them) and that the CLI command
 reading that file ends with exit 1 or 2 and an ``error:`` line.
 """
 
@@ -13,13 +13,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from polybound import bounder, boxopt, meshcheck
-from polybound.basis import NodeSet, _floats, _read_text, make_basis
-from polybound.boxopt import BoxOptimizationError, TableFormatError, load_table, save_table
-from polybound.bounder import (BoundingTable, CoeffsFormatError, PolyCoeffs, read_coeffs,
-                               write_coeffs)
+from polybound.basis import FormatError, NodeSet, _floats, _read_text, make_basis
+from polybound.boxopt import BoxOptimizationError, load_table, save_table
+from polybound.bounder import BoundingTable, PolyCoeffs, read_coeffs, write_coeffs
 from polybound.cli import main
-from polybound.meshcheck import (CurvedMesh, MeshFormatError, perturb_mesh, read_mesh,
-                                 uniform_mesh, write_mesh)
+from polybound.meshcheck import (CurvedMesh, perturb_mesh, read_mesh, uniform_mesh,
+                                 write_mesh)
 
 TABLE_NAME = "lobatto-nodal-p2-M3.txt"
 TABLE_LINES = (boxopt._data_dir() / "tables" / TABLE_NAME).read_text().splitlines()
@@ -95,16 +94,16 @@ def test_readers_check_counts_before_building_the_basis(tmp_path, monkeypatch):
     monkeypatch.setattr(boxopt, "make_basis", refuse)
     path = tmp_path / "c.txt"
     path.write_text("polybound-coeffs v1\ndim=1 family=lobatto-nodal p=8000\n1 2 3\n")
-    with pytest.raises(CoeffsFormatError, match="expected 8001 values, got 3"):
+    with pytest.raises(FormatError, match="expected 8001 values, got 3"):
         read_coeffs(path)
     path.write_text("\n".join([TABLE_LINES[0], TABLE_LINES[1].replace("p=2", "p=8000")]
                               + TABLE_LINES[2:]) + "\n")
-    with pytest.raises(TableFormatError, match="expected 16003 record lines, found 7"):
+    with pytest.raises(FormatError, match="expected 16003 record lines, found 7"):
         load_table(path)
     short_row = [line.rsplit(" ", 1)[0] if line.startswith("U 3:") else line
                  for line in TABLE_LINES]
     path.write_text("\n".join(short_row) + "\n")
-    with pytest.raises(TableFormatError, match="U 3:: expected 3 values, got 2"):
+    with pytest.raises(FormatError, match="U 3:: expected 3 values, got 2"):
         load_table(path)
 
 
@@ -141,7 +140,7 @@ BAD_TOKENS = ["#", "1__0", "0x10"]
 def _parse_or_message(parse):
     try:
         return np.asarray(parse(), dtype=float)
-    except MeshFormatError as err:
+    except FormatError as err:
         return str(err)
 
 
@@ -167,12 +166,12 @@ def test_bulk_mesh_parse_matches_record_by_record(record, mesh_lines, tmp_path):
         lines[3] = " ".join(values)
     path = tmp_path / "m.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _, records = _read_text(path, "polybound-mesh v1", MeshFormatError, meshcheck._mesh_count,
+    _, records = _read_text(path, "polybound-mesh v1", meshcheck._mesh_count,
                             dim=int, p=int, elements=int)
     want = len(mesh_lines[2].split())
     bulk = _parse_or_message(lambda: meshcheck._element_values(records, want, path))
     one_by_one = _parse_or_message(lambda: [
-        _floats(line, want, MeshFormatError, f"{path}: element {k}")
+        _floats(line, want, f"{path}: element {k}")
         for k, line in enumerate(records)])
     if isinstance(one_by_one, str):
         assert bulk == one_by_one and f"{path}: element " in bulk
@@ -195,8 +194,8 @@ def test_well_formed_mesh_parses_in_one_pass(mesh_lines, tmp_path, monkeypatch):
 @pytest.mark.parametrize("token", ["nan", "inf", "1e999"])
 def test_non_finite_values_are_format_errors_naming_the_file(token, coeffs_lines, mesh_lines,
                                                             tmp_path, capsys):
-    cases = [(coeffs_lines, read_coeffs, CoeffsFormatError, "bound", "coefficients must be finite"),
-             (mesh_lines, read_mesh, MeshFormatError, "checkmesh",
+    cases = [(coeffs_lines, read_coeffs, FormatError, "bound", "coefficients must be finite"),
+             (mesh_lines, read_mesh, FormatError, "checkmesh",
               "element 0: non-finite coordinates")]
     for lines, reader, error, command, message in cases:
         values = lines[2].split()
